@@ -11,7 +11,13 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .fusion import FusionRule, ScoreNormalizer, ScorePair, fit_normalizer, fuse
+from .fusion import (
+    FusionRule,
+    ScoreNormalizer,
+    combine_raw,
+    fit_normalizer_arrays,
+    fuse_arrays,
+)
 from .metrics import (
     EvalReport,
     ExperimentConfig,
@@ -65,7 +71,6 @@ from .verify import (
     TemplateStore,
     Threshold,
     best_match,
-    calibrate_thresholds,
     decide,
     load_templates,
     save_templates,

@@ -110,8 +110,7 @@ def load_config(path) -> RunConfig:
     train_raw = _section(cfg, "train", TrainConfig, ctx)
 
     eval_raw = dict(cfg.get("eval", {}))
-    allowed = {"scenario", "modality", "fusion", "fusion_eye", "folds", "seed",
-               "raw_fusion", "deterministic"}
+    allowed = {"scenario", "modality", "fusion", "fusion_eye", "folds", "seed", "raw_fusion"}
     unknown = set(eval_raw) - allowed
     if unknown:
         raise ConfigError(f"{ctx}: unknown keys in 'eval': {sorted(unknown)}")
@@ -128,7 +127,6 @@ def load_config(path) -> RunConfig:
             folds=int(eval_raw.get("folds", 6)),
             seed=int(eval_raw.get("seed", 0)),
             raw_fusion=bool(eval_raw.get("raw_fusion", False)),
-            deterministic=bool(eval_raw.get("deterministic", True)),
             nan_policy=nan_policy,
             train=train_cfg,
         )
@@ -166,8 +164,6 @@ def _open_config(args) -> RunConfig:
         run = replace_run(run, train=replace(run.train, seed=args.seed))
         if run.synth is not None:
             run = replace_run(run, synth=replace(run.synth, seed=args.seed))
-    if getattr(args, "deterministic", False):
-        eval_updates["deterministic"] = True
     if eval_updates:
         run = replace_run(
             run, eval=replace(run.eval, train=run.train, **eval_updates)
@@ -407,7 +403,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--seed", type=int, help="override all seeds")
-        p.add_argument("--deterministic", action="store_true", help="force deterministic mode")
 
     p = sub.add_parser("gen", help="generate a synthetic corpus")
     common(p)

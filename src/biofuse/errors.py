@@ -61,10 +61,6 @@ class IdentityError(BiofuseError):
     """Lookup of an identity that is not enrolled / not covered by a threshold."""
 
 
-class CalibrationError(BiofuseError):
-    """Threshold calibration lacks genuine or impostor scores for an identity."""
-
-
 class ContractError(BiofuseError):
     """A value passed between stages violates its range contract."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,17 +21,6 @@ class FusionRule(enum.Enum):
     MIN = "min"
     MEAN = "mean"
     PRODUCT = "product"
-
-
-@dataclass(frozen=True)
-class ScorePair:
-    """Eye and brain similarity scores for one verification event and claim."""
-
-    s_eye: float
-    s_brain: float
-    claimed_identity: str | None = None
-    verification_subject: str | None = None
-    verification_round: int | None = None
 
 
 @dataclass(frozen=True)
@@ -48,18 +36,6 @@ class ScoreNormalizer:
         if not (self.eye_max > self.eye_min and self.brain_max > self.brain_min):
             raise FitError("score normalizer needs max > min per modality")
 
-    def normalize(self, pair: ScorePair) -> ScorePair:
-        eye, brain = self.normalize_arrays(
-            np.asarray([pair.s_eye]), np.asarray([pair.s_brain])
-        )
-        return ScorePair(
-            s_eye=float(eye[0]),
-            s_brain=float(brain[0]),
-            claimed_identity=pair.claimed_identity,
-            verification_subject=pair.verification_subject,
-            verification_round=pair.verification_round,
-        )
-
     def normalize_arrays(
         self, s_eye: np.ndarray, s_brain: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -71,16 +47,8 @@ class ScoreNormalizer:
         return np.clip(eye, 0.0, 1.0), np.clip(brain, 0.0, 1.0)
 
 
-def fit_normalizer(pairs: Sequence[ScorePair]) -> ScoreNormalizer:
-    """Fit per-modality min/max; degenerate (constant) scores are an error."""
-    if len(pairs) < 2:
-        raise ValidationError("normalizer calibration needs at least two score pairs")
-    eye = np.asarray([p.s_eye for p in pairs], dtype=np.float64)
-    brain = np.asarray([p.s_brain for p in pairs], dtype=np.float64)
-    return fit_normalizer_arrays(eye, brain)
-
-
 def fit_normalizer_arrays(s_eye: np.ndarray, s_brain: np.ndarray) -> ScoreNormalizer:
+    """Fit per-modality min/max; degenerate (constant) scores are an error."""
     s_eye = np.asarray(s_eye, dtype=np.float64)
     s_brain = np.asarray(s_brain, dtype=np.float64)
     if s_eye.size < 2 or s_brain.size < 2:
@@ -110,13 +78,8 @@ def combine_raw(s_eye, s_brain, rule: FusionRule):
     return s_eye * s_brain
 
 
-def fuse(pair: ScorePair, rule: FusionRule) -> float:
-    """Combine one normalized pair; inputs must already lie in [0, 1]."""
-    out = fuse_arrays(np.asarray([pair.s_eye]), np.asarray([pair.s_brain]), rule)
-    return float(out[0])
-
-
 def fuse_arrays(s_eye: np.ndarray, s_brain: np.ndarray, rule: FusionRule) -> np.ndarray:
+    """Combine normalized scores; inputs must already lie in [0, 1]."""
     s_eye = np.asarray(s_eye, dtype=np.float64)
     s_brain = np.asarray(s_brain, dtype=np.float64)
     for name, arr in (("eye", s_eye), ("brain", s_brain)):

@@ -35,6 +35,7 @@ from .tnn import (
     EmbeddingModel,
     TrainConfig,
     fusion_arch,
+    pairwise_sq_dists,
     single_modality_arch,
     train,
 )
@@ -302,13 +303,6 @@ def _build_structure(labels: np.ndarray, rounds: np.ndarray, scenario: Scenario)
     )
 
 
-def _pairwise_d2(embeddings: np.ndarray) -> np.ndarray:
-    e = np.asarray(embeddings, dtype=np.float64)
-    sq = (e * e).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (e @ e.T)
-    return np.maximum(d2, 0.0)
-
-
 def _best_scores(
     d2: np.ndarray,
     labels: np.ndarray,
@@ -330,7 +324,7 @@ def _best_scores(
 
 
 def _structure_scores(structure: _Structure, embeddings: np.ndarray, labels, rounds):
-    d2 = _pairwise_d2(embeddings)
+    d2 = pairwise_sq_dists(embeddings)
     if structure.scenario is Scenario.S1:
         g = -np.sqrt(d2[structure.g_enr_idx, structure.g_ver])
         i = -np.sqrt(d2[structure.i_enr_idx, structure.i_ver])
@@ -514,7 +508,6 @@ class ExperimentConfig:
     folds: int = 6
     seed: int = 0
     raw_fusion: bool = False
-    deterministic: bool = True
     nan_policy: NanPolicy = NanPolicy()
     train: TrainConfig = TrainConfig()
 
@@ -852,7 +845,6 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
         "raw_fusion": config.raw_fusion,
         "folds": config.folds,
         "seed": config.seed,
-        "deterministic": config.deterministic,
         "nan_policy": {"max_nan_fraction": config.nan_policy.max_nan_fraction},
         "train": {
             "margin": config.train.margin,
@@ -861,7 +853,6 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
             "learning_rate": config.train.learning_rate,
             "optimizer": config.train.optimizer,
             "seed": config.train.seed,
-            "deterministic": config.train.deterministic,
             "samples_per_subject": config.train.samples_per_subject,
         },
         "corpus": {"n_subjects": len(subjects), "subjects": subjects},

@@ -12,7 +12,7 @@ from .arch import (
 )
 from .io import load_model, save_model
 from .loss import Triplet, backward, mine_triplets, pairwise_sq_dists, triplet_loss
-from .network import EmbeddingModel, embed_parts, forward_batch, stack_inputs
+from .network import EmbeddingModel, forward_batch, stack_inputs
 from .train import TrainConfig, make_batches, train
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "Triplet",
     "backward",
     "default_branch",
-    "embed_parts",
     "forward_batch",
     "fusion_arch",
     "load_model",

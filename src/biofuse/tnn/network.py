@@ -322,19 +322,3 @@ def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.
         for bi, dpart in enumerate(np.split(dz, split, axis=1)):
             _backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
     return grad
-
-
-def embed_parts(model: EmbeddingModel, sample) -> dict:
-    """Branch outputs, pre-normalization vector, and embedding for one sample."""
-    branches = stack_inputs([sample], model)
-    outs = []
-    x = None
-    for bi, xb in enumerate(branches):
-        out, _ = _forward_branch(model, bi, np.asarray(xb, dtype=model.dtype), False)
-        outs.append(out[0])
-    x = outs[0] if len(outs) == 1 else np.concatenate(outs)
-    for hi in range(len(model.arch.head_layers)):
-        w = model.views[f"head/layer{hi}/w"]
-        x = x @ w.T + model.views[f"head/layer{hi}/b"]
-    emb = x / np.sqrt((x * x).sum() + _NORM_EPS)
-    return {"branch_outputs": outs, "pre_norm": x, "embedding": emb}

@@ -30,7 +30,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     seed: int = 0
-    deterministic: bool = True
     samples_per_subject: int = 4
 
     def __post_init__(self) -> None:
@@ -164,7 +163,6 @@ def train(
         "learning_rate": cfg.learning_rate,
         "optimizer": cfg.optimizer,
         "seed": cfg.seed,
-        "deterministic": cfg.deterministic,
         "samples_per_subject": cfg.samples_per_subject,
         "n_train_samples": len(samples),
         "n_train_subjects": len(counts),

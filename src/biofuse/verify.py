@@ -14,13 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    IdentityError,
-    ShapeError,
-    TemplateFormatError,
-    ValidationError,
-)
+from .errors import IdentityError, ShapeError, TemplateFormatError, ValidationError
 
 TEMPLATE_MAGIC = b"BIOFUSE-TPL v1"
 
@@ -39,7 +33,7 @@ def similarity(e: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if e.shape != v.shape or e.ndim != 1:
         raise ShapeError(f"embeddings must be equal-length vectors, got {e.shape} vs {v.shape}")
-    return -float(np.linalg.norm(e - v))
+    return -float(np.sqrt(((e - v) ** 2).sum()))
 
 
 @dataclass
@@ -84,17 +78,14 @@ def best_match(verification: np.ndarray, templates: Sequence[Template]) -> tuple
     insertion order."""
     if not templates:
         raise ValidationError("best_match needs a non-empty template list")
-    best_score = None
-    best_tpl = None
-    for tpl in templates:
-        score = similarity(verification, tpl.vector)
-        if (
-            best_score is None
-            or score > best_score
-            or (score == best_score and tpl.round_id < best_tpl.round_id)
-        ):
-            best_score, best_tpl = score, tpl
-    return best_score, best_tpl
+    v = np.asarray(verification, dtype=np.float64)
+    if v.ndim != 1 or any(t.vector.shape != v.shape for t in templates):
+        raise ShapeError("verification and template embeddings must be equal-length vectors")
+    stacked = np.stack([t.vector for t in templates])
+    dist = np.sqrt(((stacked - v) ** 2).sum(axis=1))
+    rounds = np.array([t.round_id for t in templates])
+    best = int(np.lexsort((rounds, dist))[0])
+    return -float(dist[best]), templates[best]
 
 
 @dataclass(frozen=True)
@@ -172,36 +163,6 @@ def verify_claim(
     emb = model.embed(sample)
     score, tpl = best_match(emb, store.templates_for(identity))
     return decide(score, threshold, identity, scenario, matched_round_id=tpl.round_id)
-
-
-def calibrate_thresholds(
-    genuine_by_identity: Mapping[str, Sequence[float]],
-    impostor_by_identity: Mapping[str, Sequence[float]],
-    mode: str,
-) -> Threshold:
-    """Thresholds at the EER point: pooled (global) or per identity (per-user)."""
-    from .metrics import eer_from_scores  # deferred: metrics builds on this module
-
-    if mode not in ("global", "per-user"):
-        raise ValidationError(f"mode must be 'global' or 'per-user', got {mode!r}")
-    if mode == "global":
-        genuine = [s for scores in genuine_by_identity.values() for s in scores]
-        impostor = [s for scores in impostor_by_identity.values() for s in scores]
-        if not genuine or not impostor:
-            raise CalibrationError("global calibration needs genuine and impostor scores")
-        _, theta = eer_from_scores(genuine, impostor)
-        return Threshold.fixed(theta)
-    per_user = {}
-    for identity in sorted(set(genuine_by_identity) | set(impostor_by_identity)):
-        genuine = list(genuine_by_identity.get(identity, ()))
-        impostor = list(impostor_by_identity.get(identity, ()))
-        if not genuine or not impostor:
-            raise CalibrationError(
-                f"identity {identity!r} lacks genuine or impostor calibration scores"
-            )
-        _, theta = eer_from_scores(genuine, impostor)
-        per_user[identity] = theta
-    return Threshold.tailored(per_user)
 
 
 # ---------------------------------------------------------------------------

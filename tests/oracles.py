@@ -88,3 +88,34 @@ def oracle_mine(embeddings, labels, margin):
             best = min(pool, key=lambda j: (d2(a, j), j))
             chosen.append((a, p, best))
     return chosen
+
+
+def oracle_best_match(verification, templates):
+    """Score templates one at a time; a later template wins only with a strictly
+    higher score, or an equal score from a lower round."""
+    best_score, best_tpl = None, None
+    for tpl in templates:
+        score = -math.sqrt(
+            sum((float(a) - float(b)) ** 2 for a, b in zip(verification, tpl.vector))
+        )
+        if (
+            best_score is None
+            or score > best_score
+            or (score == best_score and tpl.round_id < best_tpl.round_id)
+        ):
+            best_score, best_tpl = score, tpl
+    return best_score, best_tpl
+
+
+def oracle_fuse(s_eye, s_brain, rule):
+    """Combine one pair of [0, 1] scores under a rule given by name or enum."""
+    name = getattr(rule, "value", rule)
+    if name == "max":
+        return s_eye if s_eye >= s_brain else s_brain
+    if name == "min":
+        return s_eye if s_eye <= s_brain else s_brain
+    if name == "mean":
+        return (s_eye + s_brain) / 2.0
+    if name == "product":
+        return s_eye * s_brain
+    raise ValueError(f"unknown fusion rule {rule!r}")

@@ -474,9 +474,9 @@ def test_criterion_7_determinism(tmp_path, capsys):
             "synth": {"n_subjects": 6, "n_rounds": 2, "dots_per_round": 10,
                       "subject_separability": 0.7, "noise_sigma": 0.6, "seed": 3},
             "train": {"epochs": 2, "batch_size": 16, "learning_rate": 0.001,
-                      "seed": 3, "deterministic": True},
+                      "seed": 3},
             "eval": {"scenario": "s2", "modality": "brain", "folds": 2,
-                     "seed": 3, "deterministic": True},
+                     "seed": 3},
         }
         config = d / "run.json"
         config.write_text(json.dumps(cfg))

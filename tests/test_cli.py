@@ -129,8 +129,16 @@ def test_seed_flag_changes_artifacts(tmp_path):
     base = (tmp_path / "c.corpus").read_bytes()
     assert main(["gen", "--config", str(config), "--seed", "99"]) == 0
     assert (tmp_path / "c.corpus").read_bytes() != base
-    assert main(["gen", "--config", str(config), "--deterministic"]) == 0
+    assert main(["gen", "--config", str(config)]) == 0
     assert (tmp_path / "c.corpus").read_bytes() == base
+
+
+def test_deterministic_knob_is_rejected(tmp_path, capsys):
+    config, paths = _write_config(tmp_path, n_subjects=2)
+    assert main(["gen", "--config", str(config), "--deterministic"]) == 1
+    config, paths = _write_config(tmp_path, n_subjects=2, extra_eval={"deterministic": True})
+    assert main(["gen", "--config", str(config)]) == 1
+    assert "deterministic" in capsys.readouterr().err
 
 
 def test_preprocess_modality_flag_ignores_fusion_config(tmp_path):

@@ -7,107 +7,102 @@ from biofuse.errors import ContractError, FitError, ValidationError
 from biofuse.fusion import (
     FusionRule,
     ScoreNormalizer,
-    ScorePair,
     combine_raw,
-    fit_normalizer,
-    fuse,
+    fit_normalizer_arrays,
     fuse_arrays,
 )
+from oracles import oracle_fuse
 
 unit = st.floats(0.0, 1.0)
+unit_arrays = st.lists(unit, min_size=1, max_size=20).map(np.array)
 
 
-def _pairs(eye_scores, brain_scores):
-    return [ScorePair(s_eye=e, s_brain=b) for e, b in zip(eye_scores, brain_scores)]
+def _fuse_one(s_eye, s_brain, rule):
+    return float(fuse_arrays(np.array([s_eye]), np.array([s_brain]), rule)[0])
 
 
 class TestNormalizer:
     def test_midpoint(self):
         norm = ScoreNormalizer(eye_min=-10, eye_max=-2, brain_min=-10, brain_max=-2)
-        out = norm.normalize(ScorePair(s_eye=-6.0, s_brain=-6.0))
-        assert out.s_eye == pytest.approx(0.5)
-        assert out.s_brain == pytest.approx(0.5)
+        eye, brain = norm.normalize_arrays(np.array([-6.0]), np.array([-6.0]))
+        assert eye[0] == pytest.approx(0.5)
+        assert brain[0] == pytest.approx(0.5)
 
     def test_clamps_out_of_range(self):
         norm = ScoreNormalizer(eye_min=-10, eye_max=-2, brain_min=-10, brain_max=-2)
-        out = norm.normalize(ScorePair(s_eye=-12.0, s_brain=-1.0))
-        assert out.s_eye == 0.0
-        assert out.s_brain == 1.0
+        eye, brain = norm.normalize_arrays(np.array([-12.0]), np.array([-1.0]))
+        assert eye[0] == 0.0
+        assert brain[0] == 1.0
 
     def test_fit_uses_min_max(self):
-        norm = fit_normalizer(_pairs([-4.0, -1.0, -2.5], [-8.0, -6.0, -7.0]))
+        norm = fit_normalizer_arrays(np.array([-4.0, -1.0, -2.5]), np.array([-8.0, -6.0, -7.0]))
         assert (norm.eye_min, norm.eye_max) == (-4.0, -1.0)
         assert (norm.brain_min, norm.brain_max) == (-8.0, -6.0)
 
     def test_constant_scores_fail(self):
         with pytest.raises(FitError):
-            fit_normalizer(_pairs([-3.0, -3.0], [-1.0, -2.0]))
+            fit_normalizer_arrays(np.array([-3.0, -3.0]), np.array([-1.0, -2.0]))
 
     def test_too_few_pairs(self):
         with pytest.raises(ValidationError):
-            fit_normalizer(_pairs([-3.0], [-1.0]))
+            fit_normalizer_arrays(np.array([-3.0]), np.array([-1.0]))
 
 
 class TestFuse:
     def test_arithmetic(self):
-        pair = ScorePair(s_eye=0.8, s_brain=0.6)
-        assert fuse(pair, FusionRule.MAX) == pytest.approx(0.8)
-        assert fuse(pair, FusionRule.MIN) == pytest.approx(0.6)
-        assert fuse(pair, FusionRule.MEAN) == pytest.approx(0.7)
-        assert fuse(pair, FusionRule.PRODUCT) == pytest.approx(0.48)
+        eye, brain = np.array([0.8]), np.array([0.6])
+        assert fuse_arrays(eye, brain, FusionRule.MAX)[0] == pytest.approx(0.8)
+        assert fuse_arrays(eye, brain, FusionRule.MIN)[0] == pytest.approx(0.6)
+        assert fuse_arrays(eye, brain, FusionRule.MEAN)[0] == pytest.approx(0.7)
+        assert fuse_arrays(eye, brain, FusionRule.PRODUCT)[0] == pytest.approx(0.48)
 
     @settings(max_examples=30, deadline=None)
-    @given(unit)
+    @given(unit_arrays)
     def test_idempotent_on_equal_scores(self, x):
-        pair = ScorePair(s_eye=x, s_brain=x)
         for rule in (FusionRule.MIN, FusionRule.MAX, FusionRule.MEAN):
-            assert fuse(pair, rule) == x
+            np.testing.assert_array_equal(fuse_arrays(x, x, rule), x)
 
     @settings(max_examples=30, deadline=None)
-    @given(unit)
+    @given(unit_arrays)
     def test_product_identity(self, s):
-        assert fuse(ScorePair(s_eye=1.0, s_brain=s), FusionRule.PRODUCT) == s
+        np.testing.assert_array_equal(fuse_arrays(np.ones_like(s), s, FusionRule.PRODUCT), s)
 
     def test_contract_error_outside_unit_interval(self):
         with pytest.raises(ContractError):
-            fuse(ScorePair(s_eye=1.2, s_brain=0.5), FusionRule.MEAN)
+            fuse_arrays(np.array([1.2]), np.array([0.5]), FusionRule.MEAN)
         with pytest.raises(ContractError):
-            fuse(ScorePair(s_eye=0.5, s_brain=-0.1), FusionRule.MAX)
+            fuse_arrays(np.array([0.5]), np.array([-0.1]), FusionRule.MAX)
 
     @settings(max_examples=60, deadline=None)
     @given(unit, unit)
     def test_ordering_chain(self, a, b):
-        pair = ScorePair(s_eye=a, s_brain=b)
-        product = fuse(pair, FusionRule.PRODUCT)
-        low = fuse(pair, FusionRule.MIN)
-        mean = fuse(pair, FusionRule.MEAN)
-        high = fuse(pair, FusionRule.MAX)
+        product = _fuse_one(a, b, FusionRule.PRODUCT)
+        low = _fuse_one(a, b, FusionRule.MIN)
+        mean = _fuse_one(a, b, FusionRule.MEAN)
+        high = _fuse_one(a, b, FusionRule.MAX)
         assert product <= low <= mean <= high
 
     @settings(max_examples=60, deadline=None)
     @given(unit, unit)
     def test_commutative(self, a, b):
         for rule in FusionRule:
-            assert fuse(ScorePair(s_eye=a, s_brain=b), rule) == fuse(
-                ScorePair(s_eye=b, s_brain=a), rule
-            )
+            assert _fuse_one(a, b, rule) == _fuse_one(b, a, rule)
 
     @settings(max_examples=60, deadline=None)
     @given(unit, unit, unit)
     def test_monotone_in_each_argument(self, a, b, bump):
         hi = min(a + bump, 1.0)
         for rule in FusionRule:
-            base = fuse(ScorePair(s_eye=a, s_brain=b), rule)
-            more = fuse(ScorePair(s_eye=hi, s_brain=b), rule)
-            assert more >= base
+            assert _fuse_one(hi, b, rule) >= _fuse_one(a, b, rule)
 
-    def test_array_path_matches_scalar(self):
-        eye = np.array([0.1, 0.9, 0.5])
-        brain = np.array([0.4, 0.2, 0.5])
+    def test_array_path_matches_oracle(self):
+        rng = np.random.default_rng(0)
+        eye = np.concatenate([rng.random(200), [0.0, 1.0, 0.5, 0.5]])
+        brain = np.concatenate([rng.random(200), [1.0, 0.0, 0.5, 0.25]])
         for rule in FusionRule:
             out = fuse_arrays(eye, brain, rule)
-            expect = [fuse(ScorePair(s_eye=e, s_brain=b), rule) for e, b in zip(eye, brain)]
-            np.testing.assert_allclose(out, expect)
+            expect = [oracle_fuse(e, b, rule) for e, b in zip(eye.tolist(), brain.tolist())]
+            np.testing.assert_array_equal(out, expect)
 
     def test_raw_combiner_skips_contract(self):
         out = combine_raw(np.array([-3.0]), np.array([-5.0]), FusionRule.MEAN)

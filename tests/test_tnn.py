@@ -18,13 +18,14 @@ from biofuse.tnn import (
     TrainConfig,
     Triplet,
     backward,
-    embed_parts,
+    forward_batch,
     fusion_arch,
     load_model,
     make_batches,
     mine_triplets,
     save_model,
     single_modality_arch,
+    stack_inputs,
     train,
     triplet_loss,
 )
@@ -63,14 +64,16 @@ class TestEmbed:
     def test_fusion_a_concatenates_branch_outputs(self):
         model = EmbeddingModel(fusion_arch(ArchKind.FUSION_A), seed=2)
         pair = PairedSample(brain=_brain_sample(), eye=_eye_sample())
-        parts = embed_parts(model, pair)
-        assert [p.size for p in parts["branch_outputs"]] == [16, 16]
-        concat = np.concatenate(parts["branch_outputs"])
-        np.testing.assert_allclose(
-            parts["embedding"], concat / np.linalg.norm(concat), atol=1e-6
-        )
-        emb = model.embed(pair)
-        np.testing.assert_allclose(emb, parts["embedding"], atol=1e-6)
+        emb, cache = forward_batch(model, stack_inputs([pair], model), with_cache=True)
+        assert cache["branch_widths"] == [16, 16]
+        pre_norm = cache["l2"][0]
+        np.testing.assert_allclose(emb, pre_norm / np.linalg.norm(pre_norm), atol=1e-6)
+        np.testing.assert_allclose(model.embed(pair), emb[0], atol=1e-6)
+        # no head layers: the brain half depends on the brain branch alone
+        other = PairedSample(brain=pair.brain, eye=_eye_sample(seed=1))
+        _, cache2 = forward_batch(model, stack_inputs([other], model), with_cache=True)
+        assert cache2["l2"][0][0, :16].tobytes() == pre_norm[0, :16].tobytes()
+        assert not np.allclose(cache2["l2"][0][0, 16:], pre_norm[0, 16:])
 
     def test_shape_mismatch(self):
         model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=1)
@@ -181,8 +184,6 @@ class TestBackward:
         feats = [(rng.standard_normal((c, t)),) for _ in range(4)]
         # anchor == positive gives d_ap = 0; with a tiny margin the hinge is
         # inactive unless the negative embedding coincides with the anchor
-        from biofuse.tnn.network import forward_batch, stack_inputs
-
         emb, _ = forward_batch(model, stack_inputs(feats, model), with_cache=False)
         assert ((emb[0] - emb[1]) ** 2).sum() > 1e-6
         grad, loss = backward(model, feats, [Triplet(0, 0, 1)], margin=1e-12)
@@ -209,7 +210,6 @@ class TestBackward:
         grad, _ = backward(model, feats, triplets, margin=0.5)
         eps = 1e-4
         fd = np.empty_like(grad)
-        from biofuse.tnn.network import forward_batch, stack_inputs
 
         def loss_at():
             emb, _ = forward_batch(model, stack_inputs(feats, model), with_cache=False)

@@ -3,20 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biofuse.errors import CalibrationError, IdentityError, ShapeError, ValidationError
+from biofuse.errors import IdentityError, ShapeError, ValidationError
+from biofuse.metrics import TrialBlock, TrialSet, eer_from_scores, per_subject_eer
 from biofuse.verify import (
     Scenario,
     Template,
     TemplateStore,
     Threshold,
     best_match,
-    calibrate_thresholds,
     decide,
     load_templates,
     save_templates,
     similarity,
 )
-from oracles import oracle_eer, oracle_far_frr
+from oracles import oracle_best_match, oracle_eer, oracle_far_frr
 
 
 class TestSimilarity:
@@ -101,6 +101,34 @@ class TestBestMatch:
         score, _ = best_match(v, templates)
         assert all(score >= similarity(v, t.vector) for t in templates)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda dim: st.tuples(
+                st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                st.lists(
+                    st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                    min_size=1, max_size=4,
+                ),
+                st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=10),
+            )
+        )
+    )
+    def test_matches_scalar_oracle(self, case):
+        # integer coordinates give exact distances, so equal distances are real
+        # ties; templates draw from a small pool of vectors and rounds, so
+        # duplicates across rounds and within one round are common
+        v, pool, picks = case
+        templates = [
+            Template(identity="a", vector=np.array(pool[k % len(pool)], dtype=np.float64),
+                     round_id=r)
+            for k, r in picks
+        ]
+        score, tpl = best_match(np.array(v, dtype=np.float64), templates)
+        expect_score, expect_tpl = oracle_best_match(v, templates)
+        assert score == expect_score
+        assert tpl is expect_tpl
+
 
 class TestDecide:
     def test_accepts_above(self):
@@ -125,22 +153,41 @@ class TestDecide:
             assert not (high and not low)  # raising theta never flips reject -> accept
 
 
+def _trials(genuine_by_identity, impostor_by_identity):
+    """S3 trial set holding only the scores and claimed identities calibration reads."""
+
+    def block(by_identity):
+        claimed = [ident for ident, scores in by_identity.items() for _ in scores]
+        n = len(claimed)
+        return TrialBlock(
+            scores=np.asarray([s for v in by_identity.values() for s in v], dtype=np.float64),
+            claimed=np.asarray(claimed, dtype=object),
+            ver_subject=np.asarray(claimed, dtype=object),
+            ver_round=np.zeros(n, dtype=np.int64),
+            enr_round_mask=np.full(n, 2, dtype=np.uint64),
+        )
+
+    return TrialSet(
+        scenario=Scenario.S3,
+        genuine=block(genuine_by_identity),
+        impostor=block(impostor_by_identity),
+    )
+
+
 class TestCalibrate:
     def test_perfect_separation_gap_midpoint(self):
         genuine = {"a": [-0.5, -0.3], "b": [-0.4]}
         impostor = {"a": [-2.0, -1.5], "b": [-1.8]}
-        th = calibrate_thresholds(genuine, impostor, "global")
-        theta = th.resolve("a")
-        assert theta == pytest.approx((-1.5 + -0.5) / 2)
         g_all = [s for v in genuine.values() for s in v]
         i_all = [s for v in impostor.values() for s in v]
+        th = Threshold.fixed(eer_from_scores(g_all, i_all)[1])
+        theta = th.resolve("a")
+        assert theta == pytest.approx((-1.5 + -0.5) / 2)
         far, frr = oracle_far_frr(g_all, i_all, theta)
         assert far == 0.0 and frr == 0.0
 
     def test_identical_distributions_eer_half(self):
         scores = [-1.0, -0.5, -0.2]
-        from biofuse.metrics import eer_from_scores
-
         eer, _ = eer_from_scores(scores, scores)
         assert eer == pytest.approx(0.5)
 
@@ -154,18 +201,24 @@ class TestCalibrate:
             "a": list(rng.normal(-0.5, 0.6, 11)),
             "b": list(rng.normal(-0.2, 0.8, 13)),
         }
-        th = calibrate_thresholds(genuine, impostor, "per-user")
+        th = Threshold.tailored(per_subject_eer(_trials(genuine, impostor)).thresholds)
         for ident in ("a", "b"):
             _, theta = oracle_eer(genuine[ident], impostor[ident])
             assert th.resolve(ident) == pytest.approx(theta, abs=1e-9)
 
-    def test_missing_kind_raises(self):
-        with pytest.raises(CalibrationError, match="'b'"):
-            calibrate_thresholds({"a": [1.0], "b": [1.0]}, {"a": [0.0]}, "per-user")
+    def test_missing_impostor_side_warns_and_lists(self):
+        with pytest.warns(UserWarning, match="'b'"):
+            pse = per_subject_eer(_trials({"a": [1.0], "b": [1.0]}, {"a": [0.0]}))
+        assert pse.skipped == ("b",)
+        th = Threshold.tailored(pse.thresholds)
+        with pytest.raises(IdentityError):
+            th.resolve("b")
 
-    def test_bad_mode(self):
-        with pytest.raises(ValidationError):
-            calibrate_thresholds({"a": [1.0]}, {"a": [0.0]}, "weird")
+    def test_missing_genuine_side_warns_and_lists(self):
+        with pytest.warns(UserWarning, match="'b'"):
+            pse = per_subject_eer(_trials({"a": [1.0]}, {"a": [0.0], "b": [0.0]}))
+        assert pse.skipped == ("b",)
+        assert set(pse.thresholds) == {"a"}
 
 
 class TestThreshold:
