@@ -26,7 +26,6 @@ from .preprocess import (
     build_dataset,
     fit_standardizer,
     load_dataset,
-    pair_samples,
     save_dataset,
 )
 from .tnn import (
@@ -35,6 +34,7 @@ from .tnn import (
     TrainConfig,
     fusion_arch,
     load_model,
+    model_inputs,
     save_model,
     single_modality_arch,
     train,
@@ -161,24 +161,12 @@ def _open_config(args) -> RunConfig:
         eval_updates["fusion"] = _parse_fusion(args.fusion)
     if getattr(args, "seed", None) is not None:
         eval_updates["seed"] = args.seed
-        run = replace_run(run, train=replace(run.train, seed=args.seed))
+        run = replace(run, train=replace(run.train, seed=args.seed))
         if run.synth is not None:
-            run = replace_run(run, synth=replace(run.synth, seed=args.seed))
+            run = replace(run, synth=replace(run.synth, seed=args.seed))
     if eval_updates:
-        run = replace_run(
-            run, eval=replace(run.eval, train=run.train, **eval_updates)
-        )
+        run = replace(run, eval=replace(run.eval, train=run.train, **eval_updates))
     return run
-
-
-def replace_run(run: RunConfig, **kw) -> RunConfig:
-    return RunConfig(
-        paths=kw.get("paths", run.paths),
-        synth=kw.get("synth", run.synth),
-        nan_policy=kw.get("nan_policy", run.nan_policy),
-        train=kw.get("train", run.train),
-        eval=kw.get("eval", run.eval),
-    )
 
 
 def _path_from(args, attr: str, run: RunConfig, key: str, what: str) -> Path:
@@ -267,13 +255,7 @@ def _prepare_model_inputs(by_modality, model: EmbeddingModel):
         if modality not in stds:
             raise ValidationError(f"model has no standardizer for modality {modality.value}")
         standardized[modality] = [apply_standardizer(stds[modality], s) for s in samples]
-    if model.arch.n_branches == 1:
-        (samples,) = standardized.values()
-        return samples
-    return pair_samples(
-        standardized[Modality.BRAIN],
-        standardized[model.arch.modalities[1]],
-    )
+    return model_inputs(model.arch, standardized)
 
 
 def cmd_train(args) -> int:
@@ -294,7 +276,6 @@ def cmd_train(args) -> int:
     if len(by_modality) == 1:
         (modality,) = by_modality
         arch = single_modality_arch(modality)
-        train_samples = standardized[modality]
     else:
         if set(by_modality) - {Modality.BRAIN, Modality.EYE, Modality.EYE_PUPIL}:
             raise ValidationError("fusion training needs brain plus one eye dataset")
@@ -306,10 +287,9 @@ def cmd_train(args) -> int:
             )
         eye_m = next(m for m in by_modality if m is not Modality.BRAIN)
         arch = fusion_arch(ArchKind(run.eval.modality), eye_m)
-        train_samples = pair_samples(standardized[Modality.BRAIN], standardized[eye_m])
 
     model, history = train(
-        train_samples,
+        model_inputs(arch, standardized),
         arch,
         run.train,
         provenance={"standardizers": _std_provenance(stds), "fold_id": "cli-train"},
@@ -355,14 +335,15 @@ def cmd_verify(args) -> int:
     run = _open_config(args)
     model = load_model(_path_from(args, "model", run, "model", "model input"))
     store = load_templates(_path_from(args, "templates", run, "templates", "template store"))
-    sample_paths = args.sample
-    samples = _prepare_model_inputs(_load_datasets(sample_paths), model)
-    if not samples:
-        raise ValidationError("sample dataset is empty")
-    sample = samples[args.index]
-    threshold = Threshold.fixed(args.threshold)
-    scenario = Scenario(args.scenario) if args.scenario else Scenario.S2
-    decision = verify_claim(model, store, args.claim, sample, threshold, scenario)
+    samples = _prepare_model_inputs(_load_datasets(args.sample), model)
+    if not 0 <= args.index < len(samples):
+        raise ValidationError(
+            f"--index {args.index} is outside the {len(samples)} verification samples"
+        )
+    # best match against one global threshold: scenario S2 only
+    decision = verify_claim(
+        model, store, args.claim, samples[args.index], Threshold.fixed(args.threshold)
+    )
     verdict = "ACCEPT" if decision.accept else "REJECT"
     print(
         f"{verdict} claim={args.claim} score={decision.score:.6f} "
@@ -441,7 +422,6 @@ def _build_parser() -> _Parser:
                    help="dataset holding the verification sample (repeat for fusion)")
     p.add_argument("--index", type=int, default=0, help="sample index in the dataset")
     p.add_argument("--threshold", type=float, required=True, help="acceptance threshold")
-    p.add_argument("--scenario", choices=["s1", "s2", "s3"])
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("evaluate", help="run the full cross-validated evaluation")

@@ -9,7 +9,7 @@ interpolated between bracketing candidate thresholds).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,9 +32,11 @@ from .preprocess import (
 )
 from .tnn import (
     ArchKind,
+    ArchSpec,
     EmbeddingModel,
     TrainConfig,
     fusion_arch,
+    model_inputs,
     pairwise_sq_dists,
     single_modality_arch,
     train,
@@ -61,6 +63,14 @@ def _sweep(genuine: np.ndarray, impostor: np.ndarray):
     return thr, far, frr
 
 
+def _score_arrays(genuine, impostor, what: str) -> tuple[np.ndarray, np.ndarray]:
+    g = np.asarray(genuine, dtype=np.float64)
+    i = np.asarray(impostor, dtype=np.float64)
+    if g.size == 0 or i.size == 0:
+        raise EvalError(f"{what} needs non-empty genuine and impostor score lists")
+    return g, i
+
+
 def eer_from_scores(genuine, impostor) -> tuple[float, float]:
     """EER and its threshold.
 
@@ -69,10 +79,7 @@ def eer_from_scores(genuine, impostor) -> tuple[float, float]:
     linear interpolation between bracketing thresholds.  Exact-zero plateaus
     resolve to the largest candidate threshold (the lower-FAR side).
     """
-    g = np.asarray(list(genuine), dtype=np.float64)
-    i = np.asarray(list(impostor), dtype=np.float64)
-    if g.size == 0 or i.size == 0:
-        raise EvalError("EER needs non-empty genuine and impostor score lists")
+    g, i = _score_arrays(genuine, impostor, "EER")
     if g.min() > i.max():
         return 0.0, float((g.min() + i.max()) / 2.0)
     thr, far, frr = _sweep(g, i)
@@ -97,10 +104,7 @@ def frr_at_far_scores(genuine, impostor, far_target: float) -> tuple[float, floa
     """
     if not 0.0 <= far_target <= 1.0:
         raise ValidationError("far_target must be in [0, 1]")
-    g = np.asarray(list(genuine), dtype=np.float64)
-    i = np.asarray(list(impostor), dtype=np.float64)
-    if g.size == 0 or i.size == 0:
-        raise EvalError("FRR@FAR needs non-empty genuine and impostor score lists")
+    g, i = _score_arrays(genuine, impostor, "FRR@FAR")
     thr, far, frr = _sweep(g, i)
     k = int(np.argmax(far <= far_target))  # far is non-increasing; far[-1] == 0
     return float(frr[k]), float(thr[k])
@@ -210,8 +214,9 @@ class _Structure:
     """Sample-index layout of all trials; shared across modalities of a pair set."""
 
     scenario: Scenario
+    labels: np.ndarray
+    rounds: np.ndarray
     g_ver: np.ndarray
-    g_claimed: np.ndarray
     g_enr_idx: np.ndarray | None
     g_enr_mask: np.ndarray
     i_ver: np.ndarray
@@ -225,7 +230,11 @@ def _round_bit(rounds: np.ndarray) -> np.ndarray:
     return np.left_shift(np.uint64(1), rounds.astype(np.uint64))
 
 
-def _build_structure(labels: np.ndarray, rounds: np.ndarray, scenario: Scenario) -> _Structure:
+def _build_structure(samples, scenario: Scenario) -> _Structure:
+    labels = np.array([s.subject_id for s in samples], dtype=object)
+    rounds = np.array([s.round_id for s in samples], dtype=np.int64)
+    if rounds.max() >= _MAX_ROUND_BITS:
+        raise EvalError(f"round ids must stay below {_MAX_ROUND_BITS}")
     subjects = sorted(set(labels.tolist()))
     idx_by_subject = {s: np.flatnonzero(labels == s) for s in subjects}
     rounds_by_subject = {s: np.unique(rounds[idx_by_subject[s]]) for s in subjects}
@@ -233,51 +242,34 @@ def _build_structure(labels: np.ndarray, rounds: np.ndarray, scenario: Scenario)
     excluded = tuple(s for s in subjects if rounds_by_subject[s].size < 2)
     if len(eligible) < 2:
         raise EvalError("trial building needs at least two subjects with two rounds each")
-    mask_by_subject = {
-        s: np.uint64(sum(1 << int(r) for r in rounds_by_subject[s])) for s in eligible
-    }
+    layout = dict(scenario=scenario, labels=labels, rounds=rounds, excluded=excluded)
 
     if scenario is Scenario.S1:
-        g_enr_parts, g_ver_parts = [], []
-        for s in eligible:
-            idx = idx_by_subject[s]
-            r = rounds[idx]
-            a, b = np.triu_indices(idx.size, k=1)
-            keep = r[a] != r[b]
-            g_enr_parts.append(idx[a[keep]])
-            g_ver_parts.append(idx[b[keep]])
-        g_enr = np.concatenate(g_enr_parts)
-        g_ver = np.concatenate(g_ver_parts)
-        i_enr_parts, i_ver_parts, i_claimed_parts = [], [], []
-        for s in eligible:
-            enr_idx = idx_by_subject[s]
-            for t in eligible:
-                if t == s:
-                    continue
-                ver_idx = idx_by_subject[t]
-                ee, vv = np.meshgrid(enr_idx, ver_idx, indexing="ij")
-                ee, vv = ee.ravel(), vv.ravel()
-                keep = rounds[ee] != rounds[vv]
-                ee, vv = ee[keep], vv[keep]
-                i_enr_parts.append(ee)
-                i_ver_parts.append(vv)
-                i_claimed_parts.append(np.full(ee.size, s, dtype=object))
-        i_enr = np.concatenate(i_enr_parts)
-        i_ver = np.concatenate(i_ver_parts)
+        # Every cross-round pair of eligible samples over the [N, N] grid: a
+        # genuine pair once (enrollment index below verification index), an
+        # impostor pair in both orders, claiming the enrollment sample's subject.
+        code = np.full(labels.size, -1)
+        for k, s in enumerate(eligible):
+            code[idx_by_subject[s]] = k
+        cross = (rounds[:, None] != rounds[None, :]) & (code[:, None] >= 0) & (code[None, :] >= 0)
+        same = code[:, None] == code[None, :]
+        g_enr, g_ver = np.nonzero(np.triu(cross & same, k=1))
+        i_enr, i_ver = np.nonzero(cross & ~same)
         return _Structure(
-            scenario=scenario,
             g_ver=g_ver,
-            g_claimed=labels[g_ver],
             g_enr_idx=g_enr,
             g_enr_mask=_round_bit(rounds[g_enr]),
             i_ver=i_ver,
-            i_claimed=np.concatenate(i_claimed_parts),
+            i_claimed=labels[i_enr],
             i_enr_idx=i_enr,
             i_enr_mask=_round_bit(rounds[i_enr]),
-            excluded=excluded,
+            **layout,
         )
 
     # S2/S3: enrollment = all of the claimed subject's samples from other rounds.
+    mask_by_subject = {
+        s: np.uint64(sum(1 << int(r) for r in rounds_by_subject[s])) for s in eligible
+    }
     g_ver_parts, i_ver_parts, i_claimed_parts = [], [], []
     g_mask_parts, i_mask_parts = [], []
     for s in eligible:
@@ -288,18 +280,15 @@ def _build_structure(labels: np.ndarray, rounds: np.ndarray, scenario: Scenario)
         i_ver_parts.append(others)
         i_claimed_parts.append(np.full(others.size, s, dtype=object))
         i_mask_parts.append(mask_by_subject[s] & ~_round_bit(rounds[others]))
-    g_ver = np.concatenate(g_ver_parts)
     return _Structure(
-        scenario=scenario,
-        g_ver=g_ver,
-        g_claimed=labels[g_ver],
+        g_ver=np.concatenate(g_ver_parts),
         g_enr_idx=None,
         g_enr_mask=np.concatenate(g_mask_parts),
         i_ver=np.concatenate(i_ver_parts),
         i_claimed=np.concatenate(i_claimed_parts),
         i_enr_idx=None,
         i_enr_mask=np.concatenate(i_mask_parts),
-        excluded=excluded,
+        **layout,
     )
 
 
@@ -323,44 +312,49 @@ def _best_scores(
     return out
 
 
-def _structure_scores(structure: _Structure, embeddings: np.ndarray, labels, rounds):
+def _structure_scores(st: _Structure, embeddings: np.ndarray):
+    """(genuine, impostor) similarity scores of one embedding set."""
     d2 = pairwise_sq_dists(embeddings)
-    if structure.scenario is Scenario.S1:
-        g = -np.sqrt(d2[structure.g_enr_idx, structure.g_ver])
-        i = -np.sqrt(d2[structure.i_enr_idx, structure.i_ver])
-        return g, i
-    g = _best_scores(d2, labels, rounds, structure.g_claimed, structure.g_ver)
-    i = _best_scores(d2, labels, rounds, structure.i_claimed, structure.i_ver)
+    if st.scenario is Scenario.S1:
+        return -np.sqrt(d2[st.g_enr_idx, st.g_ver]), -np.sqrt(d2[st.i_enr_idx, st.i_ver])
+    g = _best_scores(d2, st.labels, st.rounds, st.labels[st.g_ver], st.g_ver)
+    i = _best_scores(d2, st.labels, st.rounds, st.i_claimed, st.i_ver)
     return g, i
 
 
-def _blocks_from(structure: _Structure, labels, rounds, g_scores, i_scores) -> TrialSet:
+def _paired_scores(st: _Structure, pairs, models):
+    """Embed both sides of a paired set and score each under the trial layout.
+
+    Returns (genuine, impostor), each an (eye_scores, brain_scores) pair.
+    """
+    try:
+        model_brain, model_eye = models
+    except (TypeError, ValueError):
+        raise ValidationError("score fusion takes a (brain_model, eye_model) pair") from None
+    gb, ib = _structure_scores(st, model_brain.embed_batch([p.brain for p in pairs]))
+    ge, ie = _structure_scores(st, model_eye.embed_batch([p.eye for p in pairs]))
+    return (ge, gb), (ie, ib)
+
+
+def _trial_set(st: _Structure, g_scores, i_scores) -> TrialSet:
     return TrialSet(
-        scenario=structure.scenario,
+        scenario=st.scenario,
         genuine=TrialBlock(
             scores=np.asarray(g_scores, dtype=np.float64),
-            claimed=structure.g_claimed,
-            ver_subject=labels[structure.g_ver],
-            ver_round=rounds[structure.g_ver],
-            enr_round_mask=structure.g_enr_mask,
+            claimed=st.labels[st.g_ver],
+            ver_subject=st.labels[st.g_ver],
+            ver_round=st.rounds[st.g_ver],
+            enr_round_mask=st.g_enr_mask,
         ),
         impostor=TrialBlock(
             scores=np.asarray(i_scores, dtype=np.float64),
-            claimed=structure.i_claimed,
-            ver_subject=labels[structure.i_ver],
-            ver_round=rounds[structure.i_ver],
-            enr_round_mask=structure.i_enr_mask,
+            claimed=st.i_claimed,
+            ver_subject=st.labels[st.i_ver],
+            ver_round=st.rounds[st.i_ver],
+            enr_round_mask=st.i_enr_mask,
         ),
-        excluded_subjects=structure.excluded,
+        excluded_subjects=st.excluded,
     )
-
-
-def _sample_metadata(samples) -> tuple[np.ndarray, np.ndarray]:
-    labels = np.array([s.subject_id for s in samples], dtype=object)
-    rounds = np.array([s.round_id for s in samples], dtype=np.int64)
-    if rounds.max() >= _MAX_ROUND_BITS:
-        raise EvalError(f"round ids must stay below {_MAX_ROUND_BITS}")
-    return labels, rounds
 
 
 def build_trials(
@@ -387,38 +381,27 @@ def build_trials(
     """
     if not samples:
         raise EvalError("no samples to build trials from")
-    paired = isinstance(samples[0], PairedSample)
-    labels, rounds = _sample_metadata(samples)
-    structure = _build_structure(labels, rounds, scenario)
+    structure = _build_structure(samples, scenario)
 
     if fusion_rule is None:
         if not isinstance(models, EmbeddingModel):
             raise ValidationError("single-model trial building takes one EmbeddingModel")
-        emb = models.embed_batch(samples)
-        g, i = _structure_scores(structure, emb, labels, rounds)
-        return _blocks_from(structure, labels, rounds, g, i)
+        return _trial_set(structure, *_structure_scores(structure, models.embed_batch(samples)))
 
-    if not paired:
+    if not isinstance(samples[0], PairedSample):
         raise ValidationError("score fusion needs paired brain/eye samples")
-    try:
-        model_brain, model_eye = models
-    except (TypeError, ValueError):
-        raise ValidationError("score fusion takes a (brain_model, eye_model) pair") from None
-    emb_b = model_brain.embed_batch([p.brain for p in samples])
-    emb_e = model_eye.embed_batch([p.eye for p in samples])
-    gb, ib = _structure_scores(structure, emb_b, labels, rounds)
-    ge, ie = _structure_scores(structure, emb_e, labels, rounds)
+    if not raw_fusion and normalizer is None:
+        raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
+    genuine, impostor = _paired_scores(structure, samples, models)
     if raw_fusion:
-        g = combine_raw(ge, gb, fusion_rule)
-        i = combine_raw(ie, ib, fusion_rule)
-    else:
-        if normalizer is None:
-            raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
-        ge_n, gb_n = normalizer.normalize_arrays(ge, gb)
-        ie_n, ib_n = normalizer.normalize_arrays(ie, ib)
-        g = fuse_arrays(ge_n, gb_n, fusion_rule)
-        i = fuse_arrays(ie_n, ib_n, fusion_rule)
-    return _blocks_from(structure, labels, rounds, g, i)
+        return _trial_set(
+            structure, combine_raw(*genuine, fusion_rule), combine_raw(*impostor, fusion_rule)
+        )
+    return _trial_set(
+        structure,
+        fuse_arrays(*normalizer.normalize_arrays(*genuine), fusion_rule),
+        fuse_arrays(*normalizer.normalize_arrays(*impostor), fusion_rule),
+    )
 
 
 def fusion_calibration_normalizer(
@@ -427,15 +410,9 @@ def fusion_calibration_normalizer(
     """Fit the per-modality min-max normalizer on calibration (training) pairs."""
     if not pairs:
         raise EvalError("normalizer calibration needs paired samples")
-    labels, rounds = _sample_metadata(pairs)
-    structure = _build_structure(labels, rounds, scenario)
-    emb_b = model_brain.embed_batch([p.brain for p in pairs])
-    emb_e = model_eye.embed_batch([p.eye for p in pairs])
-    gb, ib = _structure_scores(structure, emb_b, labels, rounds)
-    ge, ie = _structure_scores(structure, emb_e, labels, rounds)
-    return fit_normalizer_arrays(
-        np.concatenate([ge, ie]), np.concatenate([gb, ib])
-    )
+    structure = _build_structure(pairs, scenario)
+    (ge, gb), (ie, ib) = _paired_scores(structure, pairs, (model_brain, model_eye))
+    return fit_normalizer_arrays(np.concatenate([ge, ie]), np.concatenate([gb, ib]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,65 +504,15 @@ class ExperimentConfig:
 
 
 @dataclass
-class FoldResult:
-    fold: int
-    train_subjects: tuple
-    test_subjects: tuple
-    n_genuine: int
-    n_impostor: int
-    eer: float
-    eer_threshold: float | None
-    frr_at_far: dict
-    per_subject_eer: dict
-    per_subject_mean: float
-    per_subject_variance: float
-    per_user_thresholds: dict | None
-    s3_pooled_far: float | None
-    s3_pooled_frr: float | None
-    excluded_subjects: tuple
-    models: list
-    round_exclusion_violations: int
-    train_test_overlap: int
-    foreign_trial_subjects: int
-
-    def to_dict(self) -> dict:
-        return {
-            "fold": self.fold,
-            "train_subjects": list(self.train_subjects),
-            "test_subjects": list(self.test_subjects),
-            "n_genuine": self.n_genuine,
-            "n_impostor": self.n_impostor,
-            "eer": self.eer,
-            "eer_threshold": self.eer_threshold,
-            "frr_at_far": dict(self.frr_at_far),
-            "per_subject_eer": dict(self.per_subject_eer),
-            "per_subject_mean": self.per_subject_mean,
-            "per_subject_variance": self.per_subject_variance,
-            "per_user_thresholds": self.per_user_thresholds,
-            "s3_pooled_far": self.s3_pooled_far,
-            "s3_pooled_frr": self.s3_pooled_frr,
-            "excluded_subjects": list(self.excluded_subjects),
-            "models": self.models,
-            "audits": {
-                "round_exclusion_violations": self.round_exclusion_violations,
-                "train_test_overlap": self.train_test_overlap,
-                "foreign_trial_subjects": self.foreign_trial_subjects,
-            },
-        }
-
-
-@dataclass
 class EvalReport:
+    """Provenance, one plain dict per fold and the pooled dict, as written to JSON."""
+
     provenance: dict
-    folds: list
+    folds: list[dict]
     pooled: dict
 
     def to_dict(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "folds": [f.to_dict() for f in self.folds],
-            "pooled": self.pooled,
-        }
+        return {"provenance": self.provenance, "folds": self.folds, "pooled": self.pooled}
 
     def to_json(self) -> str:
         import json
@@ -613,12 +540,11 @@ class EvalReport:
             else:
                 rows.append((tag, prefix, repr(value) if isinstance(value, float) else str(value)))
 
-        for f in self.folds:
-            d = f.to_dict()
-            for key in sorted(d):
+        for fold in self.folds:
+            for key in sorted(fold):
                 if key in ("train_subjects", "test_subjects", "models"):
                     continue
-                walk(f"fold{f.fold}.{key}", d[key])
+                walk(f"fold{fold['fold']}.{key}", fold[key])
         walk("pooled", self.pooled)
         return rows
 
@@ -636,8 +562,9 @@ def _tailored_rates(trials: TrialSet, thresholds: dict) -> tuple[float, float]:
     return far, frr
 
 
-def _scenario_metrics(trials: TrialSet, scenario: Scenario) -> dict:
-    """EER / threshold / FRR@FAR under the scenario's reporting convention.
+def _scenario_metrics(trials: TrialSet, scenario: Scenario) -> tuple[dict, dict | None]:
+    """The report's metric block under the scenario's reporting convention,
+    plus the per-user thresholds (S3 only, else None).
 
     S1/S2 pool all scores under one threshold sweep; S3 averages per-subject
     metrics (each subject operating at its own threshold).
@@ -645,56 +572,47 @@ def _scenario_metrics(trials: TrialSet, scenario: Scenario) -> dict:
     if trials.genuine.n == 0 or trials.impostor.n == 0:
         raise EvalError("trial set has an empty genuine or impostor side")
     pse = per_subject_eer(trials)
-    out: dict = {
-        "per_subject": pse,
+    thresholds = None
+    if scenario is Scenario.S3:
+        scores = [trials.scores_for_identity(identity) for identity in pse.by_subject]
+        frr_map = {
+            _far_key(t): float(np.mean([frr_at_far_scores(g, i, t)[0] for g, i in scores]))
+            for t in FAR_TARGETS
+        }
+        eer, theta = pse.mean, None
+        s3_far, s3_frr = _tailored_rates(trials, pse.thresholds)
+        thresholds = {k: float(v) for k, v in pse.thresholds.items()}
+    else:
+        frr_map = {_far_key(t): frr_at_far(trials, t)[0] for t in FAR_TARGETS}
+        eer, theta = compute_eer(trials)
+        s3_far = s3_frr = None
+    if not 0.0 <= eer <= 1.0:
+        raise EvalError("eer out of [0, 1]")
+    if any(not 0.0 <= v <= 1.0 for v in frr_map.values()):
+        raise EvalError("FRR out of [0, 1]")
+    block = {
         "n_genuine": trials.genuine.n,
         "n_impostor": trials.impostor.n,
+        "eer": eer,
+        "eer_threshold": theta,
+        "frr_at_far": frr_map,
+        "per_subject_eer": {k: float(v) for k, v in pse.by_subject.items()},
+        "per_subject_mean": pse.mean,
+        "per_subject_variance": pse.variance,
+        "s3_pooled_far": s3_far,
+        "s3_pooled_frr": s3_frr,
     }
-    if scenario is Scenario.S3:
-        frr_map = {}
-        for target in FAR_TARGETS:
-            per_subj = []
-            for identity in pse.by_subject:
-                g, i = trials.scores_for_identity(identity)
-                frr, _ = frr_at_far_scores(g, i, target)
-                per_subj.append(frr)
-            frr_map[_far_key(target)] = float(np.mean(per_subj))
-        far_pooled, frr_pooled = _tailored_rates(trials, pse.thresholds)
-        out.update(
-            eer=pse.mean,
-            eer_threshold=None,
-            frr_at_far=frr_map,
-            per_user_thresholds={k: float(v) for k, v in pse.thresholds.items()},
-            s3_pooled_far=far_pooled,
-            s3_pooled_frr=frr_pooled,
-        )
-    else:
-        eer, theta = compute_eer(trials)
-        frr_map = {
-            _far_key(t): frr_at_far(trials, t)[0] for t in FAR_TARGETS
-        }
-        out.update(
-            eer=eer,
-            eer_threshold=theta,
-            frr_at_far=frr_map,
-            per_user_thresholds=None,
-            s3_pooled_far=None,
-            s3_pooled_frr=None,
-        )
-    for key in ("eer",):
-        if not 0.0 <= out[key] <= 1.0:
-            raise EvalError(f"{key} out of [0, 1]")
-    if any(not 0.0 <= v <= 1.0 for v in out["frr_at_far"].values()):
-        raise EvalError("FRR out of [0, 1]")
-    return out
+    return block, thresholds
 
 
-def _resolve_modalities(config: ExperimentConfig) -> tuple[str, list[Modality]]:
+def _experiment_arches(config: ExperimentConfig) -> list[ArchSpec]:
+    """The models one fold trains: brain plus eye for score fusion, else one."""
     if config.fusion is not None:
-        return "score", [Modality.BRAIN, Modality(config.modality)]
+        eye = Modality(config.modality)
+        return [single_modality_arch(Modality.BRAIN), single_modality_arch(eye)]
     if config.modality in ("fusion-a", "fusion-b"):
-        return "feature", [Modality.BRAIN, Modality(config.fusion_eye)]
-    return "single", [Modality(config.modality)]
+        return [fusion_arch(ArchKind(config.modality), Modality(config.fusion_eye))]
+    return [single_modality_arch(Modality(config.modality))]
 
 
 def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> EvalReport:
@@ -706,7 +624,8 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
     """
     subjects = sorted({r.subject_id for r in recordings})
     plan = plan_folds(subjects, config.folds, config.seed)
-    mode, modalities = _resolve_modalities(config)
+    arches = _experiment_arches(config)
+    modalities = list(dict.fromkeys(m for arch in arches for m in arch.modalities))
 
     datasets = {}
     prep_totals = {}
@@ -719,7 +638,7 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
             "skipped": report.total("skipped"),
         }
 
-    fold_results: list[FoldResult] = []
+    folds: list[dict] = []
     fold_trialsets: list[TrialSet] = []
     for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
         scope = f"fold{fi}"
@@ -737,105 +656,60 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
                 raise EvalError(f"{scope}: standardizer provenance mismatch")
 
         base_seed = config.train.seed + 1000 * fi
-        fold_cfg = replace(config.train, seed=base_seed)
-        model_provs: list[dict] = []
-        if mode == "single":
-            m = modalities[0]
+        models, model_provs = [], []
+        for k, arch in enumerate(arches):
             model, history = train(
-                tr[m], single_modality_arch(m), fold_cfg, provenance={"fold_id": scope}
+                model_inputs(arch, tr),
+                arch,
+                replace(config.train, seed=base_seed + k),
+                provenance={"fold_id": scope},
             )
-            trials = build_trials(te[m], model, config.scenario)
+            models.append(model)
             model_provs.append(_model_summary(model, history))
-        elif mode == "feature":
-            kind = ArchKind(config.modality)
-            eye_m = modalities[1]
-            pairs_tr = pair_samples(tr[Modality.BRAIN], tr[eye_m])
-            pairs_te = pair_samples(te[Modality.BRAIN], te[eye_m])
-            model, history = train(
-                pairs_tr, fusion_arch(kind, eye_m), fold_cfg, provenance={"fold_id": scope}
-            )
-            trials = build_trials(pairs_te, model, config.scenario)
-            model_provs.append(_model_summary(model, history))
+
+        if config.fusion is None:
+            trials = build_trials(model_inputs(arches[0], te), models[0], config.scenario)
         else:
-            eye_m = modalities[1]
-            model_b, hist_b = train(
-                tr[Modality.BRAIN],
-                single_modality_arch(Modality.BRAIN),
-                fold_cfg,
-                provenance={"fold_id": scope},
-            )
-            model_e, hist_e = train(
-                tr[eye_m],
-                single_modality_arch(eye_m),
-                replace(fold_cfg, seed=base_seed + 1),
-                provenance={"fold_id": scope},
-            )
-            pairs_te = pair_samples(te[Modality.BRAIN], te[eye_m])
+            eye_m = arches[1].modalities[0]
             normalizer = None
             if not config.raw_fusion:
-                pairs_tr = pair_samples(tr[Modality.BRAIN], tr[eye_m])
                 normalizer = fusion_calibration_normalizer(
-                    pairs_tr, model_b, model_e, config.scenario
+                    pair_samples(tr[Modality.BRAIN], tr[eye_m]), *models, config.scenario
                 )
             trials = build_trials(
-                pairs_te,
-                (model_b, model_e),
+                pair_samples(te[Modality.BRAIN], te[eye_m]),
+                tuple(models),
                 config.scenario,
                 fusion_rule=config.fusion,
                 normalizer=normalizer,
                 raw_fusion=config.raw_fusion,
             )
-            model_provs.extend([_model_summary(model_b, hist_b), _model_summary(model_e, hist_e)])
 
-        metrics = _scenario_metrics(trials, config.scenario)
-        pse: PerSubjectEer = metrics["per_subject"]
-        trial_subjects = set(trials.genuine.claimed.tolist()) | set(
-            trials.genuine.ver_subject.tolist()
-        ) | set(trials.impostor.claimed.tolist()) | set(trials.impostor.ver_subject.tolist())
-        fold_results.append(
-            FoldResult(
-                fold=fi,
-                train_subjects=train_subjects,
-                test_subjects=test_subjects,
-                n_genuine=metrics["n_genuine"],
-                n_impostor=metrics["n_impostor"],
-                eer=metrics["eer"],
-                eer_threshold=metrics["eer_threshold"],
-                frr_at_far=metrics["frr_at_far"],
-                per_subject_eer={k: float(v) for k, v in pse.by_subject.items()},
-                per_subject_mean=pse.mean,
-                per_subject_variance=pse.variance,
-                per_user_thresholds=metrics["per_user_thresholds"],
-                s3_pooled_far=metrics["s3_pooled_far"],
-                s3_pooled_frr=metrics["s3_pooled_frr"],
-                excluded_subjects=trials.excluded_subjects,
-                models=model_provs,
-                round_exclusion_violations=trials.round_exclusion_violations(),
-                train_test_overlap=len(train_set & test_set),
-                foreign_trial_subjects=len(trial_subjects - test_set),
-            )
-        )
+        block, thresholds = _scenario_metrics(trials, config.scenario)
+        trial_subjects = set()
+        for side in (trials.genuine, trials.impostor):
+            trial_subjects |= set(side.claimed.tolist()) | set(side.ver_subject.tolist())
+        folds.append({
+            "fold": fi,
+            "train_subjects": list(train_subjects),
+            "test_subjects": list(test_subjects),
+            **block,
+            "per_user_thresholds": thresholds,
+            "excluded_subjects": list(trials.excluded_subjects),
+            "models": model_provs,
+            "audits": {
+                "round_exclusion_violations": trials.round_exclusion_violations(),
+                "train_test_overlap": len(train_set & test_set),
+                "foreign_trial_subjects": len(trial_subjects - test_set),
+            },
+        })
         fold_trialsets.append(trials)
 
-    pooled_trials = TrialSet.concat(fold_trialsets)
-    pooled_metrics = _scenario_metrics(pooled_trials, config.scenario)
-    pooled_pse: PerSubjectEer = pooled_metrics["per_subject"]
-    pooled = {
-        "eer": pooled_metrics["eer"],
-        "eer_threshold": pooled_metrics["eer_threshold"],
-        "eer_mean_of_folds": float(np.mean([f.eer for f in fold_results])),
-        "frr_at_far": pooled_metrics["frr_at_far"],
-        "n_genuine": pooled_metrics["n_genuine"],
-        "n_impostor": pooled_metrics["n_impostor"],
-        "per_subject_eer": {k: float(v) for k, v in pooled_pse.by_subject.items()},
-        "per_subject_mean": pooled_pse.mean,
-        "per_subject_variance": pooled_pse.variance,
-        "s3_pooled_far": pooled_metrics["s3_pooled_far"],
-        "s3_pooled_frr": pooled_metrics["s3_pooled_frr"],
-    }
+    pooled, _ = _scenario_metrics(TrialSet.concat(fold_trialsets), config.scenario)
+    pooled["eer_mean_of_folds"] = float(np.mean([f["eer"] for f in folds]))
     if config.scenario is not Scenario.S3:
         # Both pooling conventions: all scores pooled, and the fold-mean EER.
-        pooled["eer_pooled_scores"] = pooled_metrics["eer"]
+        pooled["eer_pooled_scores"] = pooled["eer"]
 
     provenance = {
         "scenario": config.scenario.value,
@@ -846,21 +720,13 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
         "folds": config.folds,
         "seed": config.seed,
         "nan_policy": {"max_nan_fraction": config.nan_policy.max_nan_fraction},
-        "train": {
-            "margin": config.train.margin,
-            "batch_size": config.train.batch_size,
-            "epochs": config.train.epochs,
-            "learning_rate": config.train.learning_rate,
-            "optimizer": config.train.optimizer,
-            "seed": config.train.seed,
-            "samples_per_subject": config.train.samples_per_subject,
-        },
+        "train": asdict(config.train),
         "corpus": {"n_subjects": len(subjects), "subjects": subjects},
         "preprocess": prep_totals,
-        "models_per_fold": len(fold_results[0].models),
-        "model_arches": [m["arch"] for m in fold_results[0].models],
+        "models_per_fold": len(arches),
+        "model_arches": [arch.tag for arch in arches],
     }
-    return EvalReport(provenance=provenance, folds=fold_results, pooled=pooled)
+    return EvalReport(provenance=provenance, folds=folds, pooled=pooled)
 
 
 def _model_summary(model: EmbeddingModel, history: list[float]) -> dict:

@@ -376,13 +376,15 @@ def load_dataset(path) -> tuple[list[Sample], Modality]:
         parts = line.split()
         if len(parts) != 4:
             raise DatasetFormatError(f"index line {k + 1}: expected 4 fields")
-        samples.append(
-            Sample(
-                subject_id=parts[0],
-                round_id=int(parts[1]),
-                modality=modality,
-                data=data[k].copy(),
-                t0=float(parts[2]),
+        try:
+            round_id, t0 = int(parts[1]), float(parts[2])
+        except ValueError:
+            raise DatasetFormatError(f"index line {k + 1}: bad round or t0") from None
+        try:
+            samples.append(
+                Sample(subject_id=parts[0], round_id=round_id, modality=modality,
+                       data=data[k].copy(), t0=t0)
             )
-        )
+        except ValidationError as e:
+            raise DatasetFormatError(f"sample {k}: {e}") from None
     return samples, modality

@@ -8,6 +8,7 @@ from .arch import (
     PoolSpec,
     default_branch,
     fusion_arch,
+    model_inputs,
     single_modality_arch,
 )
 from .io import load_model, save_model
@@ -31,6 +32,7 @@ __all__ = [
     "load_model",
     "make_batches",
     "mine_triplets",
+    "model_inputs",
     "pairwise_sq_dists",
     "save_model",
     "single_modality_arch",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..corpus import Modality
 from ..errors import ValidationError
-from ..preprocess import GRID_POINTS
+from ..preprocess import GRID_POINTS, pair_samples
 
 EMBEDDING_DIM = 32
 FUSION_BRANCH_DIM = 16
@@ -180,6 +180,19 @@ def fusion_arch(kind: ArchKind, eye_modality: Modality = Modality.EYE_PUPIL) -> 
         head_layers=(DenseSpec(EMBEDDING_DIM),) if kind is ArchKind.FUSION_B else (),
         modalities=(Modality.BRAIN, eye_modality),
     )
+
+
+def model_inputs(arch: ArchSpec, by_modality: dict) -> list:
+    """The samples an arch consumes, from standardized samples per modality:
+    one modality's list, or the paired brain/eye list for a two-branch model."""
+    if arch.modalities is None:
+        raise ValidationError(f"arch {arch.tag} names no input modalities")
+    missing = [m.value for m in arch.modalities if m not in by_modality]
+    if missing:
+        raise ValidationError(f"arch {arch.tag} needs samples for {', '.join(missing)}")
+    if arch.n_branches == 1:
+        return by_modality[arch.modalities[0]]
+    return pair_samples(*(by_modality[m] for m in arch.modalities))
 
 
 # ---------------------------------------------------------------------------

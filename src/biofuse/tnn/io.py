@@ -40,7 +40,7 @@ def load_model(path) -> EmbeddingModel:
         raise ModelFormatError("missing arch descriptor")
     try:
         arch = arch_from_dict(json.loads(raw[nl1 + 1 + 5:nl2].decode()))
-    except (ValueError, KeyError, TypeError) as e:
+    except (ValueError, KeyError, TypeError, IndexError, AttributeError, ValidationError) as e:
         raise ModelFormatError(f"bad arch descriptor: {e}") from None
     nl3 = raw.find(b"\n", nl2 + 1)
     if nl3 < 0 or not raw[nl2 + 1:nl3].startswith(b"WEIGHTS "):
@@ -63,4 +63,9 @@ def load_model(path) -> EmbeddingModel:
         provenance = json.loads(trailer[len(b"\nPROVENANCE "):].decode())
     except ValueError as e:
         raise ModelFormatError(f"bad provenance block: {e}") from None
-    return EmbeddingModel(arch, weights=weights, dtype=np.float32, provenance=provenance)
+    if not isinstance(provenance, dict):
+        raise ModelFormatError("provenance block must be a JSON object")
+    try:
+        return EmbeddingModel(arch, weights=weights, dtype=np.float32, provenance=provenance)
+    except ValidationError as e:
+        raise ModelFormatError(f"weights do not fit the arch: {e}") from None

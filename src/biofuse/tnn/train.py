@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -157,13 +157,7 @@ def train(
         history.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
 
     model.provenance = {
-        "margin": cfg.margin,
-        "batch_size": cfg.batch_size,
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "optimizer": cfg.optimizer,
-        "seed": cfg.seed,
-        "samples_per_subject": cfg.samples_per_subject,
+        **asdict(cfg),
         "n_train_samples": len(samples),
         "n_train_subjects": len(counts),
         "arch": arch.tag,

@@ -206,19 +206,23 @@ def load_templates(path) -> TemplateStore:
         entries = meta["entries"]
     except (ValueError, KeyError, TypeError) as e:
         raise TemplateFormatError(f"bad template store meta: {e}") from None
+    if not isinstance(entries, list):
+        raise TemplateFormatError("template store entries must be a list")
     payload = raw[nl2 + 1:]
     if len(payload) != len(entries) * dim * 4:
         raise TemplateFormatError("template payload size does not match entry count")
     store = TemplateStore()
     if entries:
         vectors = np.frombuffer(payload, dtype="<f4").reshape(len(entries), dim)
-        for entry, vec in zip(entries, vectors):
-            store.enroll(
-                Template(
+        for k, (entry, vec) in enumerate(zip(entries, vectors)):
+            try:
+                template = Template(
                     identity=entry["identity"],
                     vector=vec.astype(np.float64),
                     round_id=int(entry["round_id"]),
                     tag=entry.get("tag", ""),
                 )
-            )
+            except (ValueError, KeyError, TypeError) as e:
+                raise TemplateFormatError(f"bad template entry {k}: {e!r}") from None
+            store.enroll(template)
     return store

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately written with plain loops and bisect so it
-shares no code path with the implementations under test.
+Everything here is deliberately written with plain loops (and, for the S1
+pair builder, the per-subject numpy loops it replaced) so it shares no code
+path with the implementations under test.
 """
 
 import bisect
 import math
+
+import numpy as np
 
 
 def oracle_far_frr(genuine, impostor, theta):
@@ -119,3 +122,35 @@ def oracle_fuse(s_eye, s_brain, rule):
     if name == "product":
         return s_eye * s_brain
     raise ValueError(f"unknown fusion rule {rule!r}")
+
+
+def oracle_s1_rows(labels, rounds):
+    """S1 trials as (enroll, verify, claimed) rows, built subject by subject.
+
+    Subjects with fewer than two rounds take no part.  Genuine rows pair every
+    two cross-round samples of one subject once (enroll index first);
+    impostor rows pair every cross-round (enroll, verify) sample of two
+    different subjects, claiming the enrollment subject.
+    """
+    labels = np.asarray(labels, dtype=object)
+    rounds = np.asarray(rounds)
+    subjects = sorted(set(labels.tolist()))
+    idx_by_subject = {s: np.flatnonzero(labels == s) for s in subjects}
+    eligible = [s for s in subjects if np.unique(rounds[idx_by_subject[s]]).size >= 2]
+    genuine = []
+    for s in eligible:
+        idx = idx_by_subject[s]
+        r = rounds[idx]
+        a, b = np.triu_indices(idx.size, k=1)
+        keep = r[a] != r[b]
+        genuine += [(int(e), int(v), s) for e, v in zip(idx[a[keep]], idx[b[keep]])]
+    impostor = []
+    for s in eligible:
+        for t in eligible:
+            if t == s:
+                continue
+            ee, vv = np.meshgrid(idx_by_subject[s], idx_by_subject[t], indexing="ij")
+            ee, vv = ee.ravel(), vv.ravel()
+            keep = rounds[ee] != rounds[vv]
+            impostor += [(int(e), int(v), s) for e, v in zip(ee[keep], vv[keep])]
+    return genuine, impostor

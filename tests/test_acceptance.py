@@ -425,7 +425,7 @@ def test_criterion_5_frr_far_monotonicity(battery, smoke_reports, capsys):
             assert frr_map[0.01] <= frr_map[0.001] <= frr_map[0.0]
             checked += 1
     for report in smoke_reports:
-        maps = [f.frr_at_far for f in report.folds] + [report.pooled["frr_at_far"]]
+        maps = [f["frr_at_far"] for f in report.folds] + [report.pooled["frr_at_far"]]
         for m in maps:
             assert m["0.01"] <= m["0.001"] <= m["0.0"]
             checked += 1
@@ -447,9 +447,9 @@ def test_criterion_6_audits(battery, smoke_reports, capsys):
         assert o.max_eer_guard <= 0, f"seed {seed}: EER orientation guard tripped"
     for report in smoke_reports:
         for fold in report.folds:
-            assert fold.round_exclusion_violations == 0
-            assert fold.train_test_overlap == 0
-            assert fold.foreign_trial_subjects == 0
+            assert fold["audits"]["round_exclusion_violations"] == 0
+            assert fold["audits"]["train_test_overlap"] == 0
+            assert fold["audits"]["foreign_trial_subjects"] == 0
     n_sets = sum(len(o.frr_maps) for o in outcomes.values())
     _ok(capsys, "criterion 6 (audits)",
         f"{n_sets} battery trial sets + {len(smoke_reports)} reports, zero violations")

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from biofuse.cli import main
+from biofuse.preprocess import load_dataset
 
 
 def _write_config(tmp_path, n_subjects=4, epochs=2, folds=2, extra_eval=None, seed=0):
@@ -65,6 +68,35 @@ def test_verify_accept_and_reject(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "REJECT" in out  # similarity scores never exceed 0
+
+
+@pytest.fixture(scope="module")
+def enrolled(tmp_path_factory):
+    """A trained brain model with every dataset sample enrolled."""
+    tmp_path = tmp_path_factory.mktemp("enrolled")
+    config, paths = _write_config(tmp_path)
+    for command in ("gen", "preprocess", "train", "enroll"):
+        assert main([command, "--config", str(config)]) == 0
+    argv = ["verify", "--config", str(config), "--claim", "s00",
+            "--sample", paths["dataset"], "--threshold", "-0.5"]
+    return argv, len(load_dataset(paths["dataset"])[0])
+
+
+def test_verify_decides_under_s2_and_rejects_scenario_flag(enrolled, capsys):
+    argv, _ = enrolled
+    assert main(argv) == 0
+    assert "scenario=s2" in capsys.readouterr().out
+    assert main(argv + ["--scenario", "s1"]) == 1
+    assert "--scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["negative", "past-end"])
+def test_verify_rejects_index_out_of_range(enrolled, capsys, where):
+    argv, n = enrolled
+    index = -1 if where == "negative" else n
+    assert main(argv + ["--index", str(index)]) == 1
+    assert "--index" in capsys.readouterr().err
+    assert main(argv + ["--index", str(n - 1)]) == 0
 
 
 def test_missing_config_exits_1(tmp_path, capsys):

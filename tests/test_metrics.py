@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from biofuse.metrics import (
 from biofuse.preprocess import GRID_POINTS, Sample
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
-from oracles import oracle_eer, oracle_frr_at_far
+from biofuse.metrics import _build_structure
+from oracles import oracle_eer, oracle_frr_at_far, oracle_s1_rows
 
 score_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
@@ -208,6 +211,28 @@ class TestBuildTrials:
         assert np.all(trials.genuine.claimed == trials.genuine.ver_subject)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)), min_size=1, max_size=30))
+def test_s1_selection_matches_loop_oracle(layout):
+    """Masked [N, N] S1 selection gives the loop builder's rows as a multiset;
+    the layouts are unsorted and include subjects with a single round."""
+    samples = [SimpleNamespace(subject_id=f"s{s}", round_id=r) for s, r in layout]
+    labels = [p.subject_id for p in samples]
+    rounds = [p.round_id for p in samples]
+    genuine, impostor = oracle_s1_rows(labels, rounds)
+    eligible = {c for _, _, c in genuine}
+    if len(eligible) < 2:
+        with pytest.raises(EvalError):
+            _build_structure(samples, Scenario.S1)
+        return
+    st_ = _build_structure(samples, Scenario.S1)
+    got_g = zip(st_.g_enr_idx.tolist(), st_.g_ver.tolist(), st_.labels[st_.g_ver].tolist())
+    got_i = zip(st_.i_enr_idx.tolist(), st_.i_ver.tolist(), st_.i_claimed.tolist())
+    assert Counter(got_g) == Counter(genuine)
+    assert Counter(got_i) == Counter(impostor)
+    assert st_.excluded == tuple(sorted(set(labels) - eligible))
+
+
 def _trialset(genuine, impostor, scenario=Scenario.S2):
     def block(scores, claimed):
         n = len(scores)
@@ -308,9 +333,9 @@ class TestRunExperiment:
         )
         report = run_experiment(mini_corpus, config)
         for fold in report.folds:
-            assert fold.per_user_thresholds is not None
-            assert sorted(fold.per_user_thresholds) == sorted(fold.test_subjects)
-            assert fold.s3_pooled_far is not None
+            assert fold["per_user_thresholds"] is not None
+            assert sorted(fold["per_user_thresholds"]) == sorted(fold["test_subjects"])
+            assert fold["s3_pooled_far"] is not None
 
     def test_score_fusion_uses_two_models(self, mini_corpus):
         config = ExperimentConfig(

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from biofuse.corpus import EventMarker, Modality, Recording, Stream, SynthConfig, generate_synthetic
-from biofuse.errors import DegenerateWindow, FitError, ValidationError, WindowOutOfRange
+from biofuse.errors import (
+    DatasetFormatError,
+    DegenerateWindow,
+    FitError,
+    ValidationError,
+    WindowOutOfRange,
+)
 from biofuse.preprocess import (
     GRID_POINTS,
     GRID_STEP_S,
@@ -283,6 +289,37 @@ class TestDatasetFile:
         block = 14 * GRID_POINTS * 4
         got = np.frombuffer(raw[offset:offset + block], dtype="<f4").reshape(14, GRID_POINTS)
         assert got.tobytes() == samples[5].data.tobytes()
+
+
+    @pytest.mark.parametrize("field, value", [(1, "r1"), (2, "later")], ids=["round", "t0"])
+    def test_non_numeric_sidecar_field_raises_format_error(
+        self, tmp_path, small_corpus, field, value
+    ):
+        _, recs = small_corpus
+        samples, _ = build_dataset(recs, Modality.BRAIN)
+        path = tmp_path / "d.ds"
+        save_dataset(samples[:3], path)
+        idx = tmp_path / "d.ds.idx"
+        lines = idx.read_text().splitlines()
+        parts = lines[1].split()
+        parts[field] = value
+        lines[1] = " ".join(parts)
+        idx.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="index line 2"):
+            load_dataset(path)
+
+
+    def test_nan_payload_raises_format_error(self, tmp_path, small_corpus):
+        _, recs = small_corpus
+        samples, _ = build_dataset(recs, Modality.BRAIN)
+        path = tmp_path / "d.ds"
+        save_dataset(samples[:2], path)
+        raw = bytearray(path.read_bytes())
+        offset = int((tmp_path / "d.ds.idx").read_text().split()[3])
+        raw[offset:offset + 4] = np.float32(np.nan).astype("<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetFormatError, match="sample 0"):
+            load_dataset(path)
 
 
 def test_pair_samples_inner_join(small_corpus):

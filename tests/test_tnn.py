@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,17 @@ class TestTrain:
             assert max(labs.count(x) for x in set(labs)) >= 2
 
 
+def _arch_edit(layer=None, channels=None):
+    """An (arch, provenance) edit replacing one branch layer or the channel counts."""
+    def edit(arch, prov):
+        if layer is not None:
+            arch["branch_layers"][0][layer[0]] = layer[1]
+        if channels is not None:
+            arch["input_channels"] = channels
+        return arch, prov
+    return edit
+
+
 class TestModelFile:
     def test_roundtrip_bit_exact(self, tmp_path):
         samples = _toy_dataset()
@@ -336,6 +349,31 @@ class TestModelFile:
         p.write_bytes(b"nonsense")
         with pytest.raises(ModelFormatError):
             load_model(p)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(_arch_edit((0, ["conv"])), id="short-layer-entry"),
+        pytest.param(_arch_edit((0, ["lstm", 3])), id="unknown-layer-tag"),
+        pytest.param(_arch_edit((-1, ["pool", 2])), id="pool-as-last-layer"),
+        pytest.param(_arch_edit(channels=[12]), id="weights-do-not-fit-arch"),
+        pytest.param(lambda arch, prov: (arch, [1, 2]), id="provenance-not-an-object"),
+    ])
+    def test_malformed_file_raises_model_format_error(self, tmp_path, edit):
+        model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=0)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        raw = path.read_bytes()
+        head_end = raw.find(b"\n", len(b"BIOFUSE-MODEL v1\n"))
+        prov_start = raw.rfind(b"\nPROVENANCE ")
+        arch = json.loads(raw[len(b"BIOFUSE-MODEL v1\nARCH "):head_end])
+        prov = json.loads(raw[prov_start + len(b"\nPROVENANCE "):])
+        arch, prov = edit(arch, prov)
+        path.write_bytes(
+            b"BIOFUSE-MODEL v1\nARCH " + json.dumps(arch).encode()
+            + raw[head_end:prov_start]
+            + b"\nPROVENANCE " + json.dumps(prov).encode() + b"\n"
+        )
+        with pytest.raises(ModelFormatError):
+            load_model(path)
 
     def test_loaded_fusion_model_rejects_single_modality_input(self, tmp_path):
         model = EmbeddingModel(fusion_arch(ArchKind.FUSION_A), seed=0)

@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biofuse.errors import IdentityError, ShapeError, ValidationError
+from biofuse.errors import (
+    IdentityError,
+    ShapeError,
+    TemplateFormatError,
+    ValidationError,
+)
 from biofuse.metrics import TrialBlock, TrialSet, eer_from_scores, per_subject_eer
 from biofuse.verify import (
     Scenario,
@@ -257,6 +264,20 @@ class TestTemplateStore:
             assert [t.round_id for t in got] == [t.round_id for t in orig]
             for o, g in zip(orig, got):
                 assert o.vector.astype(np.float32).tobytes() == g.vector.astype(np.float32).tobytes()
+
+
+    @pytest.mark.parametrize("entries", [
+        pytest.param([{"round_id": 0, "tag": ""}], id="no-identity"),
+        pytest.param([{"identity": "a", "round_id": "r0", "tag": ""}], id="non-integer-round"),
+        pytest.param([["a", 0]], id="entry-not-an-object"),
+        pytest.param(5, id="entries-not-a-list"),
+    ])
+    def test_malformed_entry_raises_format_error(self, tmp_path, entries):
+        meta = json.dumps({"dim": 2, "entries": entries}).encode()
+        path = tmp_path / "t.tpl"
+        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n" + np.zeros(2, "<f4").tobytes())
+        with pytest.raises(TemplateFormatError):
+            load_templates(path)
 
 
 @settings(max_examples=40, deadline=None)
