@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Modality, SynthConfig, generate_synthetic, read_corpus, write_corpus
-from .errors import BiofuseError, ConfigError, IdentityError, ValidationError
+from .errors import BiofuseError, ConfigError, IdentityError, ModelFormatError, ValidationError
 from .fusion import FusionRule
 from .metrics import ExperimentConfig, run_experiment
 from .preprocess import (
@@ -65,8 +66,6 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     paths: dict
     synth: SynthConfig | None
-    nan_policy: NanPolicy
-    train: TrainConfig
     eval: ExperimentConfig
 
 
@@ -117,8 +116,6 @@ def load_config(path) -> RunConfig:
 
     try:
         synth = SynthConfig(**synth_raw) if synth_raw else None
-        nan_policy = NanPolicy(**nan_raw)
-        train_cfg = TrainConfig(**train_raw)
         eval_cfg = ExperimentConfig(
             scenario=Scenario(eval_raw.get("scenario", "s2")),
             modality=eval_raw.get("modality", "brain"),
@@ -127,14 +124,12 @@ def load_config(path) -> RunConfig:
             folds=int(eval_raw.get("folds", 6)),
             seed=int(eval_raw.get("seed", 0)),
             raw_fusion=bool(eval_raw.get("raw_fusion", False)),
-            nan_policy=nan_policy,
-            train=train_cfg,
+            nan_policy=NanPolicy(**nan_raw),
+            train=TrainConfig(**train_raw),
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{ctx}: {e}") from None
-    return RunConfig(
-        paths=paths, synth=synth, nan_policy=nan_policy, train=train_cfg, eval=eval_cfg
-    )
+    return RunConfig(paths=paths, synth=synth, eval=eval_cfg)
 
 
 def _parse_fusion(token: str) -> FusionRule | None:
@@ -161,12 +156,10 @@ def _open_config(args) -> RunConfig:
         eval_updates["fusion"] = _parse_fusion(args.fusion)
     if getattr(args, "seed", None) is not None:
         eval_updates["seed"] = args.seed
-        run = replace(run, train=replace(run.train, seed=args.seed))
+        eval_updates["train"] = replace(run.eval.train, seed=args.seed)
         if run.synth is not None:
             run = replace(run, synth=replace(run.synth, seed=args.seed))
-    if eval_updates:
-        run = replace(run, eval=replace(run.eval, train=run.train, **eval_updates))
-    return run
+    return replace(run, eval=replace(run.eval, **eval_updates))
 
 
 def _path_from(args, attr: str, run: RunConfig, key: str, what: str) -> Path:
@@ -205,7 +198,7 @@ def cmd_preprocess(args) -> int:
         raise ConfigError("preprocess needs a concrete --modality (brain, eye, eye-pupil)")
     modality = Modality(modality_name)
     recordings = read_corpus(corpus_path)
-    samples, report = build_dataset(recordings, modality, run.nan_policy)
+    samples, report = build_dataset(recordings, modality, run.eval.nan_policy)
     save_dataset(samples, out, modality=modality)
     if args.report:
         Path(args.report).write_text(report.to_text(), encoding="utf-8")
@@ -232,18 +225,32 @@ def _std_provenance(stds) -> dict:
 
 
 def _stds_from_provenance(model: EmbeddingModel) -> dict:
+    """The model's stored standardizers; a malformed entry is a ModelFormatError."""
     raw = model.provenance.get("standardizers")
     if not raw:
         raise ValidationError("model provenance carries no standardizers; retrain via the CLI")
+    if not isinstance(raw, dict):
+        raise ModelFormatError("model standardizers must be an object keyed by modality")
     out = {}
     for name, entry in raw.items():
+        if name not in {m.value for m in Modality}:
+            raise ModelFormatError(f"model standardizer for unknown modality {name!r}")
         modality = Modality(name)
-        out[modality] = Standardizer(
-            modality=modality,
-            mean=np.asarray(entry["mean"], dtype=np.float64),
-            std=np.asarray(entry["std"], dtype=np.float64),
-            scope=entry.get("scope", ""),
-        )
+        entry = entry if isinstance(entry, dict) else {}
+        arrays = {}
+        for key, low in (("mean", -math.inf), ("std", 0.0)):
+            values = entry.get(key)
+            if not (
+                isinstance(values, list)
+                and len(values) == modality.n_channels
+                and all(type(x) in (int, float) and low < x < math.inf for x in values)
+            ):
+                raise ModelFormatError(
+                    f"model standardizer {name}: {key!r} must list {modality.n_channels} "
+                    f"finite numbers{' above 0' if key == 'std' else ''}"
+                )
+            arrays[key] = np.asarray(values, dtype=np.float64)
+        out[modality] = Standardizer(modality=modality, scope=entry.get("scope", ""), **arrays)
     return out
 
 
@@ -277,8 +284,6 @@ def cmd_train(args) -> int:
         (modality,) = by_modality
         arch = single_modality_arch(modality)
     else:
-        if set(by_modality) - {Modality.BRAIN, Modality.EYE, Modality.EYE_PUPIL}:
-            raise ValidationError("fusion training needs brain plus one eye dataset")
         if Modality.BRAIN not in by_modality or len(by_modality) != 2:
             raise ValidationError("fusion training needs exactly brain + eye datasets")
         if run.eval.modality not in ("fusion-a", "fusion-b"):
@@ -291,7 +296,7 @@ def cmd_train(args) -> int:
     model, history = train(
         model_inputs(arch, standardized),
         arch,
-        run.train,
+        run.eval.train,
         provenance={"standardizers": _std_provenance(stds), "fold_id": "cli-train"},
     )
     save_model(model, out)

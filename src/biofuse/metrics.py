@@ -9,7 +9,7 @@ interpolated between bracketing candidate thresholds).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -162,13 +162,9 @@ class TrialBlock:
 
     @staticmethod
     def concat(blocks: list["TrialBlock"]) -> "TrialBlock":
-        return TrialBlock(
-            scores=np.concatenate([b.scores for b in blocks]),
-            claimed=np.concatenate([b.claimed for b in blocks]),
-            ver_subject=np.concatenate([b.ver_subject for b in blocks]),
-            ver_round=np.concatenate([b.ver_round for b in blocks]),
-            enr_round_mask=np.concatenate([b.enr_round_mask for b in blocks]),
-        )
+        return TrialBlock(**{
+            f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(TrialBlock)
+        })
 
 
 @dataclass
@@ -210,19 +206,26 @@ class TrialSet:
 
 
 @dataclass
+class _Rows:
+    """One side's trials as sample indices into the structure's arrays."""
+
+    claim: np.ndarray       # subject code of the claimed identity
+    ver: np.ndarray         # verification sample
+    enr: np.ndarray | None  # enrollment sample (S1 only)
+    enr_mask: np.ndarray    # uint64 bitmask of enrollment rounds used
+
+
+@dataclass
 class _Structure:
     """Sample-index layout of all trials; shared across modalities of a pair set."""
 
     scenario: Scenario
-    labels: np.ndarray
+    subjects: np.ndarray  # object, sorted; a subject code indexes it
+    code: np.ndarray      # subject code per sample
     rounds: np.ndarray
-    g_ver: np.ndarray
-    g_enr_idx: np.ndarray | None
-    g_enr_mask: np.ndarray
-    i_ver: np.ndarray
-    i_claimed: np.ndarray
-    i_enr_idx: np.ndarray | None
-    i_enr_mask: np.ndarray
+    cross: np.ndarray     # [N, N] bool: cross-round pair of two eligible samples
+    genuine: _Rows
+    impostor: _Rows
     excluded: tuple[str, ...]
 
 
@@ -235,91 +238,59 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
     rounds = np.array([s.round_id for s in samples], dtype=np.int64)
     if rounds.max() >= _MAX_ROUND_BITS:
         raise EvalError(f"round ids must stay below {_MAX_ROUND_BITS}")
-    subjects = sorted(set(labels.tolist()))
-    idx_by_subject = {s: np.flatnonzero(labels == s) for s in subjects}
-    rounds_by_subject = {s: np.unique(rounds[idx_by_subject[s]]) for s in subjects}
-    eligible = [s for s in subjects if rounds_by_subject[s].size >= 2]
-    excluded = tuple(s for s in subjects if rounds_by_subject[s].size < 2)
-    if len(eligible) < 2:
+    subjects, code = np.unique(labels, return_inverse=True)
+    round_mask = np.zeros(subjects.size, dtype=np.uint64)
+    np.bitwise_or.at(round_mask, code, _round_bit(rounds))
+    subject_of_round = np.unique(np.stack([code, rounds], axis=1), axis=0)[:, 0]
+    eligible = np.bincount(subject_of_round, minlength=subjects.size) >= 2
+    if eligible.sum() < 2:
         raise EvalError("trial building needs at least two subjects with two rounds each")
-    layout = dict(scenario=scenario, labels=labels, rounds=rounds, excluded=excluded)
+    ok = eligible[code]
+    cross = (rounds[:, None] != rounds[None, :]) & ok[:, None] & ok[None, :]
 
     if scenario is Scenario.S1:
-        # Every cross-round pair of eligible samples over the [N, N] grid: a
-        # genuine pair once (enrollment index below verification index), an
+        # A genuine pair once (enrollment index below verification index), an
         # impostor pair in both orders, claiming the enrollment sample's subject.
-        code = np.full(labels.size, -1)
-        for k, s in enumerate(eligible):
-            code[idx_by_subject[s]] = k
-        cross = (rounds[:, None] != rounds[None, :]) & (code[:, None] >= 0) & (code[None, :] >= 0)
         same = code[:, None] == code[None, :]
         g_enr, g_ver = np.nonzero(np.triu(cross & same, k=1))
         i_enr, i_ver = np.nonzero(cross & ~same)
-        return _Structure(
-            g_ver=g_ver,
-            g_enr_idx=g_enr,
-            g_enr_mask=_round_bit(rounds[g_enr]),
-            i_ver=i_ver,
-            i_claimed=labels[i_enr],
-            i_enr_idx=i_enr,
-            i_enr_mask=_round_bit(rounds[i_enr]),
-            **layout,
-        )
-
-    # S2/S3: enrollment = all of the claimed subject's samples from other rounds.
-    mask_by_subject = {
-        s: np.uint64(sum(1 << int(r) for r in rounds_by_subject[s])) for s in eligible
-    }
-    g_ver_parts, i_ver_parts, i_claimed_parts = [], [], []
-    g_mask_parts, i_mask_parts = [], []
-    for s in eligible:
-        idx = idx_by_subject[s]
-        g_ver_parts.append(idx)
-        g_mask_parts.append(mask_by_subject[s] & ~_round_bit(rounds[idx]))
-        others = np.concatenate([idx_by_subject[t] for t in eligible if t != s])
-        i_ver_parts.append(others)
-        i_claimed_parts.append(np.full(others.size, s, dtype=object))
-        i_mask_parts.append(mask_by_subject[s] & ~_round_bit(rounds[others]))
+        genuine = _Rows(code[g_enr], g_ver, g_enr, _round_bit(rounds[g_enr]))
+        impostor = _Rows(code[i_enr], i_ver, i_enr, _round_bit(rounds[i_enr]))
+    else:
+        # S2/S3: every eligible sample claims its own and every other eligible
+        # subject; enrollment is the claimed subject's rounds but the verification one.
+        g_ver = np.flatnonzero(ok)
+        g_claim = code[g_ver]
+        foreign = np.arange(subjects.size)[:, None] != code
+        i_claim, i_ver = np.nonzero(eligible[:, None] & ok & foreign)
+        genuine = _Rows(g_claim, g_ver, None, round_mask[g_claim] & ~_round_bit(rounds[g_ver]))
+        impostor = _Rows(i_claim, i_ver, None, round_mask[i_claim] & ~_round_bit(rounds[i_ver]))
     return _Structure(
-        g_ver=np.concatenate(g_ver_parts),
-        g_enr_idx=None,
-        g_enr_mask=np.concatenate(g_mask_parts),
-        i_ver=np.concatenate(i_ver_parts),
-        i_claimed=np.concatenate(i_claimed_parts),
-        i_enr_idx=None,
-        i_enr_mask=np.concatenate(i_mask_parts),
-        **layout,
+        scenario=scenario,
+        subjects=subjects,
+        code=code,
+        rounds=rounds,
+        cross=cross,
+        genuine=genuine,
+        impostor=impostor,
+        excluded=tuple(subjects[~eligible].tolist()),
     )
 
 
-def _best_scores(
-    d2: np.ndarray,
-    labels: np.ndarray,
-    rounds: np.ndarray,
-    claimed: np.ndarray,
-    ver: np.ndarray,
-) -> np.ndarray:
-    """Best-match similarity against the claimed subject's cross-round samples."""
-    out = np.empty(ver.size, dtype=np.float64)
-    for s in sorted(set(claimed.tolist())):
-        sel = np.flatnonzero(claimed == s)
-        enr_idx = np.flatnonzero(labels == s)
-        ver_idx = ver[sel].astype(np.intp)
-        sim = -np.sqrt(d2[np.ix_(enr_idx, ver_idx)])
-        same_round = rounds[enr_idx][:, None] == rounds[ver_idx][None, :]
-        sim[same_round] = -np.inf
-        out[sel] = sim.max(axis=0)
-    return out
-
-
 def _structure_scores(st: _Structure, embeddings: np.ndarray):
-    """(genuine, impostor) similarity scores of one embedding set."""
-    d2 = pairwise_sq_dists(embeddings)
+    """(genuine, impostor) similarity scores of one embedding set.
+
+    S1 reads each trial's enrollment sample; S2/S3 take the best match over
+    the claimed subject's cross-round samples, one max per (subject, sample).
+    """
+    sim = -np.sqrt(pairwise_sq_dists(embeddings))
     if st.scenario is Scenario.S1:
-        return -np.sqrt(d2[st.g_enr_idx, st.g_ver]), -np.sqrt(d2[st.i_enr_idx, st.i_ver])
-    g = _best_scores(d2, st.labels, st.rounds, st.labels[st.g_ver], st.g_ver)
-    i = _best_scores(d2, st.labels, st.rounds, st.i_claimed, st.i_ver)
-    return g, i
+        return sim[st.genuine.enr, st.genuine.ver], sim[st.impostor.enr, st.impostor.ver]
+    sim[~st.cross] = -np.inf
+    order = np.argsort(st.code, kind="stable")
+    starts = np.searchsorted(st.code[order], np.arange(st.subjects.size))
+    best = np.maximum.reduceat(sim[order], starts, axis=0)  # [S, N]
+    return best[st.genuine.claim, st.genuine.ver], best[st.impostor.claim, st.impostor.ver]
 
 
 def _paired_scores(st: _Structure, pairs, models):
@@ -337,22 +308,19 @@ def _paired_scores(st: _Structure, pairs, models):
 
 
 def _trial_set(st: _Structure, g_scores, i_scores) -> TrialSet:
+    def block(rows: _Rows, scores) -> TrialBlock:
+        return TrialBlock(
+            scores=np.asarray(scores, dtype=np.float64),
+            claimed=st.subjects[rows.claim],
+            ver_subject=st.subjects[st.code[rows.ver]],
+            ver_round=st.rounds[rows.ver],
+            enr_round_mask=rows.enr_mask,
+        )
+
     return TrialSet(
         scenario=st.scenario,
-        genuine=TrialBlock(
-            scores=np.asarray(g_scores, dtype=np.float64),
-            claimed=st.labels[st.g_ver],
-            ver_subject=st.labels[st.g_ver],
-            ver_round=st.rounds[st.g_ver],
-            enr_round_mask=st.g_enr_mask,
-        ),
-        impostor=TrialBlock(
-            scores=np.asarray(i_scores, dtype=np.float64),
-            claimed=st.i_claimed,
-            ver_subject=st.labels[st.i_ver],
-            ver_round=st.rounds[st.i_ver],
-            enr_round_mask=st.i_enr_mask,
-        ),
+        genuine=block(st.genuine, g_scores),
+        impostor=block(st.impostor, i_scores),
         excluded_subjects=st.excluded,
     )
 
@@ -392,16 +360,11 @@ def build_trials(
         raise ValidationError("score fusion needs paired brain/eye samples")
     if not raw_fusion and normalizer is None:
         raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
-    genuine, impostor = _paired_scores(structure, samples, models)
-    if raw_fusion:
-        return _trial_set(
-            structure, combine_raw(*genuine, fusion_rule), combine_raw(*impostor, fusion_rule)
-        )
-    return _trial_set(
-        structure,
-        fuse_arrays(*normalizer.normalize_arrays(*genuine), fusion_rule),
-        fuse_arrays(*normalizer.normalize_arrays(*impostor), fusion_rule),
-    )
+    return _trial_set(structure, *(
+        combine_raw(*side, fusion_rule) if raw_fusion
+        else fuse_arrays(*normalizer.normalize_arrays(*side), fusion_rule)
+        for side in _paired_scores(structure, samples, models)
+    ))
 
 
 def fusion_calibration_normalizer(

@@ -14,9 +14,10 @@ import numpy as np
 from ..corpus import Modality
 from ..errors import ShapeError, ValidationError
 from ..preprocess import PairedSample, Sample
-from .arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
+from .arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec, branch_output_widths
 
 _NORM_EPS = 1e-24  # inside the sqrt of the L2 normalization
+_EMBED_CHUNK = 512  # samples per forward pass in embed_batch
 
 
 class ParamSpec:
@@ -40,35 +41,25 @@ def build_layout(arch: ArchSpec) -> list[ParamSpec]:
         specs.append(ParamSpec(name, shape, offset, fan_in))
         offset += int(np.prod(shape))
 
+    head_in = 0
     for bi, layers in enumerate(arch.branch_layers):
-        c, t = arch.input_channels[bi], arch.input_points
-        width = None
-        for li, spec in enumerate(layers):
+        state = (arch.input_channels[bi], arch.input_points)
+        for li, (spec, out) in enumerate(zip(layers, branch_output_widths(layers, *state))):
             if isinstance(spec, ConvSpec):
-                add(f"branch{bi}/layer{li}/w", (spec.filters, c, spec.kernel), c * spec.kernel)
-                add(f"branch{bi}/layer{li}/b", (spec.filters,), c * spec.kernel)
-                c, t = spec.filters, (t - spec.kernel) // spec.stride + 1
-            elif isinstance(spec, PoolSpec):
-                t = t // spec.width
-            else:
-                fan_in = width if width is not None else c * t
+                fan_in = state[0] * spec.kernel
+                add(f"branch{bi}/layer{li}/w", (spec.filters, state[0], spec.kernel), fan_in)
+                add(f"branch{bi}/layer{li}/b", (spec.filters,), fan_in)
+            elif isinstance(spec, DenseSpec):
+                fan_in = int(np.prod(state))
                 add(f"branch{bi}/layer{li}/w", (spec.width, fan_in), fan_in)
                 add(f"branch{bi}/layer{li}/b", (spec.width,), fan_in)
-                width = spec.width
-    head_in = sum(
-        _final_width(layers) for layers in arch.branch_layers
-    )
+            state = out
+        head_in += state
     for hi, spec in enumerate(arch.head_layers):
         add(f"head/layer{hi}/w", (spec.width, head_in), head_in)
         add(f"head/layer{hi}/b", (spec.width,), head_in)
         head_in = spec.width
     return specs
-
-
-def _final_width(layers) -> int:
-    last = layers[-1]
-    assert isinstance(last, DenseSpec)
-    return last.width
 
 
 class EmbeddingModel:
@@ -105,10 +96,10 @@ class EmbeddingModel:
         """Embed one sample; unit L2 norm, float64, deterministic."""
         return self.embed_batch([sample])[0]
 
-    def embed_batch(self, samples: Sequence, chunk: int = 512) -> np.ndarray:
+    def embed_batch(self, samples: Sequence) -> np.ndarray:
         out = np.empty((len(samples), self.arch.embedding_dim), dtype=np.float64)
-        for lo in range(0, len(samples), chunk):
-            part = samples[lo:lo + chunk]
+        for lo in range(0, len(samples), _EMBED_CHUNK):
+            part = samples[lo:lo + _EMBED_CHUNK]
             branches = stack_inputs(part, self)
             emb, _ = forward_batch(self, branches, with_cache=False)
             emb = emb.astype(np.float64)

@@ -115,7 +115,6 @@ def train(
     samples: Sequence,
     arch: ArchSpec,
     cfg: TrainConfig,
-    dtype=np.float32,
     provenance: dict | None = None,
 ) -> tuple[EmbeddingModel, list[float]]:
     """Train an embedding model; returns (model, mean batch loss per epoch).
@@ -134,7 +133,7 @@ def train(
     if max(counts.values()) < 2:
         raise ValidationError("at least one subject needs two samples to form triplets")
 
-    model = EmbeddingModel(arch, seed=cfg.seed, dtype=dtype)
+    model = EmbeddingModel(arch, seed=cfg.seed)
     branches_all = stack_inputs(samples, model)
     optimizer = _Adam(model.n_weights, model.dtype) if cfg.optimizer == "adam" else _Sgd()
     rng = np.random.default_rng(cfg.seed)

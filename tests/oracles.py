@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
-Everything here is deliberately written with plain loops (and, for the S1
-pair builder, the per-subject numpy loops it replaced) so it shares no code
-path with the implementations under test.
+Everything here is deliberately written with plain loops (and, for the
+S1 and S2/S3 trial builders, the per-subject numpy loops they replaced) so it
+shares no code path with the implementations under test.
 """
 
 import bisect
@@ -153,4 +153,42 @@ def oracle_s1_rows(labels, rounds):
             ee, vv = ee.ravel(), vv.ravel()
             keep = rounds[ee] != rounds[vv]
             impostor += [(int(e), int(v), s) for e, v in zip(ee[keep], vv[keep])]
+    return genuine, impostor
+
+
+def oracle_best_rows(labels, rounds, embeddings):
+    """S2/S3 trials as (claimed, verify, enrollment mask, score) rows, built
+    subject by subject.
+
+    Subjects with fewer than two rounds take no part.  Every sample of an
+    eligible subject is a genuine row; every sample of another eligible
+    subject is an impostor row.  The enrollment mask holds the claimed
+    subject's rounds without the verification round, and the score is the
+    best -distance to a claimed-subject sample from another round.  Squared
+    distances come from direct differences, so scores equal the library's bit
+    for bit wherever both are exact, as for integer embeddings.
+    """
+    labels = np.asarray(labels, dtype=object)
+    rounds = np.asarray(rounds, dtype=np.int64)
+    e = np.asarray(embeddings, dtype=np.float64)
+    d2 = ((e[:, None, :] - e[None, :, :]) ** 2).sum(axis=2)
+    subjects = sorted(set(labels.tolist()))
+    idx_by_subject = {s: np.flatnonzero(labels == s) for s in subjects}
+    rounds_by_subject = {s: np.unique(rounds[idx_by_subject[s]]) for s in subjects}
+    eligible = [s for s in subjects if rounds_by_subject[s].size >= 2]
+    mask_by_subject = {s: sum(1 << int(r) for r in rounds_by_subject[s]) for s in eligible}
+
+    def best(s, v):
+        enr_idx = idx_by_subject[s]
+        sim = -np.sqrt(d2[enr_idx, v])
+        sim[rounds[enr_idx] == rounds[v]] = -np.inf
+        return float(sim.max())
+
+    def row(s, v):
+        return (s, int(v), mask_by_subject[s] & ~(1 << int(rounds[v])), best(s, v))
+
+    genuine = [row(s, v) for s in eligible for v in idx_by_subject[s]]
+    impostor = [
+        row(s, v) for s in eligible for t in eligible if t != s for v in idx_by_subject[t]
+    ]
     return genuine, impostor

@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from biofuse.cli import main
 from biofuse.preprocess import load_dataset
+from biofuse.tnn import load_model, save_model
 
 
 def _write_config(tmp_path, n_subjects=4, epochs=2, folds=2, extra_eval=None, seed=0):
@@ -98,6 +100,41 @@ def test_verify_rejects_index_out_of_range(enrolled, capsys, where):
     assert "--index" in capsys.readouterr().err
     assert main(argv + ["--index", str(n - 1)]) == 0
 
+
+
+def _break_standardizer(stds, case):
+    if case == "missing-mean":
+        del stds["brain"]["mean"]
+    elif case == "unknown-modality":
+        stds["ecg"] = stds.pop("brain")
+    elif case == "one-element-mean":
+        stds["brain"]["mean"] = stds["brain"]["mean"][:1]
+    else:
+        stds["brain"]["std"][3] = 0.0
+
+
+@pytest.mark.parametrize("case, names", [
+    ("missing-mean", ("brain", "'mean'")),
+    ("unknown-modality", ("'ecg'",)),
+    ("one-element-mean", ("brain", "'mean'")),
+    ("non-positive-std", ("brain", "'std'")),
+])
+def test_malformed_standardizer_exits_2(enrolled, tmp_path, capsys, case, names):
+    argv, _ = enrolled
+    config = argv[argv.index("--config") + 1]
+    model = load_model(json.loads(Path(config).read_text())["paths"]["model"])
+    _break_standardizer(model.provenance["standardizers"], case)
+    bad = tmp_path / "bad.model"
+    save_model(model, bad)
+    out = tmp_path / "bad.tpl"
+    sample = argv[argv.index("--sample") + 1]
+    assert main(["enroll", "--config", config, "--model", str(bad), "--dataset", sample,
+                 "--out", str(out)]) == 2
+    assert main(argv + ["--model", str(bad)]) == 2
+    for err in capsys.readouterr().err.strip().split("\n"):
+        assert err.startswith("biofuse: runtime error: model standardizer")
+        assert all(name in err for name in names)
+    assert not out.exists()
 
 def test_missing_config_exits_1(tmp_path, capsys):
     rc = main(["gen", "--config", str(tmp_path / "missing.json")])

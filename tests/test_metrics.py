@@ -26,8 +26,8 @@ from biofuse.metrics import (
 from biofuse.preprocess import GRID_POINTS, Sample
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
-from biofuse.metrics import _build_structure
-from oracles import oracle_eer, oracle_frr_at_far, oracle_s1_rows
+from biofuse.metrics import _build_structure, _structure_scores
+from oracles import oracle_best_rows, oracle_eer, oracle_frr_at_far, oracle_s1_rows
 
 score_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
@@ -226,12 +226,53 @@ def test_s1_selection_matches_loop_oracle(layout):
             _build_structure(samples, Scenario.S1)
         return
     st_ = _build_structure(samples, Scenario.S1)
-    got_g = zip(st_.g_enr_idx.tolist(), st_.g_ver.tolist(), st_.labels[st_.g_ver].tolist())
-    got_i = zip(st_.i_enr_idx.tolist(), st_.i_ver.tolist(), st_.i_claimed.tolist())
+    got_g, got_i = (
+        zip(rows.enr.tolist(), rows.ver.tolist(), st_.subjects[rows.claim].tolist())
+        for rows in (st_.genuine, st_.impostor)
+    )
     assert Counter(got_g) == Counter(genuine)
     assert Counter(got_i) == Counter(impostor)
     assert st_.excluded == tuple(sorted(set(labels) - eligible))
 
+
+grid_point = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3), grid_point), min_size=1, max_size=30),
+    st.sampled_from([Scenario.S2, Scenario.S3]),
+)
+def test_best_match_rows_match_loop_oracle(layout, scenario):
+    """The masked cross-round grid gives the loop builder's S2/S3 rows as a
+    multiset, scores bit for bit; layouts are unsorted, include single-round
+    subjects, and integer-grid embeddings make best-match ties."""
+    samples = [SimpleNamespace(subject_id=f"s{s}", round_id=r) for s, r, _ in layout]
+    labels = [p.subject_id for p in samples]
+    rounds = [p.round_id for p in samples]
+    emb = np.array([e for _, _, e in layout], dtype=np.float64)
+    genuine, impostor = oracle_best_rows(labels, rounds, emb)
+    eligible = {c for c, _, _, _ in genuine}
+    if len(eligible) < 2:
+        with pytest.raises(EvalError):
+            _build_structure(samples, scenario)
+        return
+    st_ = _build_structure(samples, scenario)
+    scores = _structure_scores(st_, emb)
+
+    def rows(side, side_scores):
+        claimed = st_.subjects[side.claim]
+        return Counter(
+            (c, v, int(m), s.hex())
+            for c, v, m, s in zip(claimed, side.ver.tolist(), side.enr_mask, side_scores.tolist())
+        )
+
+    def expected(oracle_rows):
+        return Counter((c, v, m, s.hex()) for c, v, m, s in oracle_rows)
+
+    assert rows(st_.genuine, scores[0]) == expected(genuine)
+    assert rows(st_.impostor, scores[1]) == expected(impostor)
+    assert st_.excluded == tuple(sorted(set(labels) - eligible))
 
 def _trialset(genuine, impostor, scenario=Scenario.S2):
     def block(scores, claimed):
