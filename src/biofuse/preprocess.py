@@ -380,6 +380,11 @@ def load_dataset(path) -> tuple[list[Sample], Modality]:
             round_id, t0 = int(parts[1]), float(parts[2])
         except ValueError:
             raise DatasetFormatError(f"index line {k + 1}: bad round or t0") from None
+        offset = nl2 + 1 + k * c * p * 4
+        if parts[3] != str(offset):
+            raise DatasetFormatError(
+                f"index line {k + 1}: byte offset {parts[3]!r}, expected {offset}"
+            )
         try:
             samples.append(
                 Sample(subject_id=parts[0], round_id=round_id, modality=modality,

@@ -44,7 +44,9 @@ def mine_triplets(
 
     Preference goes to the hardest semi-hard negative (smallest d_an within
     the band d_ap < d_an < d_ap + margin on squared distances); if the band
-    is empty, the hardest negative in the batch is taken instead.
+    is empty, the hardest negative in the batch is taken instead.  Among
+    equal distances the lowest batch index wins.  Triplets come anchor-major,
+    positives ascending.
     """
     labels = np.asarray(labels, dtype=object)
     n = len(labels)
@@ -54,44 +56,42 @@ def mine_triplets(
         raise MiningError("batch holds a single subject; no negatives exist")
     d2 = pairwise_sq_dists(embeddings)
     same = labels[:, None] == labels[None, :]
-    triplets: list[Triplet] = []
-    for a in range(n):
-        positives = np.flatnonzero(same[a])
-        positives = positives[positives != a]
-        if positives.size == 0:
-            continue
-        negatives = np.flatnonzero(~same[a])
-        d_neg = d2[a, negatives]
-        for p in positives:
-            d_ap = d2[a, p]
-            band = (d_neg > d_ap) & (d_neg < d_ap + margin)
-            pool = negatives[band] if band.any() else negatives
-            pool_d = d2[a, pool]
-            neg = int(pool[int(np.argmin(pool_d))])
-            triplets.append(Triplet(anchor=a, positive=int(p), negative=neg))
-    if not triplets:
+    a, p = np.nonzero(same & ~np.eye(n, dtype=bool))
+    if a.size == 0:
         raise MiningError("no subject contributes two samples; no anchor-positive pairs")
-    return triplets
+    neg = ~same[a]                                    # [P, N], one row per pair
+    d_an = d2[a]
+    d_ap = d2[a, p][:, None]
+    band = neg & (d_an > d_ap) & (d_an < d_ap + margin)
+    pool = np.where(band.any(axis=1)[:, None], band, neg)
+    pick = np.where(pool, d_an, np.inf).argmin(axis=1)
+    # a pool of infinite distances only: argmin may land before the pool
+    pick = np.where(pool[np.arange(a.size), pick], pick, pool.argmax(axis=1))
+    return [Triplet(*t) for t in zip(a.tolist(), p.tolist(), pick.tolist())]
 
 
 def _triplet_embedding_grads(
     emb: np.ndarray, triplets: Sequence[Triplet], margin: float
 ) -> tuple[np.ndarray, float]:
-    """d(mean loss)/d(embeddings) and the mean loss; inactive triplets contribute zero."""
-    d_emb = np.zeros_like(emb)
-    total = 0.0
+    """d(mean loss)/d(embeddings) and the mean loss; inactive triplets contribute zero.
+
+    A triplet is inactive iff its hinge is <= 0 (a NaN hinge stays active).
+    The loss total is summed in triplet order, and each embedding row takes
+    its gradient terms in triplet order, anchor then positive then negative.
+    """
     inv = 1.0 / len(triplets)
-    for t in triplets:
-        fa, fp, fn = emb[t.anchor], emb[t.positive], emb[t.negative]
-        ap = fa - fp
-        an = fa - fn
-        loss = float((ap * ap).sum() - (an * an).sum()) + margin
-        if loss <= 0.0:
-            continue
-        total += loss
-        d_emb[t.anchor] += 2.0 * inv * (fn - fp)
-        d_emb[t.positive] += -2.0 * inv * ap
-        d_emb[t.negative] += 2.0 * inv * an
+    idx = np.array([(t.anchor, t.positive, t.negative) for t in triplets])
+    fa, fp, fn = emb[idx[:, 0]], emb[idx[:, 1]], emb[idx[:, 2]]
+    ap = fa - fp
+    an = fa - fn
+    loss = ((ap * ap).sum(axis=1) - (an * an).sum(axis=1)).astype(np.float64) + margin
+    active = ~(loss <= 0.0)
+    total = float(np.cumsum(np.r_[0.0, loss[active]])[-1])
+    terms = np.stack(
+        [2.0 * inv * (fn - fp), -2.0 * inv * ap, 2.0 * inv * an], axis=1
+    )[active]                                         # [T, 3, D]
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, idx[active].ravel(), terms.reshape(-1, emb.shape[1]))
     return d_emb, total * inv
 
 

@@ -7,6 +7,7 @@ Forward/backward are pure given (weights, input); everything is plain numpy.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +175,32 @@ def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return cols.transpose(0, 2, 1, 3).reshape(b, t_out, c * kernel)
 
 
+def _pool_taps(x: np.ndarray, width: int) -> list[np.ndarray]:
+    """The `width` strided views x[..., j::width] over the whole windows of x."""
+    end = x.shape[2] // width * width
+    return [x[:, :, j:end:width] for j in range(width)]
+
+
+def _max_pool(x: np.ndarray, width: int) -> np.ndarray:
+    return functools.reduce(np.maximum, _pool_taps(x, width))
+
+
+def _max_pool_backward(x: np.ndarray, y: np.ndarray, dy: np.ndarray, width: int) -> np.ndarray:
+    """Route dy to the first tap equal to the window max (argmax's tie rule); 0 elsewhere."""
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    free = np.ones(y.shape, dtype=bool)
+    for dtap, tap in zip(_pool_taps(dx, width), _pool_taps(x, width)):
+        hit = free & (tap == y)
+        dtap[...] = np.where(hit, dy, 0)
+        free &= ~hit
+    return dx
+
+
+def _conv_weight_grad(dz: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum over batch and time of dz[b, t, f] * cols[b, t, k] as one GEMM: [F, C*k]."""
+    return dz.reshape(-1, dz.shape[2]).T @ cols.reshape(-1, cols.shape[2])
+
+
 def _forward_branch(model, bi: int, x: np.ndarray, with_cache: bool):
     layers = model.arch.branch_layers[bi]
     cache: list = []
@@ -189,13 +216,9 @@ def _forward_branch(model, bi: int, x: np.ndarray, with_cache: bool):
                 cache.append(("conv", cols, mask, x.shape))
             x = y
         elif isinstance(spec, PoolSpec):
-            b, c, t = x.shape
-            t_p = t // spec.width
-            xr = x[:, :, : t_p * spec.width].reshape(b, c, t_p, spec.width)
-            arg = xr.argmax(axis=3)
-            y = np.take_along_axis(xr, arg[..., None], axis=3)[..., 0]
+            y = _max_pool(x, spec.width)
             if with_cache:
-                cache.append(("pool", arg, x.shape))
+                cache.append(("pool", x, y))
             x = y
         else:
             flattened = x.ndim == 3
@@ -262,9 +285,7 @@ def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) ->
             dz = dy.transpose(0, 2, 1) * mask                       # [B, To, F]
             w = model.views[f"branch{bi}/layer{li}/w"]
             wmat = w.reshape(spec.filters, -1)
-            grad_views[f"branch{bi}/layer{li}/w"] += (
-                np.einsum("btf,btk->fk", dz, cols).reshape(w.shape)
-            )
+            grad_views[f"branch{bi}/layer{li}/w"] += _conv_weight_grad(dz, cols).reshape(w.shape)
             grad_views[f"branch{bi}/layer{li}/b"] += dz.sum(axis=(0, 1))
             dcols = (dz @ wmat).reshape(dz.shape[0], dz.shape[1], x_shape[1], spec.kernel)
             dx = np.zeros(x_shape, dtype=model.dtype)
@@ -275,14 +296,8 @@ def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) ->
                 )
             dy = dx
         elif isinstance(spec, PoolSpec):
-            _, arg, x_shape = entry
-            b, c, t = x_shape
-            t_p = t // spec.width
-            dxr = np.zeros((b, c, t_p, spec.width), dtype=model.dtype)
-            np.put_along_axis(dxr, arg[..., None], dy[..., None], axis=3)
-            dx = np.zeros(x_shape, dtype=model.dtype)
-            dx[:, :, : t_p * spec.width] = dxr.reshape(b, c, t_p * spec.width)
-            dy = dx
+            _, x, y = entry
+            dy = _max_pool_backward(x, y, dy, spec.width)
         else:
             _, x2, mask, pre_shape = entry
             dz = dy if mask is None else dy * mask

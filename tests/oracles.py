@@ -192,3 +192,56 @@ def oracle_best_rows(labels, rounds, embeddings):
         row(s, v) for s in eligible for t in eligible if t != s for v in idx_by_subject[t]
     ]
     return genuine, impostor
+
+
+def oracle_mine_loop(embeddings, labels, margin):
+    """Semi-hard mining as (anchor, positive, negative) rows, one anchor and one
+    positive at a time.
+
+    Squared distances use the library's expression, so distances and their
+    ties agree with it bit for bit.  Returns None where the library raises
+    MiningError (a single subject, or no subject with two samples).
+    """
+    labels = np.asarray(labels, dtype=object)
+    n = len(labels)
+    if len(set(labels.tolist())) < 2:
+        return None
+    e = np.asarray(embeddings, dtype=np.float64)
+    sq = (e * e).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (e @ e.T), 0.0)
+    same = labels[:, None] == labels[None, :]
+    triplets = []
+    for a in range(n):
+        positives = np.flatnonzero(same[a])
+        positives = positives[positives != a]
+        if positives.size == 0:
+            continue
+        negatives = np.flatnonzero(~same[a])
+        d_neg = d2[a, negatives]
+        for p in positives:
+            d_ap = d2[a, p]
+            band = (d_neg > d_ap) & (d_neg < d_ap + margin)
+            pool = negatives[band] if band.any() else negatives
+            pool_d = d2[a, pool]
+            neg = int(pool[int(np.argmin(pool_d))])
+            triplets.append((a, int(p), neg))
+    return triplets or None
+
+
+def oracle_triplet_grads(emb, triplets, margin):
+    """d(mean loss)/d(embeddings) and the mean loss, one (a, p, n) triplet at a time."""
+    d_emb = np.zeros_like(emb)
+    total = 0.0
+    inv = 1.0 / len(triplets)
+    for a, p, n in triplets:
+        fa, fp, fn = emb[a], emb[p], emb[n]
+        ap = fa - fp
+        an = fa - fn
+        loss = float((ap * ap).sum() - (an * an).sum()) + margin
+        if loss <= 0.0:
+            continue
+        total += loss
+        d_emb[a] += 2.0 * inv * (fn - fp)
+        d_emb[p] += -2.0 * inv * ap
+        d_emb[n] += 2.0 * inv * an
+    return d_emb, total * inv

@@ -291,7 +291,9 @@ class TestDatasetFile:
         assert got.tobytes() == samples[5].data.tobytes()
 
 
-    @pytest.mark.parametrize("field, value", [(1, "r1"), (2, "later")], ids=["round", "t0"])
+    @pytest.mark.parametrize(
+        "field, value", [(1, "r1"), (2, "later"), (3, "12.5")], ids=["round", "t0", "offset"]
+    )
     def test_non_numeric_sidecar_field_raises_format_error(
         self, tmp_path, small_corpus, field, value
     ):
@@ -308,6 +310,20 @@ class TestDatasetFile:
         with pytest.raises(DatasetFormatError, match="index line 2"):
             load_dataset(path)
 
+
+    def test_wrong_sidecar_offset_raises_format_error(self, tmp_path, small_corpus):
+        _, recs = small_corpus
+        samples, _ = build_dataset(recs, Modality.BRAIN)
+        path = tmp_path / "d.ds"
+        save_dataset(samples[:3], path)
+        idx = tmp_path / "d.ds.idx"
+        lines = idx.read_text().splitlines()
+        parts = lines[2].split()
+        parts[3] = str(int(parts[3]) + 4)  # a whole float32 off: inside the payload
+        lines[2] = " ".join(parts)
+        idx.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="index line 3: byte offset"):
+            load_dataset(path)
 
     def test_nan_payload_raises_format_error(self, tmp_path, small_corpus):
         _, recs = small_corpus

@@ -33,7 +33,8 @@ from biofuse.tnn import (
 )
 from biofuse.tnn.arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.tnn.loss import _triplet_embedding_grads
-from oracles import oracle_mine
+from biofuse.tnn.network import _conv_weight_grad, _im2col, _max_pool, _max_pool_backward
+from oracles import oracle_mine, oracle_mine_loop, oracle_triplet_grads
 
 
 def _brain_sample(seed=0, subject="s00", round_id=0, t0=0.0):
@@ -146,6 +147,124 @@ class TestMining:
         emb = np.eye(3)
         with pytest.raises(MiningError):
             mine_triplets(emb, ["a", "b", "c"], 0.2)
+
+
+@st.composite
+def _mining_batches(draw):
+    """Embeddings, labels and margin of one batch.
+
+    Points sit on a small integer grid and repeat, so distance ties, band-edge
+    distances and zero-loss triplets occur; labels include singleton subjects
+    and unmineable batches.  Some batches are nudged off the grid and
+    normalized like trained embeddings.
+    """
+    n = draw(st.integers(2, 12))
+    labels = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+    dim = draw(st.integers(1, 4))
+    grid = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    points = draw(st.lists(grid, min_size=1, max_size=n))
+    rows = draw(st.lists(st.integers(0, len(points) - 1), min_size=n, max_size=n))
+    emb = np.array([points[r] for r in rows], dtype=np.float64)
+    if draw(st.booleans()):
+        emb += 0.1 * np.random.default_rng(draw(st.integers(0, 99))).standard_normal(emb.shape)
+        emb /= np.sqrt((emb * emb).sum(axis=1, keepdims=True)) + 1e-12
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    margin = draw(st.sampled_from([0.2, 0.5, 1.0, 2.0, 3.0]))
+    return emb.astype(dtype), labels, margin
+
+
+class TestArrayStepMatchesLoop:
+    """Masked mining and array triplet gradients against the per-triplet loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mining_batches())
+    def test_mining_selects_loop_triplets(self, batch):
+        emb, labels, margin = batch
+        want = oracle_mine_loop(emb, labels, margin)
+        if want is None:
+            with pytest.raises(MiningError):
+                mine_triplets(emb, labels, margin)
+            return
+        got = [(t.anchor, t.positive, t.negative) for t in mine_triplets(emb, labels, margin)]
+        assert got == want
+
+    def test_mining_infinite_distances_pick_first_negative(self):
+        # d_an = inf for every negative: the lowest-index negative wins, as in the loop
+        emb = np.array([[0.0, 0.0], [0.0, 0.0], [1e200, 0.0], [0.0, 1e200]])
+        labels = ["a", "a", "b", "b"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [(t.anchor, t.positive, t.negative) for t in mine_triplets(emb, labels, 0.2)]
+            assert got == oracle_mine_loop(emb, labels, 0.2)
+        assert got[0] == (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mining_batches(), st.data())
+    def test_gradients_bit_equal_loop(self, batch, data):
+        emb, labels, margin = batch
+        n = len(labels)
+        mined = oracle_mine_loop(emb, labels, margin) or []
+        drawn = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), max_size=20))
+        for rows in (mined, drawn, mined + drawn):
+            if not rows:
+                continue
+            want_d, want_loss = oracle_triplet_grads(emb, rows, margin)
+            got_d, got_loss = _triplet_embedding_grads(
+                emb, [Triplet(*r) for r in rows], margin
+            )
+            assert got_d.dtype == emb.dtype
+            assert got_d.tobytes() == want_d.tobytes()
+            assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+
+
+def _pool_reference(x, width):
+    b, c, t = x.shape
+    t_p = t // width
+    xr = x[:, :, : t_p * width].reshape(b, c, t_p, width)
+    arg = xr.argmax(axis=3)
+    return np.take_along_axis(xr, arg[..., None], axis=3)[..., 0], arg
+
+
+def _pool_backward_reference(x, arg, dy, width):
+    b, c, t = x.shape
+    t_p = t // width
+    dxr = np.zeros((b, c, t_p, width), dtype=x.dtype)
+    np.put_along_axis(dxr, arg[..., None], dy[..., None], axis=3)
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    dx[:, :, : t_p * width] = dxr.reshape(b, c, t_p * width)
+    return dx
+
+
+class TestLayerKernels:
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("length", [9, 10, 11])
+    def test_max_pool_matches_argmax_reference(self, width, length):
+        rng = np.random.default_rng(10 * width + length)
+        # ReLU-like input: many exact zeros, so whole windows tie
+        x = np.maximum(rng.integers(-3, 3, size=(3, 4, length)), 0).astype(np.float32)
+        x[0] = 0.0
+        y, arg = _pool_reference(x, width)
+        got = _max_pool(x, width)
+        assert got.tobytes() == np.ascontiguousarray(y).tobytes()
+        dy = rng.standard_normal(y.shape).astype(np.float32)
+        dy[1, 0, 0] = np.nan
+        dy[1, 1, 0] = np.inf
+        dy[1, 2, 0] = -np.inf
+        want = _pool_backward_reference(x, arg, dy, width)
+        dx = _max_pool_backward(x, got, dy, width)
+        # non-finite dy reaches its window's first max only; the rest stays 0
+        assert dx.dtype == x.dtype
+        assert dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_weight_grad_matches_einsum(self, stride):
+        rng = np.random.default_rng(stride)
+        x = rng.standard_normal((5, 3, 17)).astype(np.float32)
+        cols = _im2col(x, 4, stride)
+        dz = rng.standard_normal((5, cols.shape[1], 6)).astype(np.float32)
+        got = _conv_weight_grad(dz, cols)
+        want = np.einsum("btf,btk->fk", dz, cols)
+        assert got.shape == (6, 12) and got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
 
 def got_all_pairs(triplets, labels):
