@@ -11,8 +11,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -71,15 +72,33 @@ class RunConfig:
 
 _SECTIONS = ("paths", "synth", "nan_policy", "train", "eval")
 
+# the keys of the 'eval' section and their JSON value types
+_EVAL_KEYS = {
+    "scenario": str, "modality": str, "fusion": str, "fusion_eye": str,
+    "folds": int, "seed": int, "raw_fusion": bool,
+}
+_JSON_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
-def _section(cfg: dict, name: str, cls, context: str):
+
+def _json_typed(value, kind) -> bool:
+    """Booleans only for bool; any JSON number for float; the exact type otherwise."""
+    if isinstance(value, bool) or kind is bool:
+        return type(value) is kind
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _section(cfg: dict, name: str, kinds: dict, context: str) -> dict:
     raw = cfg.get(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"{context}: section {name!r} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(raw) - allowed
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ConfigError(f"{context}: unknown keys in {name!r}: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _json_typed(value, kinds[key]):
+            raise ConfigError(
+                f"{context}: {name}.{key} must be {_JSON_KINDS[kinds[key]]}, got {json.dumps(value)}"
+            )
     return raw
 
 
@@ -104,15 +123,10 @@ def load_config(path) -> RunConfig:
     if len(set(values)) != len(values):
         raise ConfigError(f"{ctx}: referenced paths must be pairwise distinct")
 
-    synth_raw = _section(cfg, "synth", SynthConfig, ctx)
-    nan_raw = _section(cfg, "nan_policy", NanPolicy, ctx)
-    train_raw = _section(cfg, "train", TrainConfig, ctx)
-
-    eval_raw = dict(cfg.get("eval", {}))
-    allowed = {"scenario", "modality", "fusion", "fusion_eye", "folds", "seed", "raw_fusion"}
-    unknown = set(eval_raw) - allowed
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys in 'eval': {sorted(unknown)}")
+    synth_raw = _section(cfg, "synth", get_type_hints(SynthConfig), ctx)
+    nan_raw = _section(cfg, "nan_policy", get_type_hints(NanPolicy), ctx)
+    train_raw = _section(cfg, "train", get_type_hints(TrainConfig), ctx)
+    eval_raw = _section(cfg, "eval", _EVAL_KEYS, ctx)
 
     try:
         synth = SynthConfig(**synth_raw) if synth_raw else None
@@ -121,9 +135,9 @@ def load_config(path) -> RunConfig:
             modality=eval_raw.get("modality", "brain"),
             fusion=_parse_fusion(eval_raw.get("fusion", "none")),
             fusion_eye=eval_raw.get("fusion_eye", "eye-pupil"),
-            folds=int(eval_raw.get("folds", 6)),
-            seed=int(eval_raw.get("seed", 0)),
-            raw_fusion=bool(eval_raw.get("raw_fusion", False)),
+            folds=eval_raw.get("folds", 6),
+            seed=eval_raw.get("seed", 0),
+            raw_fusion=eval_raw.get("raw_fusion", False),
             nan_policy=NanPolicy(**nan_raw),
             train=TrainConfig(**train_raw),
         )

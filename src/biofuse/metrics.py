@@ -183,6 +183,13 @@ class TrialSet:
         i = self.impostor.scores[self.impostor.claimed == identity]
         return g, i
 
+    def subjects(self) -> set[str]:
+        """Every subject a trial claims or takes its verification sample from."""
+        return {
+            s for side in (self.genuine, self.impostor)
+            for column in (side.claimed, side.ver_subject) for s in column.tolist()
+        }
+
     def round_exclusion_violations(self) -> int:
         """Genuine trials whose enrollment rounds include the verification round."""
         mask = self.genuine.enr_round_mask
@@ -293,17 +300,16 @@ def _structure_scores(st: _Structure, embeddings: np.ndarray):
     return best[st.genuine.claim, st.genuine.ver], best[st.impostor.claim, st.impostor.ver]
 
 
-def _paired_scores(st: _Structure, pairs, models):
-    """Embed both sides of a paired set and score each under the trial layout.
+def _paired_scores(st: _Structure, embeddings):
+    """Score both sides of a paired set from its (brain, eye) embeddings.
 
     Returns (genuine, impostor), each an (eye_scores, brain_scores) pair.
     """
-    try:
-        model_brain, model_eye = models
-    except (TypeError, ValueError):
-        raise ValidationError("score fusion takes a (brain_model, eye_model) pair") from None
-    gb, ib = _structure_scores(st, model_brain.embed_batch([p.brain for p in pairs]))
-    ge, ie = _structure_scores(st, model_eye.embed_batch([p.eye for p in pairs]))
+    if not isinstance(embeddings, tuple) or len(embeddings) != 2:
+        raise ValidationError("score fusion takes the (brain, eye) embedding pair")
+    emb_brain, emb_eye = embeddings
+    gb, ib = _structure_scores(st, emb_brain)
+    ge, ie = _structure_scores(st, emb_eye)
     return (ge, gb), (ie, ib)
 
 
@@ -325,6 +331,62 @@ def _trial_set(st: _Structure, g_scores, i_scores) -> TrialSet:
     )
 
 
+def embed_samples(samples, models):
+    """One embedding row per sample: an [N, D] array from one EmbeddingModel,
+    or the (brain, eye) pair of arrays of a paired list under a model pair."""
+    if isinstance(models, EmbeddingModel):
+        return models.embed_batch(samples)
+    if not all(isinstance(p, PairedSample) for p in samples):
+        raise ValidationError("score fusion needs paired brain/eye samples")
+    try:
+        model_brain, model_eye = models
+    except (TypeError, ValueError):
+        raise ValidationError("score fusion takes a (brain_model, eye_model) pair") from None
+    return (
+        model_brain.embed_batch([p.brain for p in samples]),
+        model_eye.embed_batch([p.eye for p in samples]),
+    )
+
+
+def score_trials(
+    samples,
+    embeddings,
+    scenario: Scenario,
+    *,
+    fusion_rule: FusionRule | None = None,
+    normalizer: ScoreNormalizer | None = None,
+    raw_fusion: bool = False,
+) -> TrialSet:
+    """Score all genuine and zero-effort impostor trials of a test set.
+
+    S1 scores every cross-round (enrollment, verification) pair once; S2/S3
+    score each verification sample against the best match among the claimed
+    subject's samples from other rounds.  Impostor trials present every other
+    subject's verification samples against each claimed identity under the
+    same rule.  Subjects with fewer than two rounds are excluded entirely and
+    listed in the result.
+
+    `embeddings` are the samples' `embed_samples` rows.  With fusion_rule set
+    they are the (brain, eye) pair of a paired list; per-modality scores are
+    normalized (unless raw_fusion) and combined.
+    """
+    if not samples:
+        raise EvalError("no samples to build trials from")
+    if fusion_rule is not None and not raw_fusion and normalizer is None:
+        raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
+    structure = _build_structure(samples, scenario)
+
+    if fusion_rule is None:
+        if not isinstance(embeddings, np.ndarray):
+            raise ValidationError("single-modality trial scoring takes one embedding array")
+        return _trial_set(structure, *_structure_scores(structure, embeddings))
+    return _trial_set(structure, *(
+        combine_raw(*side, fusion_rule) if raw_fusion
+        else fuse_arrays(*normalizer.normalize_arrays(*side), fusion_rule)
+        for side in _paired_scores(structure, embeddings)
+    ))
+
+
 def build_trials(
     samples,
     models,
@@ -334,48 +396,27 @@ def build_trials(
     normalizer: ScoreNormalizer | None = None,
     raw_fusion: bool = False,
 ) -> TrialSet:
-    """Score all genuine and zero-effort impostor trials for a test set.
+    """`score_trials` of `embed_samples(samples, models)`."""
+    return score_trials(
+        samples, embed_samples(samples, models), scenario,
+        fusion_rule=fusion_rule, normalizer=normalizer, raw_fusion=raw_fusion,
+    )
 
-    S1 scores every cross-round (enrollment, verification) pair once; S2/S3
-    score each verification sample against the best match among the claimed
-    subject's samples from other rounds.  Impostor trials present every other
-    subject's verification samples against each claimed identity under the
-    same rule.  Subjects with fewer than two rounds are excluded entirely and
-    listed in the result.
 
-    With fusion_rule set, `samples` must be PairedSample and `models` the
-    (brain, eye) model pair; per-modality scores are normalized (unless
-    raw_fusion) and combined.
-    """
-    if not samples:
-        raise EvalError("no samples to build trials from")
-    structure = _build_structure(samples, scenario)
-
-    if fusion_rule is None:
-        if not isinstance(models, EmbeddingModel):
-            raise ValidationError("single-model trial building takes one EmbeddingModel")
-        return _trial_set(structure, *_structure_scores(structure, models.embed_batch(samples)))
-
-    if not isinstance(samples[0], PairedSample):
-        raise ValidationError("score fusion needs paired brain/eye samples")
-    if not raw_fusion and normalizer is None:
-        raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
-    return _trial_set(structure, *(
-        combine_raw(*side, fusion_rule) if raw_fusion
-        else fuse_arrays(*normalizer.normalize_arrays(*side), fusion_rule)
-        for side in _paired_scores(structure, samples, models)
-    ))
+def fit_fusion_normalizer(pairs, embeddings, scenario: Scenario) -> ScoreNormalizer:
+    """Fit the per-modality min-max normalizer on calibration (training) pairs
+    from their (brain, eye) embeddings."""
+    if not pairs:
+        raise EvalError("normalizer calibration needs paired samples")
+    (ge, gb), (ie, ib) = _paired_scores(_build_structure(pairs, scenario), embeddings)
+    return fit_normalizer_arrays(np.concatenate([ge, ie]), np.concatenate([gb, ib]))
 
 
 def fusion_calibration_normalizer(
     pairs, model_brain: EmbeddingModel, model_eye: EmbeddingModel, scenario: Scenario
 ) -> ScoreNormalizer:
-    """Fit the per-modality min-max normalizer on calibration (training) pairs."""
-    if not pairs:
-        raise EvalError("normalizer calibration needs paired samples")
-    structure = _build_structure(pairs, scenario)
-    (ge, gb), (ie, ib) = _paired_scores(structure, pairs, (model_brain, model_eye))
-    return fit_normalizer_arrays(np.concatenate([ge, ie]), np.concatenate([gb, ib]))
+    """`fit_fusion_normalizer` of the pairs' embeddings under the model pair."""
+    return fit_fusion_normalizer(pairs, embed_samples(pairs, (model_brain, model_eye)), scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +619,69 @@ def _experiment_arches(config: ExperimentConfig) -> list[ArchSpec]:
     return [single_modality_arch(Modality(config.modality))]
 
 
-def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> EvalReport:
-    """Full per-fold pipeline: preprocess, train, score trials, report.
+@dataclass
+class TrainedFold:
+    """One fold's subject split, standardized samples and trained models."""
 
-    Standardizers are fitted on each fold's training subjects only; models
-    train per fold with seed = train.seed + 1000*fold (+1 for the eye model
-    in score fusion); deterministic given the config.
+    index: int
+    train_subjects: tuple[str, ...]
+    test_subjects: tuple[str, ...]
+    train: dict        # Modality -> standardized training samples
+    test: dict         # Modality -> standardized test samples
+    models: list       # one EmbeddingModel per arch of _experiment_arches
+    histories: list    # per model, the mean loss of each epoch
+    train_pairs: list | None = None  # score fusion: (brain, eye) training pairs
+    test_pairs: list | None = None   # score fusion: (brain, eye) test pairs
+
+
+def train_folds(datasets: dict, subjects, config: ExperimentConfig):
+    """Yield every fold of the experiment, split, standardized and trained.
+
+    `datasets` maps each modality the config's models read to its samples.
+    Standardizers are fitted on each fold's training subjects only (scope
+    `fold{i}`); arch k of the fold trains with seed train.seed + 1000*fold + k
+    (brain is arch 0 and the eye model arch 1 in score fusion).
+    """
+    plan = plan_folds(subjects, config.folds, config.seed)
+    arches = _experiment_arches(config)
+    for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
+        scope = f"fold{fi}"
+        train_set, test_set = set(train_subjects), set(test_subjects)
+        tr, te = {}, {}
+        for m, samples in datasets.items():
+            tr_raw = [s for s in samples if s.subject_id in train_set]
+            te_raw = [s for s in samples if s.subject_id in test_set]
+            if not tr_raw or not te_raw:
+                raise EvalError(f"{scope}: modality {m.value} has an empty split")
+            std = fit_standardizer(tr_raw, scope=scope)
+            tr[m] = [apply_standardizer(std, s) for s in tr_raw]
+            te[m] = [apply_standardizer(std, s) for s in te_raw]
+            if any(s.standardized_by != scope for s in tr[m] + te[m]):
+                raise EvalError(f"{scope}: standardizer provenance mismatch")
+
+        fold = TrainedFold(fi, train_subjects, test_subjects, tr, te, [], [])
+        for k, arch in enumerate(arches):
+            model, history = train(
+                model_inputs(arch, tr),
+                arch,
+                replace(config.train, seed=config.train.seed + 1000 * fi + k),
+                provenance={"fold_id": scope},
+            )
+            fold.models.append(model)
+            fold.histories.append(history)
+        if config.fusion is not None:
+            eye_m = arches[1].modalities[0]
+            fold.train_pairs = pair_samples(tr[Modality.BRAIN], tr[eye_m])
+            fold.test_pairs = pair_samples(te[Modality.BRAIN], te[eye_m])
+        yield fold
+
+
+def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> EvalReport:
+    """Full per-fold pipeline: preprocess, train (`train_folds`), score trials, report.
+
+    Deterministic given the config.
     """
     subjects = sorted({r.subject_id for r in recordings})
-    plan = plan_folds(subjects, config.folds, config.seed)
     arches = _experiment_arches(config)
     modalities = list(dict.fromkeys(m for arch in arches for m in arch.modalities))
 
@@ -603,45 +698,20 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
 
     folds: list[dict] = []
     fold_trialsets: list[TrialSet] = []
-    for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
-        scope = f"fold{fi}"
-        train_set, test_set = set(train_subjects), set(test_subjects)
-        tr, te = {}, {}
-        for m in modalities:
-            tr_raw = [s for s in datasets[m] if s.subject_id in train_set]
-            te_raw = [s for s in datasets[m] if s.subject_id in test_set]
-            if not tr_raw or not te_raw:
-                raise EvalError(f"{scope}: modality {m.value} has an empty split")
-            std = fit_standardizer(tr_raw, scope=scope)
-            tr[m] = [apply_standardizer(std, s) for s in tr_raw]
-            te[m] = [apply_standardizer(std, s) for s in te_raw]
-            if any(s.standardized_by != scope for s in tr[m] + te[m]):
-                raise EvalError(f"{scope}: standardizer provenance mismatch")
-
-        base_seed = config.train.seed + 1000 * fi
-        models, model_provs = [], []
-        for k, arch in enumerate(arches):
-            model, history = train(
-                model_inputs(arch, tr),
-                arch,
-                replace(config.train, seed=base_seed + k),
-                provenance={"fold_id": scope},
-            )
-            models.append(model)
-            model_provs.append(_model_summary(model, history))
-
+    for fold in train_folds(datasets, subjects, config):
         if config.fusion is None:
-            trials = build_trials(model_inputs(arches[0], te), models[0], config.scenario)
+            trials = build_trials(
+                model_inputs(arches[0], fold.test), fold.models[0], config.scenario
+            )
         else:
-            eye_m = arches[1].modalities[0]
             normalizer = None
             if not config.raw_fusion:
                 normalizer = fusion_calibration_normalizer(
-                    pair_samples(tr[Modality.BRAIN], tr[eye_m]), *models, config.scenario
+                    fold.train_pairs, *fold.models, config.scenario
                 )
             trials = build_trials(
-                pair_samples(te[Modality.BRAIN], te[eye_m]),
-                tuple(models),
+                fold.test_pairs,
+                tuple(fold.models),
                 config.scenario,
                 fusion_rule=config.fusion,
                 normalizer=normalizer,
@@ -649,21 +719,19 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
             )
 
         block, thresholds = _scenario_metrics(trials, config.scenario)
-        trial_subjects = set()
-        for side in (trials.genuine, trials.impostor):
-            trial_subjects |= set(side.claimed.tolist()) | set(side.ver_subject.tolist())
+        test_set = set(fold.test_subjects)
         folds.append({
-            "fold": fi,
-            "train_subjects": list(train_subjects),
-            "test_subjects": list(test_subjects),
+            "fold": fold.index,
+            "train_subjects": list(fold.train_subjects),
+            "test_subjects": list(fold.test_subjects),
             **block,
             "per_user_thresholds": thresholds,
             "excluded_subjects": list(trials.excluded_subjects),
-            "models": model_provs,
+            "models": [_model_summary(m, h) for m, h in zip(fold.models, fold.histories)],
             "audits": {
                 "round_exclusion_violations": trials.round_exclusion_violations(),
-                "train_test_overlap": len(train_set & test_set),
-                "foreign_trial_subjects": len(trial_subjects - test_set),
+                "train_test_overlap": len(set(fold.train_subjects) & test_set),
+                "foreign_trial_subjects": len(trials.subjects() - test_set),
             },
         })
         fold_trialsets.append(trials)

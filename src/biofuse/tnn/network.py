@@ -269,13 +269,14 @@ def forward_batch(model: EmbeddingModel, branches: tuple[np.ndarray, ...], with_
     return emb, cache
 
 
-def _backward_dense(grad_views, name_w, name_b, dz, x2, views):
+def _backward_dense(grad_views, name_w, name_b, dz, x2) -> None:
     grad_views[name_w] += dz.T @ x2
     grad_views[name_b] += dz.sum(axis=0)
-    return dz @ views[name_w]
 
 
 def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) -> None:
+    """Weight gradients of one branch; layer 0's data gradient is never formed,
+    since nothing below the input consumes it."""
     layers = model.arch.branch_layers[bi]
     for li in range(len(layers) - 1, -1, -1):
         spec = layers[li]
@@ -284,9 +285,11 @@ def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) ->
             _, cols, mask, x_shape = entry
             dz = dy.transpose(0, 2, 1) * mask                       # [B, To, F]
             w = model.views[f"branch{bi}/layer{li}/w"]
-            wmat = w.reshape(spec.filters, -1)
             grad_views[f"branch{bi}/layer{li}/w"] += _conv_weight_grad(dz, cols).reshape(w.shape)
             grad_views[f"branch{bi}/layer{li}/b"] += dz.sum(axis=(0, 1))
+            if li == 0:
+                break
+            wmat = w.reshape(spec.filters, -1)
             dcols = (dz @ wmat).reshape(dz.shape[0], dz.shape[1], x_shape[1], spec.kernel)
             dx = np.zeros(x_shape, dtype=model.dtype)
             t_out = dz.shape[1]
@@ -296,15 +299,18 @@ def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) ->
                 )
             dy = dx
         elif isinstance(spec, PoolSpec):
+            if li == 0:
+                break
             _, x, y = entry
             dy = _max_pool_backward(x, y, dy, spec.width)
         else:
             _, x2, mask, pre_shape = entry
             dz = dy if mask is None else dy * mask
-            dy = _backward_dense(
-                grad_views, f"branch{bi}/layer{li}/w", f"branch{bi}/layer{li}/b",
-                dz, x2, model.views,
-            )
+            name = f"branch{bi}/layer{li}"
+            _backward_dense(grad_views, f"{name}/w", f"{name}/b", dz, x2)
+            if li == 0:
+                break
+            dy = dz @ model.views[f"{name}/w"]
             if pre_shape is not None:
                 dy = dy.reshape(pre_shape)
 
@@ -320,7 +326,8 @@ def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.
     dz = d_emb / r[:, None] - z * ((d_emb * z).sum(axis=1) / r**3)[:, None]
     for hi in range(len(model.arch.head_layers) - 1, -1, -1):
         _, x2, _, _ = cache["head"][hi]
-        dz = _backward_dense(grad_views, f"head/layer{hi}/w", f"head/layer{hi}/b", dz, x2, model.views)
+        _backward_dense(grad_views, f"head/layer{hi}/w", f"head/layer{hi}/b", dz, x2)
+        dz = dz @ model.views[f"head/layer{hi}/w"]
     if model.arch.n_branches == 1:
         _backward_branch(model, 0, cache["branches"][0], dz, grad_views)
     else:

@@ -7,7 +7,7 @@ every report and trial set the battery emits.
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -19,15 +19,16 @@ from biofuse.metrics import (
     FAR_TARGETS,
     ExperimentConfig,
     TrialSet,
+    _scenario_metrics,
     build_trials,
     compute_eer,
     eer_from_scores,
-    frr_at_far,
+    embed_samples,
+    fit_fusion_normalizer,
     frr_at_far_scores,
-    fusion_calibration_normalizer,
-    per_subject_eer,
-    plan_folds,
     run_experiment,
+    score_trials,
+    train_folds,
 )
 from biofuse.preprocess import (
     GRID_POINTS,
@@ -39,7 +40,6 @@ from biofuse.preprocess import (
     apply_standardizer,
     build_dataset,
     fit_standardizer,
-    pair_samples,
     resample_to_grid,
     screen_and_interpolate,
 )
@@ -71,90 +71,57 @@ def _ok(capsys, criterion: str, detail: str) -> None:
 @dataclass
 class SeedOutcome:
     eers: dict                      # (config, scenario) -> float
-    frr_maps: list = field(default_factory=list)   # FRR dicts keyed by FAR target
+    frr_maps: list = field(default_factory=list)   # FRR dicts keyed like the report's
     round_violations: int = 0
     disjoint_violations: int = 0
     foreign_trials: int = 0
-    min_trials: int = 10**9
     max_eer_guard: float = 0.0
 
 
-def _frr_map(trials: TrialSet, scenario: Scenario) -> dict:
-    if scenario is Scenario.S3:
-        pse = per_subject_eer(trials)
-        out = {}
-        for target in FAR_TARGETS:
-            per_subj = [
-                frr_at_far_scores(*trials.scores_for_identity(ident), target)[0]
-                for ident in pse.by_subject
-            ]
-            out[target] = float(np.mean(per_subj))
-        return out
-    return {t: frr_at_far(trials, t)[0] for t in FAR_TARGETS}
-
-
 def _run_seed(seed: int) -> SeedOutcome:
-    cfg = SynthConfig(seed=seed, **BATTERY_SYNTH)
-    recordings = generate_synthetic(cfg)
-    subjects = sorted(r.subject_id for r in recordings)
+    """Train both folds through `train_folds`, embed each of a fold's six
+    sample lists once and score brain, eye and mean fusion under S1-S3."""
+    recordings = generate_synthetic(SynthConfig(seed=seed, **BATTERY_SYNTH))
+    config = ExperimentConfig(
+        modality="eye-pupil", fusion=FusionRule.MEAN, folds=BATTERY_FOLDS, seed=seed,
+        train=TrainConfig(seed=seed, **BATTERY_TRAIN),
+    )
     datasets = {
         m: build_dataset(recordings, m)[0] for m in (Modality.BRAIN, Modality.EYE_PUPIL)
     }
-    plan = plan_folds(subjects, k=BATTERY_FOLDS, seed=seed)
-    base_train = TrainConfig(seed=seed, **BATTERY_TRAIN)
+    subjects = sorted(r.subject_id for r in recordings)
 
     outcome = SeedOutcome(eers={})
     pooled: dict = {(c, s): [] for c in CONFIGS for s in SCENARIOS}
-    for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
-        train_set, test_set = set(train_subjects), set(test_subjects)
-        outcome.disjoint_violations += len(train_set & test_set)
-        tr, te, models = {}, {}, {}
-        for k, m in enumerate((Modality.BRAIN, Modality.EYE_PUPIL)):
-            tr_raw = [s for s in datasets[m] if s.subject_id in train_set]
-            te_raw = [s for s in datasets[m] if s.subject_id in test_set]
-            std = fit_standardizer(tr_raw, scope=f"fold{fi}")
-            tr[m] = [apply_standardizer(std, s) for s in tr_raw]
-            te[m] = [apply_standardizer(std, s) for s in te_raw]
-            models[m], _ = train(
-                tr[m],
-                single_modality_arch(m),
-                replace(base_train, seed=base_train.seed + 1000 * fi + k),
-            )
-        pairs_tr = pair_samples(tr[Modality.BRAIN], tr[Modality.EYE_PUPIL])
-        pairs_te = pair_samples(te[Modality.BRAIN], te[Modality.EYE_PUPIL])
-        mb, me = models[Modality.BRAIN], models[Modality.EYE_PUPIL]
+    for fold in train_folds(datasets, subjects, config):
+        test_set = set(fold.test_subjects)
+        outcome.disjoint_violations += len(set(fold.train_subjects) & test_set)
+        mb, me = fold.models
+        te_brain, te_eye = fold.test[Modality.BRAIN], fold.test[Modality.EYE_PUPIL]
+        emb_brain, emb_eye = mb.embed_batch(te_brain), me.embed_batch(te_eye)
+        emb_te_pairs = embed_samples(fold.test_pairs, (mb, me))
+        emb_tr_pairs = embed_samples(fold.train_pairs, (mb, me))
         for scenario in SCENARIOS:
             sets = {
-                "brain": build_trials(te[Modality.BRAIN], mb, scenario),
-                "eye": build_trials(te[Modality.EYE_PUPIL], me, scenario),
-                "fusion": build_trials(
-                    pairs_te, (mb, me), scenario,
-                    fusion_rule=FusionRule.MEAN,
-                    normalizer=fusion_calibration_normalizer(pairs_tr, mb, me, scenario),
+                "brain": score_trials(te_brain, emb_brain, scenario),
+                "eye": score_trials(te_eye, emb_eye, scenario),
+                "fusion": score_trials(
+                    fold.test_pairs, emb_te_pairs, scenario,
+                    fusion_rule=config.fusion,
+                    normalizer=fit_fusion_normalizer(fold.train_pairs, emb_tr_pairs, scenario),
                 ),
             }
-            for config, trials in sets.items():
+            for name, trials in sets.items():
                 outcome.round_violations += trials.round_exclusion_violations()
-                trial_subjects = (
-                    set(trials.genuine.claimed.tolist())
-                    | set(trials.genuine.ver_subject.tolist())
-                    | set(trials.impostor.claimed.tolist())
-                    | set(trials.impostor.ver_subject.tolist())
-                )
-                outcome.foreign_trials += len(trial_subjects - test_set)
-                pooled[(config, scenario)].append(trials)
+                outcome.foreign_trials += len(trials.subjects() - test_set)
+                pooled[(name, scenario)].append(trials)
 
-    for (config, scenario), sets in pooled.items():
-        trials = TrialSet.concat(sets)
-        outcome.min_trials = min(outcome.min_trials, trials.genuine.n, trials.impostor.n)
-        if scenario is Scenario.S3:
-            eer = per_subject_eer(trials).mean
-        else:
-            eer, _ = compute_eer(trials)
-        outcome.eers[(config, scenario)] = eer
-        guard = 0.5 + 1.0 / min(trials.genuine.n, trials.impostor.n)
-        outcome.max_eer_guard = max(outcome.max_eer_guard, eer - guard)
-        outcome.frr_maps.append(_frr_map(trials, scenario))
+    for (name, scenario), sets in pooled.items():
+        block, _ = _scenario_metrics(TrialSet.concat(sets), scenario)
+        n_min = min(block["n_genuine"], block["n_impostor"])
+        outcome.eers[(name, scenario)] = block["eer"]
+        outcome.max_eer_guard = max(outcome.max_eer_guard, block["eer"] - (0.5 + 1.0 / n_min))
+        outcome.frr_maps.append(block["frr_at_far"])
     return outcome
 
 
@@ -384,8 +351,23 @@ def test_criterion_2_eer_frr_oracle(capsys):
 # Criteria 3 & 4: ordinal reproduction on the synthetic battery
 
 
+def _reduction(fused: float, single: float) -> str:
+    return f"{1.0 - fused / single:.1%}" if single > 0 else "n/a"
+
+
+def _print_effect_sizes(outcomes, capsys) -> None:
+    """Per seed: S3 EERs and the fused reduction against each single (1 - fused/single)."""
+    with capsys.disabled():
+        for seed, o in outcomes.items():
+            brain, eye, fused = (o.eers[(c, Scenario.S3)] for c in CONFIGS)
+            print(f"  seed {seed}: S3 EER brain {brain:.4f} eye {eye:.4f} fusion {fused:.4f}; "
+                  f"fused reduction vs eye {_reduction(fused, eye)}, "
+                  f"vs brain {_reduction(fused, brain)}")
+
+
 def test_criterion_3_fusion_beats_singles(battery, capsys):
     outcomes, elapsed = battery
+    _print_effect_sizes(outcomes, capsys)
     wins = sum(
         o.eers[("fusion", Scenario.S3)] <= o.eers[("brain", Scenario.S3)]
         and o.eers[("fusion", Scenario.S3)] <= o.eers[("eye", Scenario.S3)]
@@ -422,7 +404,7 @@ def test_criterion_5_frr_far_monotonicity(battery, smoke_reports, capsys):
     checked = 0
     for o in outcomes.values():
         for frr_map in o.frr_maps:
-            assert frr_map[0.01] <= frr_map[0.001] <= frr_map[0.0]
+            assert frr_map["0.01"] <= frr_map["0.001"] <= frr_map["0.0"]
             checked += 1
     for report in smoke_reports:
         maps = [f["frr_at_far"] for f in report.folds] + [report.pooled["frr_at_far"]]

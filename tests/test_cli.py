@@ -164,6 +164,34 @@ def test_bad_config_schema_exits_1(tmp_path, capsys):
     assert "mystery" in err
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "epochs", 1.5),
+    ("train", "batch_size", 16.0),
+    ("synth", "n_subjects", 4.0),
+    ("synth", "seed", False),
+    ("nan_policy", "max_nan_fraction", True),
+    ("eval", "raw_fusion", "false"),
+    ("eval", "folds", "2"),
+    ("eval", "seed", True),
+])
+def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, section, key, value):
+    config, _ = _write_config(tmp_path, n_subjects=2)
+    cfg = json.loads(config.read_text())
+    cfg[section][key] = value
+    config.write_text(json.dumps(cfg))
+    assert main(["gen", "--config", str(config)]) == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "c.corpus").exists()
+
+
+def test_config_takes_json_integer_for_float_key(tmp_path):
+    config, _ = _write_config(tmp_path, n_subjects=2)
+    cfg = json.loads(config.read_text())
+    cfg["synth"]["noise_sigma"] = 1
+    config.write_text(json.dumps(cfg))
+    assert main(["gen", "--config", str(config)]) == 0
+
+
 def test_duplicate_paths_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,13 +18,17 @@ from biofuse.metrics import (
     build_trials,
     compute_eer,
     eer_from_scores,
+    fit_fusion_normalizer,
     frr_at_far,
     frr_at_far_scores,
+    fusion_calibration_normalizer,
     per_subject_eer,
     plan_folds,
     run_experiment,
+    score_trials,
+    train_folds,
 )
-from biofuse.preprocess import GRID_POINTS, Sample
+from biofuse.preprocess import GRID_POINTS, Sample, build_dataset
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
 from biofuse.metrics import _build_structure, _structure_scores
@@ -453,8 +458,7 @@ class TestRunExperiment:
 
 def test_fusion_changes_scores_only(mini_corpus, untrained_model):
     """Fused trial sets carry the identical trial structure; only scores move."""
-    from biofuse.metrics import fusion_calibration_normalizer
-    from biofuse.preprocess import build_dataset, pair_samples
+    from biofuse.preprocess import pair_samples
     from biofuse.tnn import fusion_arch
     from biofuse.tnn.arch import ArchKind
 
@@ -475,3 +479,41 @@ def test_fusion_changes_scores_only(mini_corpus, untrained_model):
         assert a.ver_round.tolist() == b.ver_round.tolist()
         assert a.enr_round_mask.tolist() == b.enr_round_mask.tolist()
     assert fused.genuine.scores.min() >= 0.0 and fused.genuine.scores.max() <= 1.0
+
+
+def test_model_wrappers_match_embedding_path(mini_corpus):
+    """build_trials and fusion_calibration_normalizer give exactly what the
+    embedding-taking path gives from embed_batch outputs, on one trained fold."""
+    config = ExperimentConfig(
+        modality="eye-pupil", fusion=FusionRule.MEAN, folds=2, seed=0, train=_mini_train()
+    )
+    datasets = {
+        m: build_dataset(mini_corpus, m)[0] for m in (Modality.BRAIN, Modality.EYE_PUPIL)
+    }
+    fold = next(train_folds(datasets, sorted({r.subject_id for r in mini_corpus}), config))
+    mb, me = fold.models
+    brain, pairs, calibration = fold.test[Modality.BRAIN], fold.test_pairs, fold.train_pairs
+
+    def pair_embeddings(pairs):
+        return mb.embed_batch([p.brain for p in pairs]), me.embed_batch([p.eye for p in pairs])
+
+    for scenario in Scenario:
+        norm = fusion_calibration_normalizer(calibration, mb, me, scenario)
+        assert norm == fit_fusion_normalizer(calibration, pair_embeddings(calibration), scenario)
+        for samples, models, embeddings, kwargs in (
+            (brain, mb, mb.embed_batch(brain), {}),
+            (pairs, (mb, me), pair_embeddings(pairs),
+             dict(fusion_rule=FusionRule.MEAN, normalizer=norm)),
+            (pairs, (mb, me), pair_embeddings(pairs),
+             dict(fusion_rule=FusionRule.PRODUCT, raw_fusion=True)),
+        ):
+            got = build_trials(samples, models, scenario, **kwargs)
+            want = score_trials(samples, embeddings, scenario, **kwargs)
+            assert got.excluded_subjects == want.excluded_subjects
+            for side in ("genuine", "impostor"):
+                for f in fields(TrialBlock):
+                    a, b = getattr(getattr(got, side), f.name), getattr(getattr(want, side), f.name)
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    same = (a.tolist() == b.tolist() if a.dtype == object
+                            else a.tobytes() == b.tobytes())
+                    assert same, f"{scenario.value} {kwargs} {side}.{f.name}"
