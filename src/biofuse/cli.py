@@ -11,9 +11,8 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
@@ -72,34 +71,27 @@ class RunConfig:
 
 _SECTIONS = ("paths", "synth", "nan_policy", "train", "eval")
 
-# the keys of the 'eval' section and their JSON value types
-_EVAL_KEYS = {
-    "scenario": str, "modality": str, "fusion": str, "fusion_eye": str,
-    "folds": int, "seed": int, "raw_fusion": bool,
-}
-_JSON_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 
-
-def _json_typed(value, kind) -> bool:
-    """Booleans only for bool; any JSON number for float; the exact type otherwise."""
-    if isinstance(value, bool) or kind is bool:
-        return type(value) is kind
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _section(cfg: dict, name: str, kinds: dict, context: str) -> dict:
+def _section(cfg: dict, name: str, cls, ctx: str, fixed: tuple[str, ...] = ()) -> dict:
+    """Section `name` of the config: an object whose keys are fields of `cls`
+    other than `fixed`."""
     raw = cfg.get(name, {})
     if not isinstance(raw, dict):
-        raise ConfigError(f"{context}: section {name!r} must be an object")
-    unknown = set(raw) - set(kinds)
+        raise ConfigError(f"{ctx}: section {name!r} must be an object")
+    unknown = set(raw) - ({f.name for f in fields(cls)} - set(fixed))
     if unknown:
-        raise ConfigError(f"{context}: unknown keys in {name!r}: {sorted(unknown)}")
-    for key, value in raw.items():
-        if not _json_typed(value, kinds[key]):
-            raise ConfigError(
-                f"{context}: {name}.{key} must be {_JSON_KINDS[kinds[key]]}, got {json.dumps(value)}"
-            )
+        raise ConfigError(f"{ctx}: unknown keys in {name!r}: {sorted(unknown)}")
     return raw
+
+
+def _build(cls, name: str, ctx: str, values: dict):
+    """`cls(**values)`; its type and range errors name `name.field`."""
+    try:
+        return cls(**values)
+    except TypeError as e:  # a required field is missing
+        raise ConfigError(f"{ctx}: {name}: {e}") from None
+    except ValidationError as e:
+        raise ConfigError(f"{ctx}: {name}.{e}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -123,26 +115,26 @@ def load_config(path) -> RunConfig:
     if len(set(values)) != len(values):
         raise ConfigError(f"{ctx}: referenced paths must be pairwise distinct")
 
-    synth_raw = _section(cfg, "synth", get_type_hints(SynthConfig), ctx)
-    nan_raw = _section(cfg, "nan_policy", get_type_hints(NanPolicy), ctx)
-    train_raw = _section(cfg, "train", get_type_hints(TrainConfig), ctx)
-    eval_raw = _section(cfg, "eval", _EVAL_KEYS, ctx)
+    synth_raw = _section(cfg, "synth", SynthConfig, ctx)
+    nan_raw = _section(cfg, "nan_policy", NanPolicy, ctx)
+    train_raw = _section(cfg, "train", TrainConfig, ctx)
+    eval_raw = dict(_section(cfg, "eval", ExperimentConfig, ctx, fixed=("nan_policy", "train")))
+    if "scenario" in eval_raw:
+        try:
+            eval_raw["scenario"] = Scenario(eval_raw["scenario"])
+        except ValueError:
+            raise ConfigError(
+                f"{ctx}: eval.scenario: unknown scenario {eval_raw['scenario']!r}"
+            ) from None
+    if "fusion" in eval_raw:
+        eval_raw["fusion"] = _parse_fusion(eval_raw["fusion"])
 
-    try:
-        synth = SynthConfig(**synth_raw) if synth_raw else None
-        eval_cfg = ExperimentConfig(
-            scenario=Scenario(eval_raw.get("scenario", "s2")),
-            modality=eval_raw.get("modality", "brain"),
-            fusion=_parse_fusion(eval_raw.get("fusion", "none")),
-            fusion_eye=eval_raw.get("fusion_eye", "eye-pupil"),
-            folds=eval_raw.get("folds", 6),
-            seed=eval_raw.get("seed", 0),
-            raw_fusion=eval_raw.get("raw_fusion", False),
-            nan_policy=NanPolicy(**nan_raw),
-            train=TrainConfig(**train_raw),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{ctx}: {e}") from None
+    synth = _build(SynthConfig, "synth", ctx, synth_raw) if synth_raw else None
+    eval_cfg = _build(ExperimentConfig, "eval", ctx, {
+        **eval_raw,
+        "nan_policy": _build(NanPolicy, "nan_policy", ctx, nan_raw),
+        "train": _build(TrainConfig, "train", ctx, train_raw),
+    })
     return RunConfig(paths=paths, synth=synth, eval=eval_cfg)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorpusFormatError, CorpusVersionError, ValidationError
+from .errors import CorpusFormatError, CorpusVersionError, ValidationError, check_field_types
 
 CORPUS_MAGIC = "BIOFUSE-CORPUS v1"
 EVENT_KIND_DOT_HIT = "DotHit"
@@ -161,12 +161,13 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n_subjects < 1 or self.n_rounds < 1 or self.dots_per_round < 1:
             raise ValidationError("n_subjects, n_rounds and dots_per_round must be >= 1")
         if self.dots_per_round > MAX_DOTS_PER_ROUND:
             raise ValidationError(f"dots_per_round must be <= {MAX_DOTS_PER_ROUND}")
         if self.eeg_rate_hz <= 0 or self.eye_rate_hz <= 0:
-            raise ValidationError("sampling rates must be positive")
+            raise ValidationError("eeg_rate_hz and eye_rate_hz must be positive")
         if not 0.0 <= self.subject_separability <= 1.0:
             raise ValidationError("subject_separability must be in [0, 1]")
         if self.blink_rate_per_min < 0:
@@ -378,10 +379,20 @@ def _parse_int(token: str, lineno: int) -> int:
         raise CorpusFormatError(f"line {lineno}: bad integer {token!r}") from None
 
 
+def read_text_lines(path, error: type[Exception]) -> list[str]:
+    """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
+    raises `error` naming its line and byte offset."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().splitlines()
+    except UnicodeDecodeError as e:  # read() decodes the whole file at once
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}, byte {e.start}: not valid UTF-8") from None
+
+
 def read_corpus(path) -> list[Recording]:
     """Parse a corpus file; errors name the offending line or record."""
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text_lines(path, CorpusFormatError)
     if not lines:
         raise CorpusFormatError("line 1: empty file")
     if lines[0] != CORPUS_MAGIC:

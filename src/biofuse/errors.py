@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field-type check that
+every config dataclass runs before its range checks."""
+
+import functools
+import numbers
+import typing
 
 
 class BiofuseError(Exception):
@@ -67,3 +72,24 @@ class ContractError(BiofuseError):
 
 class EvalError(BiofuseError):
     """Evaluation cannot proceed (empty trial sets, bad fold plan, ...)."""
+
+
+_field_types = functools.cache(typing.get_type_hints)
+_NUMBER_KINDS = {int: numbers.Integral, float: numbers.Real}  # numpy scalars pass
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def check_field_types(config) -> None:
+    """Raise ValidationError naming the first dataclass field whose value does
+    not match its annotation: a bool only for bool (and only a bool there),
+    any Integral for int, any Real for float, and an isinstance test for the
+    rest (enums, nested configs, `X | None`)."""
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or kind is bool:
+            ok = isinstance(value, bool) and kind is bool
+        else:
+            ok = isinstance(value, _NUMBER_KINDS.get(kind, kind))
+        if not ok:
+            what = _KIND_NAMES.get(kind, f"of type {getattr(kind, '__name__', kind)}")
+            raise ValidationError(f"{name} must be {what}, got {value!r}")

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .corpus import Modality, Recording
-from .errors import EvalError, ValidationError
+from .errors import EvalError, ValidationError, check_field_types
 from .fusion import (
     FusionRule,
     ScoreNormalizer,
@@ -493,6 +493,7 @@ class ExperimentConfig:
     train: TrainConfig = TrainConfig()
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         known = {"brain", "eye", "eye-pupil", "fusion-a", "fusion-b"}
         if self.modality not in known:
             raise ValidationError(f"modality must be one of {sorted(known)}")
@@ -500,11 +501,11 @@ class ExperimentConfig:
             raise ValidationError("fusion_eye must be 'eye' or 'eye-pupil'")
         if self.fusion is not None and self.modality not in ("eye", "eye-pupil"):
             raise ValidationError(
-                "score fusion pairs brain with an eye modality; "
-                "set modality to 'eye' or 'eye-pupil'"
+                "modality must be 'eye' or 'eye-pupil' under score fusion, "
+                "which pairs it with brain"
             )
         if self.folds < 2:
-            raise ValidationError("cross-validation needs at least two folds")
+            raise ValidationError("folds must be >= 2 for cross-validation")
 
 
 @dataclass

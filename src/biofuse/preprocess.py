@@ -11,13 +11,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import EventMarker, Modality, Recording
+from .corpus import EventMarker, Modality, Recording, read_text_lines
 from .errors import (
     DatasetFormatError,
     DegenerateWindow,
     FitError,
     ValidationError,
     WindowOutOfRange,
+    check_field_types,
 )
 
 WINDOW_BEFORE_S = 0.1
@@ -36,13 +37,14 @@ class NanPolicy:
     max_nan_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not 0.0 <= self.max_nan_fraction <= 1.0:
             raise ValidationError("max_nan_fraction must be in [0, 1]")
 
 
 @dataclass
 class Sample:
-    """One event-locked, fixed-shape, NaN-free multi-channel window."""
+    """One event-locked, fixed-shape, finite multi-channel window."""
 
     subject_id: str
     round_id: int
@@ -56,8 +58,8 @@ class Sample:
         expected = (self.modality.n_channels, GRID_POINTS)
         if self.data.shape != expected:
             raise ValidationError(f"sample data must be {expected}, got {self.data.shape}")
-        if np.isnan(self.data).any():
-            raise ValidationError("sample data must be NaN-free")
+        if not np.isfinite(self.data).all():
+            raise ValidationError("sample data must be finite (no NaN or inf)")
 
 
 @dataclass
@@ -365,8 +367,7 @@ def load_dataset(path) -> tuple[list[Sample], Modality]:
     data = np.frombuffer(payload, dtype="<f4").reshape(n, c, p)
 
     try:
-        with open(f"{path}.idx", encoding="utf-8") as f:
-            index_lines = f.read().splitlines()
+        index_lines = read_text_lines(f"{path}.idx", DatasetFormatError)
     except FileNotFoundError:
         raise DatasetFormatError(f"missing sidecar index {path}.idx") from None
     if len(index_lines) != n:

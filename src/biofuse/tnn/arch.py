@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 
 from ..corpus import Modality
-from ..errors import ValidationError
+from ..errors import ValidationError, check_field_types
 from ..preprocess import GRID_POINTS, pair_samples
 
 EMBEDDING_DIM = 32
@@ -34,6 +34,7 @@ class ConvSpec:
     stride: int = 1
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.kernel < 1 or self.filters < 1 or self.stride < 1:
             raise ValidationError("conv kernel, filters and stride must be >= 1")
 
@@ -43,6 +44,7 @@ class PoolSpec:
     width: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.width < 1:
             raise ValidationError("pool width must be >= 1")
 
@@ -52,6 +54,7 @@ class DenseSpec:
     width: int
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.width < 1:
             raise ValidationError("dense width must be >= 1")
 

@@ -1,8 +1,11 @@
-"""Differentiable engine for the embedding branches.
+"""Differentiable layer-stack engine for the embedding models.
 
-Weights live in one flat vector with per-layer views, so optimizers,
-finite-difference checks, and serialization all act on the same buffer.
-Forward/backward are pure given (weights, input); everything is plain numpy.
+A model is an ordered list of layer stacks: one per branch, then the head
+over the concatenated branch outputs.  Every stack runs through the same
+forward and backward loop.  Weights live in one flat vector with per-layer
+views, so optimizers, finite-difference checks, and serialization all act on
+the same buffer.  Forward/backward are pure given (weights, input);
+everything is plain numpy.
 """
 
 from __future__ import annotations
@@ -196,123 +199,101 @@ def _max_pool_backward(x: np.ndarray, y: np.ndarray, dy: np.ndarray, width: int)
     return dx
 
 
-def _conv_weight_grad(dz: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum over batch and time of dz[b, t, f] * cols[b, t, k] as one GEMM: [F, C*k]."""
-    return dz.reshape(-1, dz.shape[2]).T @ cols.reshape(-1, cols.shape[2])
+def _weight_grad(dz: np.ndarray, inp: np.ndarray) -> np.ndarray:
+    """sum over the leading axes of dz[..., f] * inp[..., k] as one GEMM: [F, K]."""
+    return dz.reshape(-1, dz.shape[-1]).T @ inp.reshape(-1, inp.shape[-1])
 
 
-def _forward_branch(model, bi: int, x: np.ndarray, with_cache: bool):
-    layers = model.arch.branch_layers[bi]
+def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], kernel: int, stride: int) -> np.ndarray:
+    """Adjoint of _im2col: add [B, To, C*k] column gradients back onto [B, C, T]."""
+    b, t_out = dcols.shape[:2]
+    dcols = dcols.reshape(b, t_out, x_shape[1], kernel)
+    dx = np.zeros(x_shape, dtype=dcols.dtype)
+    for j in range(kernel):
+        dx[:, :, j:j + stride * (t_out - 1) + 1:stride] += dcols[:, :, :, j].transpose(0, 2, 1)
+    return dx
+
+
+def _stacks(arch: ArchSpec) -> list[tuple[str, tuple]]:
+    """(weight prefix, layers) per layer stack in layout order: each branch,
+    then the head (empty for single-modality and fusion-a archs)."""
+    branches = [(f"branch{bi}", layers) for bi, layers in enumerate(arch.branch_layers)]
+    return branches + [("head", arch.head_layers)]
+
+
+def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: bool):
+    """Run one stack; ReLU follows every conv and dense layer but the last.
+
+    Returns (output, per-layer cache): (x, y) for a pool, (layer input as
+    columns or rows, ReLU mask or None, input shape) for a conv or dense."""
+    prefix, layers = stack
     cache: list = []
     for li, spec in enumerate(layers):
-        if isinstance(spec, ConvSpec):
-            w = model.views[f"branch{bi}/layer{li}/w"]
-            bias = model.views[f"branch{bi}/layer{li}/b"]
-            cols = _im2col(x, spec.kernel, spec.stride)
-            z = cols @ w.reshape(spec.filters, -1).T + bias
-            mask = z > 0
-            y = (z * mask).transpose(0, 2, 1)
-            if with_cache:
-                cache.append(("conv", cols, mask, x.shape))
-            x = y
-        elif isinstance(spec, PoolSpec):
+        if isinstance(spec, PoolSpec):
             y = _max_pool(x, spec.width)
             if with_cache:
-                cache.append(("pool", x, y))
+                cache.append((x, y))
             x = y
-        else:
-            flattened = x.ndim == 3
-            x2 = x.reshape(x.shape[0], -1) if flattened else x
-            w = model.views[f"branch{bi}/layer{li}/w"]
-            bias = model.views[f"branch{bi}/layer{li}/b"]
-            z = x2 @ w.T + bias
-            last = li == len(layers) - 1
-            if last:
-                y, mask = z, None
-            else:
-                mask = z > 0
-                y = z * mask
-            if with_cache:
-                cache.append(("dense", x2, mask, x.shape if flattened else None))
-            x = y
+            continue
+        w = model.views[f"{prefix}/layer{li}/w"]
+        bias = model.views[f"{prefix}/layer{li}/b"]
+        conv = isinstance(spec, ConvSpec)
+        inp = _im2col(x, spec.kernel, spec.stride) if conv else x.reshape(x.shape[0], -1)
+        z = inp @ w.reshape(w.shape[0], -1).T + bias
+        mask = z > 0 if li < len(layers) - 1 else None
+        y = z if mask is None else z * mask
+        if with_cache:
+            cache.append((inp, mask, x.shape))
+        x = y.transpose(0, 2, 1) if conv else y
     return x, cache
 
 
 def forward_batch(model: EmbeddingModel, branches: tuple[np.ndarray, ...], with_cache: bool):
     """Embed a stacked batch; returns (embeddings [B x D], cache or None)."""
-    branch_outs = []
-    branch_caches = []
-    for bi, x in enumerate(branches):
-        out, cache = _forward_branch(model, bi, np.asarray(x, dtype=model.dtype), with_cache)
-        branch_outs.append(out)
-        branch_caches.append(cache)
-    x = branch_outs[0] if len(branch_outs) == 1 else np.concatenate(branch_outs, axis=1)
-    head_cache = []
-    for hi in range(len(model.arch.head_layers)):
-        w = model.views[f"head/layer{hi}/w"]
-        bias = model.views[f"head/layer{hi}/b"]
-        z = x @ w.T + bias
-        if with_cache:
-            head_cache.append(("dense", x, None, None))
-        x = z
+    *branch_stacks, head = _stacks(model.arch)
+    outs, caches = [], []
+    for stack, x in zip(branch_stacks, branches):
+        out, cache = _forward_stack(model, stack, np.asarray(x, dtype=model.dtype), with_cache)
+        outs.append(out)
+        caches.append(cache)
+    x, cache = _forward_stack(model, head, np.concatenate(outs, axis=1), with_cache)
+    caches.append(cache)
     s = (x * x).sum(axis=1)
     r = np.sqrt(s + model.dtype.type(_NORM_EPS))
     emb = x / r[:, None]
-    cache = None
-    if with_cache:
-        cache = {
-            "branches": branch_caches,
-            "branch_widths": [o.shape[1] for o in branch_outs],
-            "head": head_cache,
-            "l2": (x, r),
-        }
-    return emb, cache
+    if not with_cache:
+        return emb, None
+    return emb, {"stacks": caches, "branch_widths": [o.shape[1] for o in outs], "l2": (x, r)}
 
 
-def _backward_dense(grad_views, name_w, name_b, dz, x2) -> None:
-    grad_views[name_w] += dz.T @ x2
-    grad_views[name_b] += dz.sum(axis=0)
+def _backward_stack(model, stack: tuple[str, tuple], cache: list, dy: np.ndarray,
+                    grad_views: dict, input_grad: bool):
+    """Add one stack's weight gradients for d(loss)/d(output) `dy`.
 
-
-def _backward_branch(model, bi: int, cache: list, dy: np.ndarray, grad_views) -> None:
-    """Weight gradients of one branch; layer 0's data gradient is never formed,
-    since nothing below the input consumes it."""
-    layers = model.arch.branch_layers[bi]
+    Returns d(loss)/d(input) when `input_grad`; otherwise layer 0's data
+    gradient is never formed and None is returned."""
+    prefix, layers = stack
     for li in range(len(layers) - 1, -1, -1):
         spec = layers[li]
-        entry = cache[li]
-        if isinstance(spec, ConvSpec):
-            _, cols, mask, x_shape = entry
-            dz = dy.transpose(0, 2, 1) * mask                       # [B, To, F]
-            w = model.views[f"branch{bi}/layer{li}/w"]
-            grad_views[f"branch{bi}/layer{li}/w"] += _conv_weight_grad(dz, cols).reshape(w.shape)
-            grad_views[f"branch{bi}/layer{li}/b"] += dz.sum(axis=(0, 1))
-            if li == 0:
-                break
-            wmat = w.reshape(spec.filters, -1)
-            dcols = (dz @ wmat).reshape(dz.shape[0], dz.shape[1], x_shape[1], spec.kernel)
-            dx = np.zeros(x_shape, dtype=model.dtype)
-            t_out = dz.shape[1]
-            for j in range(spec.kernel):
-                dx[:, :, j:j + spec.stride * (t_out - 1) + 1:spec.stride] += (
-                    dcols[:, :, :, j].transpose(0, 2, 1)
-                )
-            dy = dx
-        elif isinstance(spec, PoolSpec):
-            if li == 0:
-                break
-            _, x, y = entry
+        if isinstance(spec, PoolSpec):
+            if li == 0 and not input_grad:
+                return None
+            x, y = cache[li]
             dy = _max_pool_backward(x, y, dy, spec.width)
-        else:
-            _, x2, mask, pre_shape = entry
-            dz = dy if mask is None else dy * mask
-            name = f"branch{bi}/layer{li}"
-            _backward_dense(grad_views, f"{name}/w", f"{name}/b", dz, x2)
-            if li == 0:
-                break
-            dy = dz @ model.views[f"{name}/w"]
-            if pre_shape is not None:
-                dy = dy.reshape(pre_shape)
+            continue
+        inp, mask, x_shape = cache[li]
+        conv = isinstance(spec, ConvSpec)
+        dz = dy.transpose(0, 2, 1) if conv else dy                  # [B, (To,) F]
+        if mask is not None:
+            dz = dz * mask
+        w = model.views[f"{prefix}/layer{li}/w"]
+        grad_views[f"{prefix}/layer{li}/w"] += _weight_grad(dz, inp).reshape(w.shape)
+        grad_views[f"{prefix}/layer{li}/b"] += dz.sum(axis=tuple(range(dz.ndim - 1)))
+        if li == 0 and not input_grad:
+            return None
+        dinp = dz @ w.reshape(w.shape[0], -1)
+        dy = _col2im(dinp, x_shape, spec.kernel, spec.stride) if conv else dinp.reshape(x_shape)
+    return dy
 
 
 def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.ndarray:
@@ -324,14 +305,10 @@ def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.
     z, r = cache["l2"]
     d_emb = d_emb.astype(model.dtype)
     dz = d_emb / r[:, None] - z * ((d_emb * z).sum(axis=1) / r**3)[:, None]
-    for hi in range(len(model.arch.head_layers) - 1, -1, -1):
-        _, x2, _, _ = cache["head"][hi]
-        _backward_dense(grad_views, f"head/layer{hi}/w", f"head/layer{hi}/b", dz, x2)
-        dz = dz @ model.views[f"head/layer{hi}/w"]
-    if model.arch.n_branches == 1:
-        _backward_branch(model, 0, cache["branches"][0], dz, grad_views)
-    else:
-        split = np.cumsum(cache["branch_widths"])[:-1]
-        for bi, dpart in enumerate(np.split(dz, split, axis=1)):
-            _backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
+    *branch_stacks, head = _stacks(model.arch)
+    *branch_caches, head_cache = cache["stacks"]
+    dz = _backward_stack(model, head, head_cache, dz, grad_views, input_grad=True)
+    parts = np.split(dz, np.cumsum(cache["branch_widths"])[:-1], axis=1)
+    for stack, stack_cache, dpart in zip(branch_stacks, branch_caches, parts):
+        _backward_stack(model, stack, stack_cache, dpart, grad_views, input_grad=False)
     return grad

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DivergenceError, ValidationError
+from ..errors import DivergenceError, ValidationError, check_field_types
 from .arch import ArchSpec
 from .loss import _triplet_embedding_grads, mine_triplets
 from .network import EmbeddingModel, backward_batch, forward_batch, stack_inputs
@@ -33,6 +33,7 @@ class TrainConfig:
     samples_per_subject: int = 4
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.margin <= 0:
             raise ValidationError("margin must be positive")
         if self.learning_rate < 0:

@@ -222,7 +222,7 @@ def load_templates(path) -> TemplateStore:
                     round_id=int(entry["round_id"]),
                     tag=entry.get("tag", ""),
                 )
-            except (ValueError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError, OverflowError) as e:
                 raise TemplateFormatError(f"bad template entry {k}: {e!r}") from None
             store.enroll(template)
     return store

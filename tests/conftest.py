@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from biofuse.corpus import SynthConfig, generate_synthetic
+
+# `pytest --hypothesis-profile=ci` runs the same examples on every run and
+# prints a reproduction blob for each failure; without it examples stay random
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written with plain loops (and, for the
 S1 and S2/S3 trial builders, the per-subject numpy loops they replaced) so it
-shares no code path with the implementations under test.
+shares no code path with the implementations under test.  The forward and
+backward oracles are the per-branch loops and separate head loop that the
+layer-stack engine replaced; they reuse only the library's layer kernels
+(im2col and max-pool), which have tests of their own.
 """
 
 import bisect
@@ -245,3 +248,125 @@ def oracle_triplet_grads(emb, triplets, margin):
         d_emb[p] += -2.0 * inv * ap
         d_emb[n] += 2.0 * inv * an
     return d_emb, total * inv
+
+
+def _oracle_forward_branch(model, bi, x):
+    """One branch as its own loop, with the per-kind cache entries it replaced."""
+    from biofuse.tnn.arch import ConvSpec, PoolSpec
+    from biofuse.tnn.network import _im2col, _max_pool
+
+    layers = model.arch.branch_layers[bi]
+    cache = []
+    for li, spec in enumerate(layers):
+        if isinstance(spec, ConvSpec):
+            w = model.views[f"branch{bi}/layer{li}/w"]
+            bias = model.views[f"branch{bi}/layer{li}/b"]
+            cols = _im2col(x, spec.kernel, spec.stride)
+            z = cols @ w.reshape(spec.filters, -1).T + bias
+            mask = z > 0
+            cache.append(("conv", cols, mask, x.shape))
+            x = (z * mask).transpose(0, 2, 1)
+        elif isinstance(spec, PoolSpec):
+            y = _max_pool(x, spec.width)
+            cache.append(("pool", x, y))
+            x = y
+        else:
+            flattened = x.ndim == 3
+            x2 = x.reshape(x.shape[0], -1) if flattened else x
+            w = model.views[f"branch{bi}/layer{li}/w"]
+            bias = model.views[f"branch{bi}/layer{li}/b"]
+            z = x2 @ w.T + bias
+            if li == len(layers) - 1:
+                y, mask = z, None
+            else:
+                mask = z > 0
+                y = z * mask
+            cache.append(("dense", x2, mask, x.shape if flattened else None))
+            x = y
+    return x, cache
+
+
+def oracle_forward(model, branches):
+    """Embeddings and cache from one loop per branch plus a separate head loop
+    (no ReLU in the head)."""
+    outs, caches = [], []
+    for bi, x in enumerate(branches):
+        out, cache = _oracle_forward_branch(model, bi, np.asarray(x, dtype=model.dtype))
+        outs.append(out)
+        caches.append(cache)
+    x = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1)
+    head = []
+    for hi in range(len(model.arch.head_layers)):
+        head.append(x)
+        x = x @ model.views[f"head/layer{hi}/w"].T + model.views[f"head/layer{hi}/b"]
+    r = np.sqrt((x * x).sum(axis=1) + model.dtype.type(1e-24))
+    cache = {"branches": caches, "widths": [o.shape[1] for o in outs], "head": head, "l2": (x, r)}
+    return x / r[:, None], cache
+
+
+def _oracle_backward_branch(model, bi, cache, dy, grad_views):
+    from biofuse.tnn.arch import ConvSpec, PoolSpec
+    from biofuse.tnn.network import _max_pool_backward
+
+    layers = model.arch.branch_layers[bi]
+    for li in range(len(layers) - 1, -1, -1):
+        spec = layers[li]
+        entry = cache[li]
+        if isinstance(spec, ConvSpec):
+            _, cols, mask, x_shape = entry
+            dz = dy.transpose(0, 2, 1) * mask
+            w = model.views[f"branch{bi}/layer{li}/w"]
+            dw = dz.reshape(-1, dz.shape[2]).T @ cols.reshape(-1, cols.shape[2])
+            grad_views[f"branch{bi}/layer{li}/w"] += dw.reshape(w.shape)
+            grad_views[f"branch{bi}/layer{li}/b"] += dz.sum(axis=(0, 1))
+            if li == 0:
+                break
+            dcols = (dz @ w.reshape(spec.filters, -1)).reshape(
+                dz.shape[0], dz.shape[1], x_shape[1], spec.kernel
+            )
+            dx = np.zeros(x_shape, dtype=model.dtype)
+            t_out = dz.shape[1]
+            for j in range(spec.kernel):
+                dx[:, :, j:j + spec.stride * (t_out - 1) + 1:spec.stride] += (
+                    dcols[:, :, :, j].transpose(0, 2, 1)
+                )
+            dy = dx
+        elif isinstance(spec, PoolSpec):
+            if li == 0:
+                break
+            _, x, y = entry
+            dy = _max_pool_backward(x, y, dy, spec.width)
+        else:
+            _, x2, mask, pre_shape = entry
+            dz = dy if mask is None else dy * mask
+            name = f"branch{bi}/layer{li}"
+            grad_views[f"{name}/w"] += dz.T @ x2
+            grad_views[f"{name}/b"] += dz.sum(axis=0)
+            if li == 0:
+                break
+            dy = dz @ model.views[f"{name}/w"]
+            if pre_shape is not None:
+                dy = dy.reshape(pre_shape)
+
+
+def oracle_backward(model, cache, d_emb):
+    """Flat weight gradient for `oracle_forward`'s cache: the head loop, then
+    one loop per branch on its slice of the head's input gradient."""
+    grad = np.zeros(model.n_weights, dtype=model.dtype)
+    grad_views = {
+        p.name: grad[p.offset:p.offset + p.size].reshape(p.shape) for p in model.layout
+    }
+    z, r = cache["l2"]
+    d_emb = d_emb.astype(model.dtype)
+    dz = d_emb / r[:, None] - z * ((d_emb * z).sum(axis=1) / r**3)[:, None]
+    for hi in range(len(model.arch.head_layers) - 1, -1, -1):
+        grad_views[f"head/layer{hi}/w"] += dz.T @ cache["head"][hi]
+        grad_views[f"head/layer{hi}/b"] += dz.sum(axis=0)
+        dz = dz @ model.views[f"head/layer{hi}/w"]
+    if model.arch.n_branches == 1:
+        _oracle_backward_branch(model, 0, cache["branches"][0], dz, grad_views)
+    else:
+        split = np.cumsum(cache["widths"])[:-1]
+        for bi, dpart in enumerate(np.split(dz, split, axis=1)):
+            _oracle_backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
+    return grad

@@ -28,7 +28,7 @@ from biofuse.metrics import (
     score_trials,
     train_folds,
 )
-from biofuse.preprocess import GRID_POINTS, Sample, build_dataset
+from biofuse.preprocess import GRID_POINTS, NanPolicy, Sample, build_dataset
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
 from biofuse.metrics import _build_structure, _structure_scores
@@ -517,3 +517,25 @@ def test_model_wrappers_match_embedding_path(mini_corpus):
                     same = (a.tolist() == b.tolist() if a.dtype == object
                             else a.tobytes() == b.tobytes())
                     assert same, f"{scenario.value} {kwargs} {side}.{f.name}"
+
+
+_WRONG_TYPES = [
+    ("epochs", lambda: TrainConfig(epochs=1.5)),
+    ("batch_size", lambda: TrainConfig(batch_size=64.0)),
+    ("margin", lambda: TrainConfig(margin=True)),
+    ("n_subjects", lambda: SynthConfig(n_subjects=4.0, n_rounds=2)),
+    ("noise_sigma", lambda: SynthConfig(n_subjects=2, n_rounds=2, noise_sigma=True)),
+    ("max_nan_fraction", lambda: NanPolicy(max_nan_fraction=True)),
+    ("scenario", lambda: ExperimentConfig(scenario="s2")),
+    ("fusion", lambda: ExperimentConfig(modality="eye", fusion="mean")),
+    ("folds", lambda: ExperimentConfig(folds=np.float64(3))),
+    ("raw_fusion", lambda: ExperimentConfig(raw_fusion=1)),
+    ("train", lambda: ExperimentConfig(train={})),
+]
+
+
+@pytest.mark.parametrize("field, make", _WRONG_TYPES, ids=[f for f, _ in _WRONG_TYPES])
+def test_config_field_of_wrong_type_raises(field, make):
+    # each of these used to construct and fail later, in the middle of a run
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        make()

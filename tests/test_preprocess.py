@@ -330,12 +330,14 @@ class TestDatasetFile:
         samples, _ = build_dataset(recs, Modality.BRAIN)
         path = tmp_path / "d.ds"
         save_dataset(samples[:2], path)
-        raw = bytearray(path.read_bytes())
+        clean = path.read_bytes()
         offset = int((tmp_path / "d.ds.idx").read_text().split()[3])
-        raw[offset:offset + 4] = np.float32(np.nan).astype("<f4").tobytes()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DatasetFormatError, match="sample 0"):
-            load_dataset(path)
+        for value in (np.nan, np.inf, -np.inf):
+            raw = bytearray(clean)
+            raw[offset:offset + 4] = np.float32(value).astype("<f4").tobytes()
+            path.write_bytes(bytes(raw))
+            with pytest.raises(DatasetFormatError, match="sample 0"):
+                load_dataset(path)
 
 
 def test_pair_samples_inner_join(small_corpus):

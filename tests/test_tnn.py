@@ -33,8 +33,20 @@ from biofuse.tnn import (
 )
 from biofuse.tnn.arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.tnn.loss import _triplet_embedding_grads
-from biofuse.tnn.network import _conv_weight_grad, _im2col, _max_pool, _max_pool_backward
-from oracles import oracle_mine, oracle_mine_loop, oracle_triplet_grads
+from biofuse.tnn.network import (
+    _im2col,
+    _max_pool,
+    _max_pool_backward,
+    _weight_grad,
+    backward_batch,
+)
+from oracles import (
+    oracle_backward,
+    oracle_forward,
+    oracle_mine,
+    oracle_mine_loop,
+    oracle_triplet_grads,
+)
 
 
 def _brain_sample(seed=0, subject="s00", round_id=0, t0=0.0):
@@ -261,7 +273,7 @@ class TestLayerKernels:
         x = rng.standard_normal((5, 3, 17)).astype(np.float32)
         cols = _im2col(x, 4, stride)
         dz = rng.standard_normal((5, cols.shape[1], 6)).astype(np.float32)
-        got = _conv_weight_grad(dz, cols)
+        got = _weight_grad(dz, cols)
         want = np.einsum("btf,btk->fk", dz, cols)
         assert got.shape == (6, 12) and got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -295,6 +307,62 @@ def _tiny_arch(seed):
         branch_layers=(tuple(layers),), input_points=t,
     )
     return arch, c, t
+
+
+@st.composite
+def _engine_cases(draw):
+    """A tiny arch of any kind, with or without conv, pool and hidden dense
+    layers in each branch, plus dtype, batch size and a data seed."""
+    kind = draw(st.sampled_from(list(ArchKind)))
+    n_branches, out = (1, 32) if kind is ArchKind.SINGLE else (2, 16)
+    branches = []
+    for _ in range(n_branches):
+        layers = []
+        for _ in range(draw(st.integers(0, 2))):
+            if draw(st.booleans()):
+                layers.append(ConvSpec(kernel=draw(st.integers(1, 3)),
+                                       filters=draw(st.integers(1, 3)),
+                                       stride=draw(st.integers(1, 2))))
+            else:
+                layers.append(PoolSpec(width=draw(st.integers(1, 2))))
+        for _ in range(draw(st.integers(0, 2))):
+            layers.append(DenseSpec(width=draw(st.integers(1, 5))))
+        branches.append((*layers, DenseSpec(width=out)))
+    arch = ArchSpec(
+        kind=kind,
+        input_channels=tuple(draw(st.integers(1, 3)) for _ in range(n_branches)),
+        branch_layers=tuple(branches),
+        head_layers=(DenseSpec(32),) if kind is ArchKind.FUSION_B else (),
+        input_points=draw(st.integers(10, 16)),  # room for two stride-2 convs
+    )
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return arch, dtype, draw(st.integers(1, 4)), draw(st.integers(0, 2**16))
+
+
+class TestEngineMatchesOracle:
+    """The layer-stack engine against the per-branch loops and head loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_engine_cases())
+    def test_embeddings_and_gradients_bit_equal(self, case):
+        arch, dtype, batch, seed = case
+        rng = np.random.default_rng(seed)
+        model = EmbeddingModel(arch, seed=seed, dtype=dtype)
+        model.weights[:] = rng.standard_normal(model.n_weights)  # non-zero biases too
+        branches = tuple(
+            rng.standard_normal((batch, c, arch.input_points)).astype(dtype)
+            for c in arch.input_channels
+        )
+        d_emb = rng.standard_normal((batch, arch.embedding_dim))
+        want_emb, want_cache = oracle_forward(model, branches)
+        emb, cache = forward_batch(model, branches, with_cache=True)
+        assert emb.dtype == dtype
+        assert emb.tobytes() == want_emb.tobytes()
+        lean, no_cache = forward_batch(model, branches, with_cache=False)
+        assert no_cache is None and lean.tobytes() == want_emb.tobytes()
+        assert cache["branch_widths"] == want_cache["widths"]
+        want_grad = oracle_backward(model, want_cache, d_emb)
+        assert backward_batch(model, cache, d_emb).tobytes() == want_grad.tobytes()
 
 
 class TestBackward:
@@ -474,6 +542,9 @@ class TestModelFile:
         pytest.param(_arch_edit((0, ["lstm", 3])), id="unknown-layer-tag"),
         pytest.param(_arch_edit((-1, ["pool", 2])), id="pool-as-last-layer"),
         pytest.param(_arch_edit(channels=[12]), id="weights-do-not-fit-arch"),
+        pytest.param(_arch_edit((0, ["conv", 7, float("inf"), 1])), id="infinite-filters"),
+        pytest.param(_arch_edit((1, ["pool", 2.0])), id="float-pool-width"),
+        pytest.param(_arch_edit((4, ["dense", 128.0])), id="float-dense-width"),
         pytest.param(lambda arch, prov: (arch, [1, 2]), id="provenance-not-an-object"),
     ])
     def test_malformed_file_raises_model_format_error(self, tmp_path, edit):

@@ -270,6 +270,7 @@ class TestTemplateStore:
         pytest.param([{"round_id": 0, "tag": ""}], id="no-identity"),
         pytest.param([{"identity": "a", "round_id": "r0", "tag": ""}], id="non-integer-round"),
         pytest.param([["a", 0]], id="entry-not-an-object"),
+        pytest.param([{"identity": "a", "round_id": float("inf"), "tag": ""}], id="infinite-round"),
         pytest.param(5, id="entries-not-a-list"),
     ])
     def test_malformed_entry_raises_format_error(self, tmp_path, entries):
