@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import Modality, SynthConfig, generate_synthetic, read_corpus, write_corpus
 from .errors import BiofuseError, ConfigError, IdentityError, ModelFormatError, ValidationError
 from .fusion import FusionRule
-from .metrics import ExperimentConfig, run_experiment
+from .metrics import FEATURE_FUSIONS, SAMPLE_MODALITIES, ExperimentConfig, run_experiment
 from .preprocess import (
     NanPolicy,
     Standardizer,
@@ -198,10 +198,12 @@ def cmd_preprocess(args) -> int:
     corpus_path = _path_from(args, "corpus", run, "corpus", "corpus input")
     out = _path_from(args, "out", run, "dataset", "dataset output")
     modality_name = args.modality or (
-        run.eval.modality if run.eval.modality in ("brain", "eye", "eye-pupil") else None
+        run.eval.modality if run.eval.modality in SAMPLE_MODALITIES else None
     )
     if modality_name is None:
-        raise ConfigError("preprocess needs a concrete --modality (brain, eye, eye-pupil)")
+        raise ConfigError(
+            f"preprocess needs a concrete --modality ({', '.join(SAMPLE_MODALITIES)})"
+        )
     modality = Modality(modality_name)
     recordings = read_corpus(corpus_path)
     samples, report = build_dataset(recordings, modality, run.eval.nan_policy)
@@ -213,6 +215,14 @@ def cmd_preprocess(args) -> int:
         f"rejected={report.total('rejected')}, skipped={report.total('skipped')})"
     )
     return 0
+
+
+def _dataset_paths(args, run: RunConfig) -> list[str]:
+    """--dataset (repeatable), else paths.dataset."""
+    paths = args.dataset or ([run.paths["dataset"]] if "dataset" in run.paths else [])
+    if not paths:
+        raise ConfigError(f"{args.command} needs --dataset (repeatable) or paths.dataset")
+    return paths
 
 
 def _load_datasets(paths: list[str]):
@@ -273,9 +283,7 @@ def _prepare_model_inputs(by_modality, model: EmbeddingModel):
 
 def cmd_train(args) -> int:
     run = _open_config(args)
-    dataset_paths = args.dataset or ([run.paths["dataset"]] if "dataset" in run.paths else [])
-    if not dataset_paths:
-        raise ConfigError("train needs --dataset (repeatable) or paths.dataset")
+    dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "model", "model output")
     by_modality = _load_datasets(dataset_paths)
 
@@ -292,9 +300,10 @@ def cmd_train(args) -> int:
     else:
         if Modality.BRAIN not in by_modality or len(by_modality) != 2:
             raise ValidationError("fusion training needs exactly brain + eye datasets")
-        if run.eval.modality not in ("fusion-a", "fusion-b"):
+        if run.eval.modality not in FEATURE_FUSIONS:
             raise ConfigError(
-                "two datasets given: set eval.modality (or --modality) to fusion-a/fusion-b"
+                "two datasets given: set eval.modality (or --modality) to "
+                + "/".join(FEATURE_FUSIONS)
             )
         eye_m = next(m for m in by_modality if m is not Modality.BRAIN)
         arch = fusion_arch(ArchKind(run.eval.modality), eye_m)
@@ -317,9 +326,7 @@ def cmd_train(args) -> int:
 def cmd_enroll(args) -> int:
     run = _open_config(args)
     model = load_model(_path_from(args, "model", run, "model", "model input"))
-    dataset_paths = args.dataset or ([run.paths["dataset"]] if "dataset" in run.paths else [])
-    if not dataset_paths:
-        raise ConfigError("enroll needs --dataset (repeatable) or paths.dataset")
+    dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "templates", "template store output")
     samples = _prepare_model_inputs(_load_datasets(dataset_paths), model)
     wanted = set(args.subjects.split(",")) if args.subjects else None
@@ -405,7 +412,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--corpus", help="corpus input (default: paths.corpus)")
     p.add_argument("--out", help="dataset output (default: paths.dataset)")
-    p.add_argument("--modality", choices=["brain", "eye", "eye-pupil"])
+    p.add_argument("--modality", choices=SAMPLE_MODALITIES)
     p.add_argument("--report", help="write the preprocess report here")
     p.set_defaults(func=cmd_preprocess)
 
@@ -413,7 +420,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--dataset", action="append", help="dataset path (repeat for fusion)")
     p.add_argument("--out", help="model output (default: paths.model)")
-    p.add_argument("--modality", choices=["brain", "eye", "eye-pupil", "fusion-a", "fusion-b"])
+    p.add_argument("--modality", choices=SAMPLE_MODALITIES + FEATURE_FUSIONS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("enroll", help="build a template store from a dataset")
@@ -439,9 +446,9 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--corpus", help="corpus input (default: paths.corpus)")
     p.add_argument("--out", help="report output (default: paths.report)")
-    p.add_argument("--modality", choices=["brain", "eye", "eye-pupil", "fusion-a", "fusion-b"])
-    p.add_argument("--fusion", choices=["none", "max", "min", "mean", "product"])
-    p.add_argument("--scenario", choices=["s1", "s2", "s3"])
+    p.add_argument("--modality", choices=SAMPLE_MODALITIES + FEATURE_FUSIONS)
+    p.add_argument("--fusion", choices=["none"] + [r.value for r in FusionRule])
+    p.add_argument("--scenario", choices=[s.value for s in Scenario])
     p.set_defaults(func=cmd_evaluate)
     return parser
 

@@ -379,6 +379,13 @@ def _parse_int(token: str, lineno: int) -> int:
         raise CorpusFormatError(f"line {lineno}: bad integer {token!r}") from None
 
 
+def _parse_count(token: str, lineno: int) -> int:
+    n = _parse_int(token, lineno)
+    if n < 0:
+        raise CorpusFormatError(f"line {lineno}: negative count {token!r}")
+    return n
+
+
 def read_text_lines(path, error: type[Exception]) -> list[str]:
     """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
     raises `error` naming its line and byte offset."""
@@ -416,7 +423,7 @@ def read_corpus(path) -> list[Recording]:
 
         if i >= n_lines or not lines[i].startswith("events "):
             raise CorpusFormatError(f"line {i + 1}: expected 'events <count>'")
-        n_events = _parse_int(lines[i][len("events "):], i + 1)
+        n_events = _parse_count(lines[i][len("events "):], i + 1)
         i += 1
         events = []
         for _ in range(n_events):
@@ -448,8 +455,8 @@ def read_corpus(path) -> list[Recording]:
             except ValueError:
                 raise CorpusFormatError(f"line {i + 1}: unknown modality {header[1]!r}") from None
             rate = _parse_float(header[2], i + 1)
-            n_rows = _parse_int(header[3], i + 1)
-            n_ch = _parse_int(header[4], i + 1)
+            n_rows = _parse_count(header[3], i + 1)
+            n_ch = _parse_count(header[4], i + 1)
             i += 1
             if i + n_rows > n_lines:
                 raise CorpusFormatError(f"line {i + 1}: truncated stream block")

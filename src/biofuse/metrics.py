@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, fields, replace
+from enum import Enum
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .fusion import (
     fuse_arrays,
 )
 from .preprocess import (
+    STAGES,
     NanPolicy,
     PairedSample,
     apply_standardizer,
@@ -231,6 +233,8 @@ class _Structure:
     code: np.ndarray      # subject code per sample
     rounds: np.ndarray
     cross: np.ndarray     # [N, N] bool: cross-round pair of two eligible samples
+    order: np.ndarray     # samples sorted by subject code (stable)
+    starts: np.ndarray    # each subject's first position in `order`
     genuine: _Rows
     impostor: _Rows
     excluded: tuple[str, ...]
@@ -246,14 +250,14 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
     if rounds.max() >= _MAX_ROUND_BITS:
         raise EvalError(f"round ids must stay below {_MAX_ROUND_BITS}")
     subjects, code = np.unique(labels, return_inverse=True)
-    round_mask = np.zeros(subjects.size, dtype=np.uint64)
-    np.bitwise_or.at(round_mask, code, _round_bit(rounds))
     subject_of_round = np.unique(np.stack([code, rounds], axis=1), axis=0)[:, 0]
     eligible = np.bincount(subject_of_round, minlength=subjects.size) >= 2
     if eligible.sum() < 2:
         raise EvalError("trial building needs at least two subjects with two rounds each")
     ok = eligible[code]
     cross = (rounds[:, None] != rounds[None, :]) & ok[:, None] & ok[None, :]
+    order = np.argsort(code, kind="stable")
+    starts = np.searchsorted(code[order], np.arange(subjects.size))
 
     if scenario is Scenario.S1:
         # A genuine pair once (enrollment index below verification index), an
@@ -265,19 +269,24 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
         impostor = _Rows(code[i_enr], i_ver, i_enr, _round_bit(rounds[i_enr]))
     else:
         # S2/S3: every eligible sample claims its own and every other eligible
-        # subject; enrollment is the claimed subject's rounds but the verification one.
+        # subject; the enrollment rounds are read off the `cross` grid that
+        # `_structure_scores` maximizes over.
         g_ver = np.flatnonzero(ok)
         g_claim = code[g_ver]
         foreign = np.arange(subjects.size)[:, None] != code
         i_claim, i_ver = np.nonzero(eligible[:, None] & ok & foreign)
-        genuine = _Rows(g_claim, g_ver, None, round_mask[g_claim] & ~_round_bit(rounds[g_ver]))
-        impostor = _Rows(i_claim, i_ver, None, round_mask[i_claim] & ~_round_bit(rounds[i_ver]))
+        bits = np.where(cross[order], _round_bit(rounds[order])[:, None], np.uint64(0))
+        enr = np.bitwise_or.reduceat(bits, starts, axis=0)  # [S, N]
+        genuine = _Rows(g_claim, g_ver, None, enr[g_claim, g_ver])
+        impostor = _Rows(i_claim, i_ver, None, enr[i_claim, i_ver])
     return _Structure(
         scenario=scenario,
         subjects=subjects,
         code=code,
         rounds=rounds,
         cross=cross,
+        order=order,
+        starts=starts,
         genuine=genuine,
         impostor=impostor,
         excluded=tuple(subjects[~eligible].tolist()),
@@ -294,9 +303,7 @@ def _structure_scores(st: _Structure, embeddings: np.ndarray):
     if st.scenario is Scenario.S1:
         return sim[st.genuine.enr, st.genuine.ver], sim[st.impostor.enr, st.impostor.ver]
     sim[~st.cross] = -np.inf
-    order = np.argsort(st.code, kind="stable")
-    starts = np.searchsorted(st.code[order], np.arange(st.subjects.size))
-    best = np.maximum.reduceat(sim[order], starts, axis=0)  # [S, N]
+    best = np.maximum.reduceat(sim[st.order], st.starts, axis=0)  # [S, N]
     return best[st.genuine.claim, st.genuine.ver], best[st.impostor.claim, st.impostor.ver]
 
 
@@ -473,6 +480,13 @@ def per_subject_eer(trials: TrialSet) -> PerSubjectEer:
 # Full experiment
 
 
+# ExperimentConfig.modality vocabularies, spelled as the enums' values
+SAMPLE_MODALITIES = tuple(m.value for m in Modality)
+EYE_MODALITIES = tuple(m.value for m in Modality if m is not Modality.BRAIN)
+FEATURE_FUSIONS = tuple(k.value for k in ArchKind if k is not ArchKind.SINGLE)
+_EYE_CHOICE = " or ".join(map(repr, EYE_MODALITIES))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One evaluation run: scenario, modality/fusion choice, folds, seeds.
@@ -494,15 +508,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        known = {"brain", "eye", "eye-pupil", "fusion-a", "fusion-b"}
+        known = SAMPLE_MODALITIES + FEATURE_FUSIONS
         if self.modality not in known:
             raise ValidationError(f"modality must be one of {sorted(known)}")
-        if self.fusion_eye not in ("eye", "eye-pupil"):
-            raise ValidationError("fusion_eye must be 'eye' or 'eye-pupil'")
-        if self.fusion is not None and self.modality not in ("eye", "eye-pupil"):
+        if self.fusion_eye not in EYE_MODALITIES:
+            raise ValidationError(f"fusion_eye must be {_EYE_CHOICE}")
+        if self.fusion is not None and self.modality not in EYE_MODALITIES:
             raise ValidationError(
-                "modality must be 'eye' or 'eye-pupil' under score fusion, "
-                "which pairs it with brain"
+                f"modality must be {_EYE_CHOICE} under score fusion, which pairs it with brain"
             )
         if self.folds < 2:
             raise ValidationError("folds must be >= 2 for cross-validation")
@@ -615,7 +628,7 @@ def _experiment_arches(config: ExperimentConfig) -> list[ArchSpec]:
     if config.fusion is not None:
         eye = Modality(config.modality)
         return [single_modality_arch(Modality.BRAIN), single_modality_arch(eye)]
-    if config.modality in ("fusion-a", "fusion-b"):
+    if config.modality in FEATURE_FUSIONS:
         return [fusion_arch(ArchKind(config.modality), Modality(config.fusion_eye))]
     return [single_modality_arch(Modality(config.modality))]
 
@@ -691,11 +704,7 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
     for m in modalities:
         samples, report = build_dataset(recordings, m, config.nan_policy)
         datasets[m] = samples
-        prep_totals[m.value] = {
-            "extracted": report.total("extracted"),
-            "rejected": report.total("rejected"),
-            "skipped": report.total("skipped"),
-        }
+        prep_totals[m.value] = {stage: report.total(stage) for stage in STAGES}
 
     folds: list[dict] = []
     fold_trialsets: list[TrialSet] = []
@@ -744,15 +753,9 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
         pooled["eer_pooled_scores"] = pooled["eer"]
 
     provenance = {
-        "scenario": config.scenario.value,
-        "modality": config.modality,
-        "fusion": None if config.fusion is None else config.fusion.value,
-        "fusion_eye": config.fusion_eye,
-        "raw_fusion": config.raw_fusion,
-        "folds": config.folds,
-        "seed": config.seed,
-        "nan_policy": {"max_nan_fraction": config.nan_policy.max_nan_fraction},
-        "train": asdict(config.train),
+        **asdict(config, dict_factory=lambda kv: {
+            k: v.value if isinstance(v, Enum) else v for k, v in kv  # enums as values
+        }),
         "corpus": {"n_subjects": len(subjects), "subjects": subjects},
         "preprocess": prep_totals,
         "models_per_fold": len(arches),

@@ -7,6 +7,7 @@ z-scored per channel with statistics fitted on training data only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -219,41 +220,35 @@ def apply_standardizer(std: Standardizer, sample: Sample) -> Sample:
     return replace(sample, data=data, standardized_by=std.scope)
 
 
-@dataclass
-class StageCounts:
-    extracted: int = 0
-    rejected: int = 0
-    skipped: int = 0
+STAGES = ("extracted", "rejected", "skipped")  # the fates of one dot-hit event
 
 
 @dataclass
 class PreprocessReport:
-    """Extraction bookkeeping per (subject, round)."""
+    """Extraction bookkeeping: one count per (subject, round, stage)."""
 
     modality: Modality
     max_nan_fraction: float
-    counts: dict = field(default_factory=dict)  # (subject_id, round_id) -> StageCounts
+    counts: Counter = field(default_factory=Counter)  # (subject_id, round_id, stage) -> n
 
-    def _bump(self, subject_id: str, round_id: int, kind: str) -> None:
-        key = (subject_id, round_id)
-        if key not in self.counts:
-            self.counts[key] = StageCounts()
-        setattr(self.counts[key], kind, getattr(self.counts[key], kind) + 1)
-
-    def total(self, kind: str) -> int:
-        return sum(getattr(c, kind) for c in self.counts.values())
+    def total(self, stage: str) -> int:
+        if stage not in STAGES:
+            raise ValidationError(f"unknown preprocess stage {stage!r}; expected one of {STAGES}")
+        return sum(n for (_, _, s), n in self.counts.items() if s == stage)
 
     def to_text(self) -> str:
+        def tally(count) -> str:
+            return " ".join(f"{stage}={count(stage)}" for stage in STAGES)
+
         lines = [
             f"preprocess report: modality={self.modality.value} "
             f"max_nan_fraction={self.max_nan_fraction}",
-            f"totals: extracted={self.total('extracted')} "
-            f"rejected={self.total('rejected')} skipped={self.total('skipped')}",
+            f"totals: {tally(self.total)}",
         ]
-        for (subject, round_id), c in sorted(self.counts.items()):
+        for subject, round_id in sorted({key[:2] for key in self.counts}):
             lines.append(
-                f"{subject} round={round_id}: extracted={c.extracted} "
-                f"rejected={c.rejected} skipped={c.skipped}"
+                f"{subject} round={round_id}: "
+                + tally(lambda stage: self.counts[subject, round_id, stage])
             )
         return "\n".join(lines) + "\n"
 
@@ -281,11 +276,11 @@ def build_dataset(
                 window = _extract_from_stream(stream, rec.subject_id, ev)
                 grid = resample_to_grid(window)
             except (WindowOutOfRange, DegenerateWindow):
-                report._bump(rec.subject_id, ev.round_id, "skipped")
+                report.counts[rec.subject_id, ev.round_id, "skipped"] += 1
                 continue
             screened = screen_and_interpolate(grid, policy)
             if isinstance(screened, Rejected):
-                report._bump(rec.subject_id, ev.round_id, "rejected")
+                report.counts[rec.subject_id, ev.round_id, "rejected"] += 1
                 continue
             samples.append(
                 Sample(
@@ -296,7 +291,7 @@ def build_dataset(
                     t0=window.t0,
                 )
             )
-            report._bump(rec.subject_id, ev.round_id, "extracted")
+            report.counts[rec.subject_id, ev.round_id, "extracted"] += 1
     return samples, report
 
 

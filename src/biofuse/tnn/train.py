@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -70,9 +71,7 @@ class _Sgd:
 
 
 def _mineable(labels: list[str]) -> bool:
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
+    counts = Counter(labels)
     return len(counts) >= 2 and max(counts.values()) >= 2
 
 
@@ -120,15 +119,15 @@ def train(
 ) -> tuple[EmbeddingModel, list[float]]:
     """Train an embedding model; returns (model, mean batch loss per epoch).
 
-    Deterministic: identical config and dataset give bit-identical weights.
+    Deterministic: identical config and dataset give bit-identical weights
+    under the same BLAS thread count (a different count may reorder the
+    floating-point sums in the matrix products and change the last bits).
     Any non-finite weight aborts with DivergenceError naming the step.
     """
     if not samples:
         raise ValidationError("training set is empty")
     labels = [s.subject_id for s in samples]
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
+    counts = Counter(labels)
     if len(counts) < 2:
         raise ValidationError("training set must contain at least two subjects")
     if max(counts.values()) < 2:

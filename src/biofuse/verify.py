@@ -202,12 +202,17 @@ def load_templates(path) -> TemplateStore:
         raise TemplateFormatError("truncated template store header")
     try:
         meta = json.loads(raw[nl1 + 1:nl2].decode())
-        dim = int(meta["dim"])
+        dim = meta["dim"]
         entries = meta["entries"]
     except (ValueError, KeyError, TypeError) as e:
         raise TemplateFormatError(f"bad template store meta: {e}") from None
     if not isinstance(entries, list):
         raise TemplateFormatError("template store entries must be a list")
+    min_dim = 1 if entries else 0
+    if type(dim) is not int or dim < min_dim:
+        raise TemplateFormatError(
+            f"template store dim must be an integer >= {min_dim}, got {dim!r}"
+        )
     payload = raw[nl2 + 1:]
     if len(payload) != len(entries) * dim * 4:
         raise TemplateFormatError("template payload size does not match entry count")

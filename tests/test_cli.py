@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import biofuse
 from biofuse.cli import main
 from biofuse.preprocess import load_dataset
 from biofuse.tnn import load_model, save_model
@@ -282,3 +286,43 @@ def test_evaluate_score_fusion(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["provenance"]["models_per_fold"] == 2
     assert report["provenance"]["fusion"] == "mean"
+
+
+_PIPELINE = """
+import sys
+from biofuse.cli import main
+for argv in (
+    ["gen"],
+    ["preprocess", "--modality", "brain"],
+    ["train"],
+    ["enroll"],
+    ["evaluate", "--modality", "eye-pupil", "--fusion", "mean", "--scenario", "s3"],
+):
+    if main(argv[:1] + ["--config", "run.json"] + argv[1:]) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_pipeline_bytes_identical_across_processes(tmp_path):
+    """Two fresh interpreters with different hash seeds and one BLAS thread
+    write the same bytes at every stage (criterion 7 compares in-process runs)."""
+    names = ("c.corpus", "d.ds", "d.ds.idx", "m.model", "t.tpl", "report.json", "report.csv")
+    config = json.loads(_write_config(tmp_path, n_subjects=6)[0].read_text())
+    config["paths"] = {key: Path(p).name for key, p in config["paths"].items()}
+    src = str(Path(biofuse.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        run_dir = tmp_path / f"hashseed{hash_seed}"
+        run_dir.mkdir()
+        (run_dir / "run.json").write_text(json.dumps(config))
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "OPENBLAS_NUM_THREADS": "1",
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        }
+        subprocess.run([sys.executable, "-c", _PIPELINE], cwd=run_dir, env=env, check=True,
+                       capture_output=True, timeout=300)
+        outputs.append({name: (run_dir / name).read_bytes() for name in names})
+    for name in names:
+        assert outputs[0][name] == outputs[1][name], name

@@ -176,6 +176,21 @@ def test_read_names_bad_line(tmp_path):
         read_corpus(path)
 
 
+@pytest.mark.parametrize("events, header", [
+    pytest.param("events -3", "stream brain 256.0 1 14", id="events"),
+    pytest.param("events 0", "stream brain 256.0 -1 14", id="rows"),
+    pytest.param("events 0", "stream brain 256.0 1 -1", id="channels"),
+])
+def test_read_rejects_negative_counts(tmp_path, events, header):
+    path = tmp_path / "bad.corpus"
+    bad_line = 3 if events.startswith("events -") else 4
+    _write_lines(path, [
+        "BIOFUSE-CORPUS v1", "recording s00", events, header, " ".join(["0.0"] * 15),
+    ])
+    with pytest.raises(CorpusFormatError, match=f"line {bad_line}: negative count"):
+        read_corpus(path)
+
+
 def test_brain_stream_rejects_nan():
     vals = np.zeros((4, 14))
     vals[1, 3] = np.nan

@@ -280,6 +280,27 @@ class TestTemplateStore:
         with pytest.raises(TemplateFormatError):
             load_templates(path)
 
+    @pytest.mark.parametrize("dim, n_entries", [
+        pytest.param(0, 1, id="zero-with-entries"),
+        pytest.param(1.5, 1, id="float"),
+        pytest.param(True, 1, id="bool"),
+        pytest.param("2", 1, id="string"),
+        pytest.param(-1, 0, id="negative-empty"),
+    ])
+    def test_bad_dim_raises_format_error(self, tmp_path, dim, n_entries):
+        entries = [{"identity": "a", "round_id": 0, "tag": ""}] * n_entries
+        meta = json.dumps({"dim": dim, "entries": entries}).encode()
+        path = tmp_path / "t.tpl"
+        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n")
+        with pytest.raises(TemplateFormatError, match="dim"):
+            load_templates(path)
+
+    def test_empty_store_roundtrips_with_dim_zero(self, tmp_path):
+        path = tmp_path / "t.tpl"
+        save_templates(TemplateStore(), path)
+        assert b'"dim": 0' in path.read_bytes()
+        assert len(load_templates(path)) == 0
+
 
 @settings(max_examples=40, deadline=None)
 @given(
