@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Modality, SynthConfig, generate_synthetic, read_corpus, write_corpus
+from .corpus import (
+    Modality,
+    SynthConfig,
+    atomic_write,
+    generate_synthetic,
+    read_corpus,
+    write_corpus,
+)
 from .errors import BiofuseError, ConfigError, IdentityError, ModelFormatError, ValidationError
 from .fusion import FusionRule
 from .metrics import FEATURE_FUSIONS, SAMPLE_MODALITIES, ExperimentConfig, run_experiment
@@ -209,7 +216,8 @@ def cmd_preprocess(args) -> int:
     samples, report = build_dataset(recordings, modality, run.eval.nan_policy)
     save_dataset(samples, out, modality=modality)
     if args.report:
-        Path(args.report).write_text(report.to_text(), encoding="utf-8")
+        with atomic_write(args.report, "w", encoding="utf-8") as f:
+            f.write(report.to_text())
     print(
         f"preprocess: wrote {out} ({len(samples)} samples, modality={modality.value}, "
         f"rejected={report.total('rejected')}, skipped={report.total('skipped')})"
@@ -377,10 +385,14 @@ def cmd_evaluate(args) -> int:
     report_path = _path_from(args, "out", run, "report", "report output")
     recordings = read_corpus(corpus_path)
     report = run_experiment(recordings, run.eval)
-    Path(report_path).write_text(report.to_json(), encoding="utf-8")
     rows_path = Path(report_path).with_suffix(".csv")
-    with open(rows_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
+    # neither file is replaced unless both are written; the JSON is replaced first
+    with (
+        atomic_write(rows_path, "w", encoding="utf-8", newline="") as rows,
+        atomic_write(report_path, "w", encoding="utf-8") as f,
+    ):
+        f.write(report.to_json())
+        writer = csv.writer(rows)
         writer.writerow(["config", "metric", "value"])
         writer.writerows(report.to_rows())
     print(

@@ -7,8 +7,10 @@ bit-exact; NaN is spelled ``nan`` and may occur in eye streams only.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,11 +186,16 @@ _REST_S = 2.0
 _DOT_GAP_RANGE_S = (0.6, 0.9)
 _TAIL_S = 0.6
 
+# Event window: the response support around each dot hit, and the window
+# preprocessing extracts.
+WINDOW_BEFORE_S = 0.1
+WINDOW_AFTER_S = 0.3
+
 # Event-response model: 3 damped sinusoids per channel, unit RMS over the
 # 0.4 s response support, mixed subject/common by separability.
 _N_KERNEL_COMPONENTS = 3
 _KERNEL_DECAY_S = 0.2
-_RESPONSE_SPAN_S = 0.4
+_RESPONSE_SPAN_S = WINDOW_BEFORE_S + WINDOW_AFTER_S
 _KERNEL_BANDS_HZ = {Modality.BRAIN: (4.0, 18.0), Modality.EYE_PUPIL: (1.5, 8.0)}
 _AMP_JITTER = 0.15
 _BLINK_LEN_RANGE_S = (0.05, 0.2)
@@ -267,9 +274,9 @@ def _synth_stream(
     w_subj = math.sqrt(cfg.subject_separability)
     w_comm = math.sqrt(1.0 - cfg.subject_separability)
     for ev, amp in zip(events, amps):
-        lo = int(np.searchsorted(ts, ev.t - 0.1, side="left"))
-        hi = int(np.searchsorted(ts, ev.t + 0.3, side="left"))
-        tau = ts[lo:hi] - (ev.t - 0.1)
+        lo = int(np.searchsorted(ts, ev.t - WINDOW_BEFORE_S, side="left"))
+        hi = int(np.searchsorted(ts, ev.t + WINDOW_AFTER_S, side="left"))
+        tau = ts[lo:hi] - (ev.t - WINDOW_BEFORE_S)
         vals[lo:hi] += amp * (w_subj * kernel_subject.wave(tau) + w_comm * kernel_common.wave(tau))
     return Stream(modality=modality, nominal_rate_hz=rate_hz, timestamps=ts, values=vals)
 
@@ -346,7 +353,7 @@ def write_corpus(recordings: list[Recording], path) -> None:
         if rec.subject_id in seen:
             raise ValidationError(f"duplicate subject_id {rec.subject_id!r}")
         seen.add(rec.subject_id)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(CORPUS_MAGIC + "\n")
         for rec in recordings:
             f.write(f"recording {rec.subject_id}\n")
@@ -384,6 +391,27 @@ def _parse_count(token: str, lineno: int) -> int:
     if n < 0:
         raise CorpusFormatError(f"line {lineno}: negative count {token!r}")
     return n
+
+
+@contextlib.contextmanager
+def atomic_write(path, mode: str, **open_kwargs):
+    """Open a temp file beside `path` for writing and move it onto `path` when
+    the block ends; if the block raises, the temp file is removed and any
+    previous file at `path` is left as it was.  A new file gets the mode bits
+    a plain `open` gives under the umask."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
+    try:
+        with open(fd, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_text_lines(path, error: type[Exception]) -> list[str]:

@@ -1,9 +1,11 @@
 """Score-level fusion: per-modality min-max normalization plus four combiners.
 
-Raw similarities are non-positive, under which a product combiner reverses
-ordering (two large distances multiply into a large positive value), so
-scores are min-max mapped to [0, 1] on calibration data before fusing.
-Raw-score combination stays available via combine_raw for comparison runs.
+Scores travel as one [2, n] array per trial side, row 0 brain and row 1 eye,
+the (brain, eye) order of paired samples, fusion archs and embeddings.  Raw
+similarities are non-positive, under which a product combiner reverses
+ordering (two large distances multiply into a large positive value), so each
+row is min-max mapped to [0, 1] on calibration data before fusing.  Raw-score
+combination stays available via combine_raw for comparison runs.
 """
 
 from __future__ import annotations
@@ -23,66 +25,52 @@ class FusionRule(enum.Enum):
     PRODUCT = "product"
 
 
+_COMBINERS = {FusionRule.MAX: np.max, FusionRule.MIN: np.min,
+              FusionRule.MEAN: np.mean, FusionRule.PRODUCT: np.prod}
+
+
+def _rows(scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or len(scores) != 2:
+        raise ValidationError(f"fusion takes a [2, n] (brain, eye) score array, got {scores.shape}")
+    return scores
+
+
 @dataclass(frozen=True)
 class ScoreNormalizer:
-    """Per-modality min/max fitted on calibration scores; maps into [0, 1]."""
+    """Per-row (brain, eye) min/max fitted on calibration scores; maps into [0, 1]."""
 
-    eye_min: float
-    eye_max: float
-    brain_min: float
-    brain_max: float
+    lo: tuple[float, float]
+    hi: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (self.eye_max > self.eye_min and self.brain_max > self.brain_min):
-            raise FitError("score normalizer needs max > min per modality")
+        for name, lo, hi in zip(("brain", "eye"), self.lo, self.hi, strict=True):
+            if not hi > lo:
+                raise FitError(f"{name} calibration scores are constant; min-max fit is degenerate")
 
-    def normalize_arrays(
-        self, s_eye: np.ndarray, s_brain: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Min-max map both modalities; out-of-range scores clamp to [0, 1]."""
-        eye = (np.asarray(s_eye, dtype=np.float64) - self.eye_min) / (self.eye_max - self.eye_min)
-        brain = (np.asarray(s_brain, dtype=np.float64) - self.brain_min) / (
-            self.brain_max - self.brain_min
-        )
-        return np.clip(eye, 0.0, 1.0), np.clip(brain, 0.0, 1.0)
+    def normalize_arrays(self, scores) -> np.ndarray:
+        """Min-max map each row; out-of-range scores clamp to [0, 1]."""
+        lo, hi = np.array(self.lo)[:, None], np.array(self.hi)[:, None]
+        return np.clip((_rows(scores) - lo) / (hi - lo), 0.0, 1.0)
 
 
-def fit_normalizer_arrays(s_eye: np.ndarray, s_brain: np.ndarray) -> ScoreNormalizer:
-    """Fit per-modality min/max; degenerate (constant) scores are an error."""
-    s_eye = np.asarray(s_eye, dtype=np.float64)
-    s_brain = np.asarray(s_brain, dtype=np.float64)
-    if s_eye.size < 2 or s_brain.size < 2:
+def fit_normalizer_arrays(scores) -> ScoreNormalizer:
+    """Fit per-row min/max; a constant row is an error."""
+    scores = _rows(scores)
+    if scores.shape[1] < 2:
         raise ValidationError("normalizer calibration needs at least two scores per modality")
-    if s_eye.min() == s_eye.max():
-        raise FitError("eye calibration scores are constant; min-max fit is degenerate")
-    if s_brain.min() == s_brain.max():
-        raise FitError("brain calibration scores are constant; min-max fit is degenerate")
-    return ScoreNormalizer(
-        eye_min=float(s_eye.min()),
-        eye_max=float(s_eye.max()),
-        brain_min=float(s_brain.min()),
-        brain_max=float(s_brain.max()),
-    )
+    return ScoreNormalizer(lo=tuple(scores.min(axis=1).tolist()),
+                           hi=tuple(scores.max(axis=1).tolist()))
 
 
-def combine_raw(s_eye, s_brain, rule: FusionRule):
-    """Apply a combiner without range checks (raw-score fusion path)."""
-    s_eye = np.asarray(s_eye, dtype=np.float64)
-    s_brain = np.asarray(s_brain, dtype=np.float64)
-    if rule is FusionRule.MAX:
-        return np.maximum(s_eye, s_brain)
-    if rule is FusionRule.MIN:
-        return np.minimum(s_eye, s_brain)
-    if rule is FusionRule.MEAN:
-        return (s_eye + s_brain) / 2.0
-    return s_eye * s_brain
+def combine_raw(scores, rule: FusionRule) -> np.ndarray:
+    """Reduce the rows with a combiner, without range checks (raw-score fusion path)."""
+    return _COMBINERS[rule](_rows(scores), axis=0)
 
 
-def fuse_arrays(s_eye: np.ndarray, s_brain: np.ndarray, rule: FusionRule) -> np.ndarray:
-    """Combine normalized scores; inputs must already lie in [0, 1]."""
-    s_eye = np.asarray(s_eye, dtype=np.float64)
-    s_brain = np.asarray(s_brain, dtype=np.float64)
-    for name, arr in (("eye", s_eye), ("brain", s_brain)):
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ContractError(f"{name} scores must lie in [0, 1] before fusion")
-    return combine_raw(s_eye, s_brain, rule)
+def fuse_arrays(scores, rule: FusionRule) -> np.ndarray:
+    """Combine normalized scores; every score must already lie in [0, 1]."""
+    scores = _rows(scores)
+    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        raise ContractError("scores must lie in [0, 1] before fusion")
+    return combine_raw(scores, rule)

@@ -307,17 +307,15 @@ def _structure_scores(st: _Structure, embeddings: np.ndarray):
     return best[st.genuine.claim, st.genuine.ver], best[st.impostor.claim, st.impostor.ver]
 
 
-def _paired_scores(st: _Structure, embeddings):
+def _paired_scores(st: _Structure, embeddings) -> tuple[np.ndarray, np.ndarray]:
     """Score both sides of a paired set from its (brain, eye) embeddings.
 
-    Returns (genuine, impostor), each an (eye_scores, brain_scores) pair.
+    Returns (genuine, impostor), each a [2, n] array with rows (brain, eye).
     """
     if not isinstance(embeddings, tuple) or len(embeddings) != 2:
         raise ValidationError("score fusion takes the (brain, eye) embedding pair")
-    emb_brain, emb_eye = embeddings
-    gb, ib = _structure_scores(st, emb_brain)
-    ge, ie = _structure_scores(st, emb_eye)
-    return (ge, gb), (ie, ib)
+    brain, eye = (_structure_scores(st, emb) for emb in embeddings)
+    return np.stack([brain[0], eye[0]]), np.stack([brain[1], eye[1]])
 
 
 def _trial_set(st: _Structure, g_scores, i_scores) -> TrialSet:
@@ -388,8 +386,8 @@ def score_trials(
             raise ValidationError("single-modality trial scoring takes one embedding array")
         return _trial_set(structure, *_structure_scores(structure, embeddings))
     return _trial_set(structure, *(
-        combine_raw(*side, fusion_rule) if raw_fusion
-        else fuse_arrays(*normalizer.normalize_arrays(*side), fusion_rule)
+        combine_raw(side, fusion_rule) if raw_fusion
+        else fuse_arrays(normalizer.normalize_arrays(side), fusion_rule)
         for side in _paired_scores(structure, embeddings)
     ))
 
@@ -415,8 +413,8 @@ def fit_fusion_normalizer(pairs, embeddings, scenario: Scenario) -> ScoreNormali
     from their (brain, eye) embeddings."""
     if not pairs:
         raise EvalError("normalizer calibration needs paired samples")
-    (ge, gb), (ie, ib) = _paired_scores(_build_structure(pairs, scenario), embeddings)
-    return fit_normalizer_arrays(np.concatenate([ge, ie]), np.concatenate([gb, ib]))
+    scores = _paired_scores(_build_structure(pairs, scenario), embeddings)
+    return fit_normalizer_arrays(np.concatenate(scores, axis=1))
 
 
 def fusion_calibration_normalizer(

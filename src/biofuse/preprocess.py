@@ -12,7 +12,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import EventMarker, Modality, Recording, read_text_lines
+from .corpus import (
+    WINDOW_AFTER_S,
+    WINDOW_BEFORE_S,
+    EventMarker,
+    Modality,
+    Recording,
+    atomic_write,
+    read_text_lines,
+)
 from .errors import (
     DatasetFormatError,
     DegenerateWindow,
@@ -22,8 +30,6 @@ from .errors import (
     check_field_types,
 )
 
-WINDOW_BEFORE_S = 0.1
-WINDOW_AFTER_S = 0.3
 GRID_RATE_HZ = 256.0
 GRID_POINTS = 102  # floor(0.4 s * 256 /s); fixed static sample length
 GRID_STEP_S = 1.0 / GRID_RATE_HZ
@@ -325,13 +331,17 @@ def save_dataset(samples: list[Sample], path, modality: Modality | None = None) 
         + f"{modality.value} {len(samples)} {n_channels} {GRID_POINTS}\n".encode()
     )
     block = n_channels * GRID_POINTS * 4
-    with open(path, "wb") as f:
+    # neither file is replaced unless both are written; the payload is replaced first
+    with (
+        atomic_write(f"{path}.idx", "w", encoding="utf-8", newline="\n") as idx,
+        atomic_write(path, "wb") as f,
+    ):
         f.write(header)
         for s in samples:
             f.write(np.ascontiguousarray(s.data, dtype="<f4").tobytes())
-    with open(f"{path}.idx", "w", encoding="utf-8", newline="\n") as f:
         for k, s in enumerate(samples):
-            f.write(f"{s.subject_id} {s.round_id} {repr(float(s.t0))} {len(header) + k * block}\n")
+            offset = len(header) + k * block
+            idx.write(f"{s.subject_id} {s.round_id} {repr(float(s.t0))} {offset}\n")
 
 
 def load_dataset(path) -> tuple[list[Sample], Modality]:

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from ..corpus import atomic_write
 from ..errors import ModelFormatError, ValidationError
 from .arch import arch_from_dict, arch_to_dict
 from .network import EmbeddingModel
@@ -19,7 +20,7 @@ def save_model(model: EmbeddingModel, path) -> None:
         raise ValidationError("only float32 models are serializable")
     arch_line = json.dumps(arch_to_dict(model.arch), sort_keys=True)
     prov_line = json.dumps(model.provenance, sort_keys=True)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(MODEL_MAGIC + b"\n")
         f.write(b"ARCH " + arch_line.encode() + b"\n")
         f.write(f"WEIGHTS {model.n_weights}\n".encode())

@@ -14,7 +14,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IdentityError, ShapeError, TemplateFormatError, ValidationError
+from .corpus import atomic_write
+from .errors import (
+    IdentityError,
+    ShapeError,
+    TemplateFormatError,
+    ValidationError,
+    check_field_types,
+)
 
 TEMPLATE_MAGIC = b"BIOFUSE-TPL v1"
 
@@ -47,6 +54,7 @@ class Template:
 
     def __post_init__(self) -> None:
         self.vector = np.asarray(self.vector, dtype=np.float64)
+        check_field_types(self)
         if self.vector.ndim != 1:
             raise ValidationError("template vector must be 1-D")
 
@@ -182,7 +190,7 @@ def save_templates(store: TemplateStore, path) -> None:
             entries.append({"identity": tpl.identity, "round_id": tpl.round_id, "tag": tpl.tag})
             vectors.append(tpl.vector)
     meta = json.dumps({"dim": dim or 0, "entries": entries}, sort_keys=True)
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(TEMPLATE_MAGIC + b"\n")
         f.write(meta.encode() + b"\n")
         if vectors:
@@ -224,10 +232,10 @@ def load_templates(path) -> TemplateStore:
                 template = Template(
                     identity=entry["identity"],
                     vector=vec.astype(np.float64),
-                    round_id=int(entry["round_id"]),
+                    round_id=entry["round_id"],
                     tag=entry.get("tag", ""),
                 )
-            except (ValueError, KeyError, TypeError, OverflowError) as e:
+            except (ValidationError, KeyError, TypeError) as e:
                 raise TemplateFormatError(f"bad template entry {k}: {e!r}") from None
             store.enroll(template)
     return store

@@ -481,6 +481,30 @@ def test_fusion_changes_scores_only(mini_corpus, untrained_model):
     assert fused.genuine.scores.min() >= 0.0 and fused.genuine.scores.max() <= 1.0
 
 
+def test_fusion_rows_are_brain_then_eye(mini_corpus, untrained_model):
+    """Each modality is normalized by its own calibration range, and raw
+    fusion combines each trial's own brain and eye scores."""
+    from biofuse.preprocess import pair_samples
+
+    brain, _ = build_dataset(mini_corpus, Modality.BRAIN)
+    eye, _ = build_dataset(mini_corpus, Modality.EYE_PUPIL)
+    pairs = pair_samples(brain, eye)
+    model_e = EmbeddingModel(single_modality_arch(Modality.EYE_PUPIL), seed=1)
+    emb = (untrained_model.embed_batch([p.brain for p in pairs]),
+           model_e.embed_batch([p.eye for p in pairs]))
+    for scenario in Scenario:
+        single = [score_trials([getattr(p, half) for p in pairs], e, scenario)
+                  for half, e in zip(("brain", "eye"), emb)]
+        norm = fit_fusion_normalizer(pairs, emb, scenario)
+        for row, trials in enumerate(single):
+            scores = np.concatenate([trials.genuine.scores, trials.impostor.scores])
+            assert (norm.lo[row], norm.hi[row]) == (scores.min(), scores.max())
+        fused = score_trials(pairs, emb, scenario, fusion_rule=FusionRule.MEAN, raw_fusion=True)
+        for side in ("genuine", "impostor"):
+            s_brain, s_eye = (getattr(t, side).scores for t in single)
+            assert getattr(fused, side).scores.tobytes() == ((s_brain + s_eye) / 2).tobytes()
+
+
 def test_model_wrappers_match_embedding_path(mini_corpus):
     """build_trials and fusion_calibration_normalizer give exactly what the
     embedding-taking path gives from embed_batch outputs, on one trained fold."""

@@ -271,6 +271,11 @@ class TestTemplateStore:
         pytest.param([{"identity": "a", "round_id": "r0", "tag": ""}], id="non-integer-round"),
         pytest.param([["a", 0]], id="entry-not-an-object"),
         pytest.param([{"identity": "a", "round_id": float("inf"), "tag": ""}], id="infinite-round"),
+        pytest.param([{"identity": "a", "round_id": 1.5, "tag": ""}], id="float-round"),
+        pytest.param([{"identity": "a", "round_id": True, "tag": ""}], id="bool-round"),
+        pytest.param([{"identity": "a", "round_id": "2", "tag": ""}], id="string-round"),
+        pytest.param([{"identity": "a", "round_id": 0, "tag": 7}], id="integer-tag"),
+        pytest.param([{"identity": 5, "round_id": 0, "tag": ""}], id="integer-identity"),
         pytest.param(5, id="entries-not-a-list"),
     ])
     def test_malformed_entry_raises_format_error(self, tmp_path, entries):
