@@ -383,9 +383,14 @@ def cmd_evaluate(args) -> int:
     run = _open_config(args)
     corpus_path = _path_from(args, "corpus", run, "corpus", "corpus input")
     report_path = _path_from(args, "out", run, "report", "report output")
+    rows_path = Path(report_path).with_suffix(".csv")
+    if rows_path == Path(report_path):
+        raise ConfigError(
+            f"report path {report_path} ends in .csv, so the CSV rows would replace it; "
+            "pick a report path with another suffix"
+        )
     recordings = read_corpus(corpus_path)
     report = run_experiment(recordings, run.eval)
-    rows_path = Path(report_path).with_suffix(".csv")
     # neither file is replaced unless both are written; the JSON is replaced first
     with (
         atomic_write(rows_path, "w", encoding="utf-8", newline="") as rows,

@@ -171,11 +171,16 @@ def stack_inputs(samples: Sequence, model: EmbeddingModel) -> tuple[np.ndarray, 
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """[B, C, T] input as C-contiguous [B, To, C*k] columns, c-major and tap-minor.
+
+    One strided slice copy per tap into a [B, To, C, k] buffer; _col2im is
+    the adjoint tap loop."""
     b, c, t = x.shape
     t_out = (t - kernel) // stride + 1
-    idx = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :]
-    cols = x[:, :, idx]                      # [B, C, To, k]
-    return cols.transpose(0, 2, 1, 3).reshape(b, t_out, c * kernel)
+    cols = np.empty((b, t_out, c, kernel), dtype=x.dtype)
+    for j in range(kernel):
+        cols[:, :, :, j] = x[:, :, j:j + stride * (t_out - 1) + 1:stride].transpose(0, 2, 1)
+    return cols.reshape(b, t_out, c * kernel)
 
 
 def _pool_taps(x: np.ndarray, width: int) -> list[np.ndarray]:
@@ -205,7 +210,8 @@ def _weight_grad(dz: np.ndarray, inp: np.ndarray) -> np.ndarray:
 
 
 def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], kernel: int, stride: int) -> np.ndarray:
-    """Adjoint of _im2col: add [B, To, C*k] column gradients back onto [B, C, T]."""
+    """Adjoint of _im2col's tap loop: add [B, To, C*k] column gradients back
+    onto [B, C, T], one strided slice per tap."""
     b, t_out = dcols.shape[:2]
     dcols = dcols.reshape(b, t_out, x_shape[1], kernel)
     dx = np.zeros(x_shape, dtype=dcols.dtype)
@@ -297,13 +303,21 @@ def _backward_stack(model, stack: tuple[str, tuple], cache: list, dy: np.ndarray
 
 
 def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.ndarray:
-    """Accumulate d(loss)/d(weights) for d(loss)/d(embeddings); returns a flat vector."""
+    """Accumulate d(loss)/d(weights) for d(loss)/d(embeddings); returns a flat vector.
+
+    A `d_emb` with no non-zero entry (a step with no active triplet) returns
+    zeros without a backward pass.  For finite activations that is
+    bit-identical: the full pass adds sums of products with a ±0.0 factor
+    onto this +0.0 buffer, and +0.0 + ±0.0 is +0.0.  A NaN entry counts as
+    non-zero, so a diverging step still propagates it."""
     grad = np.zeros(model.n_weights, dtype=model.dtype)
+    d_emb = d_emb.astype(model.dtype)
+    if not d_emb.any():
+        return grad
     grad_views = {
         p.name: grad[p.offset:p.offset + p.size].reshape(p.shape) for p in model.layout
     }
     z, r = cache["l2"]
-    d_emb = d_emb.astype(model.dtype)
     dz = d_emb / r[:, None] - z * ((d_emb * z).sum(axis=1) / r**3)[:, None]
     *branch_stacks, head = _stacks(model.arch)
     *branch_caches, head_cache = cache["stacks"]

@@ -123,6 +123,8 @@ def train(
     under the same BLAS thread count (a different count may reorder the
     floating-point sums in the matrix products and change the last bits).
     Any non-finite weight aborts with DivergenceError naming the step.
+    A step with no active triplet has a zero gradient and still takes an
+    optimizer step (Adam's momentum keeps moving the weights).
     """
     if not samples:
         raise ValidationError("training set is empty")

@@ -4,8 +4,9 @@ Everything here is deliberately written with plain loops (and, for the
 S1 and S2/S3 trial builders, the per-subject numpy loops they replaced) so it
 shares no code path with the implementations under test.  The forward and
 backward oracles are the per-branch loops and separate head loop that the
-layer-stack engine replaced; they reuse only the library's layer kernels
-(im2col and max-pool), which have tests of their own.
+layer-stack engine replaced.  They use the gather-based im2col that the
+tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
+max-pool kernels, which have tests of their own.
 """
 
 import bisect
@@ -250,10 +251,20 @@ def oracle_triplet_grads(emb, triplets, margin):
     return d_emb, total * inv
 
 
+def oracle_im2col(x, kernel, stride):
+    """[B, C, T] -> [B, To, C*k] columns by one fancy-index gather and a
+    transposing reshape copy."""
+    b, c, t = x.shape
+    t_out = (t - kernel) // stride + 1
+    idx = np.arange(t_out)[:, None] * stride + np.arange(kernel)[None, :]
+    cols = x[:, :, idx]                      # [B, C, To, k]
+    return cols.transpose(0, 2, 1, 3).reshape(b, t_out, c * kernel)
+
+
 def _oracle_forward_branch(model, bi, x):
     """One branch as its own loop, with the per-kind cache entries it replaced."""
     from biofuse.tnn.arch import ConvSpec, PoolSpec
-    from biofuse.tnn.network import _im2col, _max_pool
+    from biofuse.tnn.network import _max_pool
 
     layers = model.arch.branch_layers[bi]
     cache = []
@@ -261,7 +272,10 @@ def _oracle_forward_branch(model, bi, x):
         if isinstance(spec, ConvSpec):
             w = model.views[f"branch{bi}/layer{li}/w"]
             bias = model.views[f"branch{bi}/layer{li}/b"]
-            cols = _im2col(x, spec.kernel, spec.stride)
+            # for kernel 1 the gather's reshape returns a strided view, and
+            # matmul may round a strided operand differently (seen at float32
+            # with one filter); the library's columns are always C-contiguous
+            cols = np.ascontiguousarray(oracle_im2col(x, spec.kernel, spec.stride))
             z = cols @ w.reshape(spec.filters, -1).T + bias
             mask = z > 0
             cache.append(("conv", cols, mask, x.shape))

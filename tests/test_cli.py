@@ -288,6 +288,30 @@ def test_evaluate_score_fusion(tmp_path):
     assert report["provenance"]["fusion"] == "mean"
 
 
+@pytest.mark.parametrize("out,report", [
+    ("r.csv", None),
+    ("r.json.csv", None),
+    (None, "report.csv"),
+])
+def test_evaluate_report_path_ending_in_csv_exits_1(tmp_path, capsys, out, report):
+    """The CSV rows go to the report path with a .csv suffix; a report path
+    that already ends in .csv would be overwritten by them.  The clash is
+    caught before the (here missing) corpus is read."""
+    config, paths = _write_config(tmp_path)
+    cfg = json.loads(config.read_text())
+    if report is not None:
+        cfg["paths"]["report"] = str(tmp_path / report)
+        config.write_text(json.dumps(cfg))
+    argv = ["evaluate", "--config", str(config)]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / (out or report)) in err and "ends in .csv" in err
+    assert not Path(paths["corpus"]).exists()
+    assert list(tmp_path.iterdir()) == [config]
+
+
 _PIPELINE = """
 import sys
 from biofuse.cli import main

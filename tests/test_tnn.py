@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -43,6 +44,7 @@ from biofuse.tnn.network import (
 from oracles import (
     oracle_backward,
     oracle_forward,
+    oracle_im2col,
     oracle_mine,
     oracle_mine_loop,
     oracle_triplet_grads,
@@ -267,6 +269,33 @@ class TestLayerKernels:
         assert dx.dtype == x.dtype
         assert dx.tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(kernel=st.integers(1, 7), stride=st.integers(1, 3), channels=st.integers(1, 40),
+           extra=st.integers(0, 12), batch=st.integers(1, 3),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           layout=st.sampled_from(["contiguous", "transposed", "pooled"]),
+           seed=st.integers(0, 2**16))
+    def test_im2col_matches_gather_oracle(self, kernel, stride, channels, extra, batch,
+                                          dtype, layout, seed):
+        """The tap loop writes the gather's values in the gather's order, from
+        [B, C, T] inputs stored as such or as a conv output's [B, T, C]
+        (transposed, or max-pooled after the transpose)."""
+        rng = np.random.default_rng(seed)
+        t = kernel + extra
+        if layout == "contiguous":
+            x = rng.standard_normal((batch, channels, t)).astype(dtype)
+        elif layout == "transposed":
+            x = rng.standard_normal((batch, t, channels)).astype(dtype).transpose(0, 2, 1)
+        else:
+            conv_out = rng.standard_normal((batch, 2 * t + 1, channels)).astype(dtype)
+            x = _max_pool(conv_out.transpose(0, 2, 1), 2)
+        assert x.shape == (batch, channels, t)
+        got = _im2col(x, kernel, stride)
+        want = oracle_im2col(x, kernel, stride)
+        assert got.dtype == x.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv_weight_grad_matches_einsum(self, stride):
         rng = np.random.default_rng(stride)
@@ -343,8 +372,8 @@ class TestEngineMatchesOracle:
     """The layer-stack engine against the per-branch loops and head loop it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_engine_cases())
-    def test_embeddings_and_gradients_bit_equal(self, case):
+    @given(_engine_cases(), st.booleans())
+    def test_embeddings_and_gradients_bit_equal(self, case, no_active_triplet):
         arch, dtype, batch, seed = case
         rng = np.random.default_rng(seed)
         model = EmbeddingModel(arch, seed=seed, dtype=dtype)
@@ -354,6 +383,9 @@ class TestEngineMatchesOracle:
             for c in arch.input_channels
         )
         d_emb = rng.standard_normal((batch, arch.embedding_dim))
+        if no_active_triplet:  # backward_batch returns without a backward pass
+            d_emb = np.zeros_like(d_emb)
+            d_emb[-1, -1] = -0.0
         want_emb, want_cache = oracle_forward(model, branches)
         emb, cache = forward_batch(model, branches, with_cache=True)
         assert emb.dtype == dtype
@@ -362,7 +394,18 @@ class TestEngineMatchesOracle:
         assert no_cache is None and lean.tobytes() == want_emb.tobytes()
         assert cache["branch_widths"] == want_cache["widths"]
         want_grad = oracle_backward(model, want_cache, d_emb)
-        assert backward_batch(model, cache, d_emb).tobytes() == want_grad.tobytes()
+        grad = backward_batch(model, cache, d_emb)
+        assert grad.tobytes() == want_grad.tobytes()
+        if no_active_triplet:
+            assert grad.tobytes() == np.zeros(model.n_weights, dtype=dtype).tobytes()  # +0.0
+
+    def test_nan_d_emb_takes_the_backward_pass(self):
+        model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=4)
+        samples = [_brain_sample(seed=k) for k in range(3)]
+        _, cache = forward_batch(model, stack_inputs(samples, model), with_cache=True)
+        d_emb = np.zeros((3, model.arch.embedding_dim))
+        d_emb[1, 5] = np.nan
+        assert np.isnan(backward_batch(model, cache, d_emb)).any()
 
 
 class TestBackward:
@@ -440,7 +483,44 @@ def _toy_dataset(n_subjects=4, per_subject=8, center_scale=0.5, noise=1.0):
     return samples
 
 
+def _toy_pairs(n_subjects=4, per_subject=4):
+    """Separable paired brain / eye-pupil samples, so the loss reaches zero."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for si in range(n_subjects):
+        centers = [rng.standard_normal((m.n_channels, GRID_POINTS))
+                   for m in (Modality.BRAIN, Modality.EYE_PUPIL)]
+        for k in range(per_subject):
+            brain, eye = (
+                Sample(subject_id=f"s{si:02d}", round_id=k % 2, modality=m, t0=float(k),
+                       data=(c + 0.5 * rng.standard_normal(c.shape)).astype(np.float32))
+                for m, c in zip((Modality.BRAIN, Modality.EYE_PUPIL), centers)
+            )
+            pairs.append(PairedSample(brain=brain, eye=eye))
+    return pairs
+
+
 class TestTrain:
+    @pytest.mark.parametrize("kind", list(ArchKind))
+    def test_zero_gradient_steps_match_full_backward_pass(self, kind, monkeypatch):
+        """Training with the short-circuit gives the bytes of training through
+        the oracle loops, whose backward pass never short-circuits."""
+        pairs = _toy_pairs()
+        if kind is ArchKind.SINGLE:
+            arch, samples = single_modality_arch(Modality.BRAIN), [p.brain for p in pairs]
+        else:
+            arch, samples = fusion_arch(kind), pairs
+        cfg = TrainConfig(epochs=3, batch_size=8, samples_per_subject=2, seed=1)
+        model, history = train(samples, arch, cfg)
+        assert history[0] > 0.0 and 0.0 in history  # active and skipped steps
+        module = importlib.import_module("biofuse.tnn.train")  # the package exports train()
+        monkeypatch.setattr(module, "forward_batch",
+                            lambda model, branches, with_cache: oracle_forward(model, branches))
+        monkeypatch.setattr(module, "backward_batch", oracle_backward)
+        want_model, want_history = train(samples, arch, cfg)
+        assert model.weights.tobytes() == want_model.weights.tobytes()
+        assert np.asarray(history).tobytes() == np.asarray(want_history).tobytes()
+
     def test_lr_zero_is_noop(self):
         samples = _toy_dataset()
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.0, seed=5)
