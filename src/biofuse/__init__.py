@@ -6,7 +6,6 @@ from .corpus import (
     Recording,
     Stream,
     SynthConfig,
-    corpus_equal,
     generate_synthetic,
     read_corpus,
     write_corpus,

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -414,108 +416,119 @@ def atomic_write(path, mode: str, **open_kwargs):
         raise
 
 
+def _utf8_error(path, error: type[Exception]) -> Exception:
+    """`error` naming the line and byte offset of the first byte sequence in
+    `path` that is not UTF-8.  No UTF-8 sequence contains a newline byte, so
+    each line decodes on its own."""
+    offset = 0
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return error(f"{path}: line {lineno}, byte {offset + e.start}: not valid UTF-8")
+            offset += len(raw)
+    return error(f"{path}: not valid UTF-8")  # the file changed while it was read
+
+
 def read_text_lines(path, error: type[Exception]) -> list[str]:
     """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
     raises `error` naming its line and byte offset."""
     try:
         with open(path, encoding="utf-8") as f:
             return f.read().splitlines()
-    except UnicodeDecodeError as e:  # read() decodes the whole file at once
-        line = e.object.count(b"\n", 0, e.start) + 1
-        raise error(f"{path}: line {line}, byte {e.start}: not valid UTF-8") from None
+    except UnicodeDecodeError:
+        raise _utf8_error(path, error) from None
+
+
+class _LineReader:
+    r"""The lines of a text file opened with ``newline=""``, split where
+    ``str.splitlines`` splits them, read from the file as they are taken.
+
+    Iterating the file breaks lines only after ``\n``, ``\r`` and ``\r\n``;
+    splitlines also breaks at ``\v \f \x1c \x1d \x1e \x85 \u2028
+    \u2029``.  `lineno` is the 1-based number of the last line taken.
+    """
+
+    def __init__(self, f) -> None:
+        self._f = f
+        self._ahead: list[str] = []  # lines split off past the last one taken
+        self.lineno = 0
+
+    def take(self, n: int) -> list[str]:
+        """The next `n` lines without their terminators, fewer at end of file."""
+        lines = self._ahead[:n]
+        del self._ahead[:n]
+        need = n - len(lines)
+        if need:
+            # each file line ends in a break (the last may end the file
+            # instead), so splitting their join splits each one in turn
+            split = "".join(itertools.islice(self._f, min(need, sys.maxsize))).splitlines()
+            lines += split[:need]
+            self._ahead = split[need:]
+        self.lineno += len(lines)
+        return lines
+
+    def next(self) -> str | None:
+        """The next line, or None at end of file."""
+        lines = self.take(1)
+        return lines[0] if lines else None
+
+    def unread(self, line: str) -> None:
+        """Give back the line last taken."""
+        self._ahead.insert(0, line)
+        self.lineno -= 1
 
 
 def read_corpus(path) -> list[Recording]:
-    """Parse a corpus file; errors name the offending line or record."""
-    lines = read_text_lines(path, CorpusFormatError)
-    if not lines:
+    """Parse a corpus file; errors name the offending line or record.
+
+    The text is read one stream block at a time, so memory holds the parsed
+    arrays plus one block of text.  A byte that is not UTF-8 anywhere in the
+    file is reported before any parse error, as when the whole text was
+    decoded first.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            try:
+                return _parse_corpus(_LineReader(f))
+            except CorpusFormatError:
+                for _ in f:  # decode the rest
+                    pass
+                raise
+    except UnicodeDecodeError:
+        raise _utf8_error(path, CorpusFormatError) from None
+
+
+def _parse_corpus(src: _LineReader) -> list[Recording]:
+    first = src.next()
+    if first is None:
         raise CorpusFormatError("line 1: empty file")
-    if lines[0] != CORPUS_MAGIC:
-        if lines[0].startswith("BIOFUSE-CORPUS"):
-            raise CorpusVersionError(f"line 1: unsupported corpus version {lines[0]!r}")
+    if first != CORPUS_MAGIC:
+        if first.startswith("BIOFUSE-CORPUS"):
+            raise CorpusVersionError(f"line 1: unsupported corpus version {first!r}")
         raise CorpusFormatError("line 1: not a corpus file (missing header)")
 
     recordings: list[Recording] = []
-    i = 1
-    n_lines = len(lines)
-    while i < n_lines:
-        line = lines[i]
+    while (line := src.next()) is not None:
         if not line.strip():
-            i += 1
             continue
         if not line.startswith("recording "):
-            raise CorpusFormatError(f"line {i + 1}: expected 'recording <id>', got {line!r}")
+            raise CorpusFormatError(f"line {src.lineno}: expected 'recording <id>', got {line!r}")
         subject_id = line[len("recording "):]
-        rec_line = i + 1
-        i += 1
+        rec_line = src.lineno
 
-        if i >= n_lines or not lines[i].startswith("events "):
-            raise CorpusFormatError(f"line {i + 1}: expected 'events <count>'")
-        n_events = _parse_count(lines[i][len("events "):], i + 1)
-        i += 1
-        events = []
-        for _ in range(n_events):
-            if i >= n_lines:
-                raise CorpusFormatError(f"line {i + 1}: truncated event block")
-            parts = lines[i].split()
-            if len(parts) != 4:
-                raise CorpusFormatError(f"line {i + 1}: event record needs 4 fields")
-            try:
-                events.append(
-                    EventMarker(
-                        t=_parse_float(parts[0], i + 1),
-                        kind=parts[1],
-                        round_id=_parse_int(parts[2], i + 1),
-                        dot_index=_parse_int(parts[3], i + 1),
-                    )
-                )
-            except ValidationError as e:
-                raise CorpusFormatError(f"line {i + 1}: {e}") from None
-            i += 1
+        line = src.next()
+        if line is None or not line.startswith("events "):
+            raise CorpusFormatError(f"line {rec_line + 1}: expected 'events <count>'")
+        n_events = _parse_count(line[len("events "):], src.lineno)
+        events = _parse_events(src, n_events)
 
         streams = []
-        while i < n_lines and lines[i].startswith("stream "):
-            header = lines[i].split()
-            if len(header) != 5:
-                raise CorpusFormatError(f"line {i + 1}: stream header needs 5 fields")
-            try:
-                modality = Modality(header[1])
-            except ValueError:
-                raise CorpusFormatError(f"line {i + 1}: unknown modality {header[1]!r}") from None
-            rate = _parse_float(header[2], i + 1)
-            n_rows = _parse_count(header[3], i + 1)
-            n_ch = _parse_count(header[4], i + 1)
-            i += 1
-            if i + n_rows > n_lines:
-                raise CorpusFormatError(f"line {i + 1}: truncated stream block")
-            block = lines[i:i + n_rows]
-            rows = [ln.split() for ln in block]
-            for k, row in enumerate(rows):
-                if len(row) != n_ch + 1:
-                    raise CorpusFormatError(
-                        f"line {i + k + 1}: expected {n_ch + 1} columns, got {len(row)}"
-                    )
-            try:
-                data = np.array(rows, dtype=np.float64) if rows else np.empty((0, n_ch + 1))
-            except ValueError:
-                for k, row in enumerate(rows):
-                    for tok in row:
-                        _parse_float(tok, i + k + 1)
-                raise CorpusFormatError(f"line {i + 1}: bad numeric data in stream block") from None
-            try:
-                streams.append(
-                    Stream(
-                        modality=modality,
-                        nominal_rate_hz=rate,
-                        timestamps=data[:, 0],
-                        values=data[:, 1:],
-                    )
-                )
-            except ValidationError as e:
-                raise CorpusFormatError(
-                    f"stream starting at line {i}: {e} (recording {subject_id!r})"
-                ) from None
-            i += n_rows
+        while (line := src.next()) is not None and line.startswith("stream "):
+            streams.append(_parse_stream(src, line, subject_id))
+        if line is not None:
+            src.unread(line)
 
         try:
             recordings.append(Recording(subject_id=subject_id, streams=streams, events=events))
@@ -532,20 +545,84 @@ def read_corpus(path) -> list[Recording]:
     return recordings
 
 
-def corpus_equal(a: list[Recording], b: list[Recording]) -> bool:
-    """Structural equality, bit-exact on floats (NaN positions included)."""
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if ra.subject_id != rb.subject_id or ra.events != rb.events:
-            return False
-        if len(ra.streams) != len(rb.streams):
-            return False
-        for sa, sb in zip(ra.streams, rb.streams):
-            if sa.modality is not sb.modality or sa.nominal_rate_hz != sb.nominal_rate_hz:
-                return False
-            if sa.timestamps.tobytes() != sb.timestamps.tobytes():
-                return False
-            if sa.values.tobytes() != sb.values.tobytes():
-                return False
-    return True
+def _parse_events(src: _LineReader, n_events: int) -> list[EventMarker]:
+    first = src.lineno + 1
+    lines = src.take(n_events)
+    events = []
+    for lineno, line in enumerate(lines, first):
+        parts = line.split()
+        if len(parts) != 4:
+            raise CorpusFormatError(f"line {lineno}: event record needs 4 fields")
+        try:
+            events.append(
+                EventMarker(
+                    t=_parse_float(parts[0], lineno),
+                    kind=parts[1],
+                    round_id=_parse_int(parts[2], lineno),
+                    dot_index=_parse_int(parts[3], lineno),
+                )
+            )
+        except ValidationError as e:
+            raise CorpusFormatError(f"line {lineno}: {e}") from None
+    if len(lines) < n_events:
+        raise CorpusFormatError(f"line {first + len(lines)}: truncated event block")
+    return events
+
+
+def _parse_stream(src: _LineReader, header_line: str, subject_id: str) -> Stream:
+    at = src.lineno
+    header = header_line.split()
+    if len(header) != 5:
+        raise CorpusFormatError(f"line {at}: stream header needs 5 fields")
+    try:
+        modality = Modality(header[1])
+    except ValueError:
+        raise CorpusFormatError(f"line {at}: unknown modality {header[1]!r}") from None
+    rate = _parse_float(header[2], at)
+    n_rows = _parse_count(header[3], at)
+    n_ch = _parse_count(header[4], at)
+    block = src.take(n_rows)
+    if len(block) < n_rows:
+        raise CorpusFormatError(f"line {at + 1}: truncated stream block")
+    data = _parse_block(block, at + 1, n_ch + 1)
+    try:
+        return Stream(
+            modality=modality, nominal_rate_hz=rate, timestamps=data[:, 0], values=data[:, 1:]
+        )
+    except ValidationError as e:
+        raise CorpusFormatError(
+            f"stream starting at line {at}: {e} (recording {subject_id!r})"
+        ) from None
+
+
+def _parse_block(lines: list[str], first: int, n_cols: int) -> np.ndarray:
+    """A stream block as one [len(lines) x n_cols] array; `first` is the line
+    number of lines[0].
+
+    One `np.loadtxt` call parses a well-formed block.  It splits on the same
+    whitespace as `str.split` but skips blank lines and rejects tokens that
+    `float` takes (``1_000``), so a block it cannot parse to the full shape
+    goes row by row: a column check, then one `np.array` of the tokens, then
+    the per-token search that names the bad line.
+    """
+    if not lines:
+        return np.empty((0, n_cols))
+    if lines[0].strip():  # loadtxt warns on a block with no data rows
+        try:
+            data = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            pass
+        else:
+            if data.shape == (len(lines), n_cols):
+                return data
+    rows = [line.split() for line in lines]
+    for lineno, row in enumerate(rows, first):
+        if len(row) != n_cols:
+            raise CorpusFormatError(f"line {lineno}: expected {n_cols} columns, got {len(row)}")
+    try:
+        return np.array(rows, dtype=np.float64)
+    except ValueError:
+        for lineno, row in enumerate(rows, first):
+            for tok in row:
+                _parse_float(tok, lineno)
+        raise CorpusFormatError(f"line {first}: bad numeric data in stream block") from None

@@ -6,7 +6,9 @@ shares no code path with the implementations under test.  The forward and
 backward oracles are the per-branch loops and separate head loop that the
 layer-stack engine replaced.  They use the gather-based im2col that the
 tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
-max-pool kernels, which have tests of their own.
+max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
+the whole-file corpus reader that the streaming `read_corpus` replaced; it
+reuses only the library's token parsers and record types.
 """
 
 import bisect
@@ -384,3 +386,153 @@ def oracle_backward(model, cache, d_emb):
         for bi, dpart in enumerate(np.split(dz, split, axis=1)):
             _oracle_backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
     return grad
+
+
+def corpus_equal(a, b):
+    """Structural equality, bit-exact on floats (NaN positions included)."""
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if ra.subject_id != rb.subject_id or ra.events != rb.events:
+            return False
+        if len(ra.streams) != len(rb.streams):
+            return False
+        for sa, sb in zip(ra.streams, rb.streams):
+            if sa.modality is not sb.modality or sa.nominal_rate_hz != sb.nominal_rate_hz:
+                return False
+            if sa.timestamps.tobytes() != sb.timestamps.tobytes():
+                return False
+            if sa.values.tobytes() != sb.values.tobytes():
+                return False
+    return True
+
+
+def _oracle_read_text_lines(path, error):
+    """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
+    raises `error` naming its line and byte offset."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().splitlines()
+    except UnicodeDecodeError as e:  # read() decodes the whole file at once
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line}, byte {e.start}: not valid UTF-8") from None
+
+
+def oracle_read_corpus(path):
+    """The whole-file corpus reader the streaming `read_corpus` replaced: it
+    decodes and splits the whole text, then builds one token list per row."""
+    from biofuse.corpus import (
+        CORPUS_MAGIC,
+        EventMarker,
+        Modality,
+        Recording,
+        Stream,
+        _parse_count,
+        _parse_float,
+        _parse_int,
+    )
+    from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
+
+    lines = _oracle_read_text_lines(path, CorpusFormatError)
+    if not lines:
+        raise CorpusFormatError("line 1: empty file")
+    if lines[0] != CORPUS_MAGIC:
+        if lines[0].startswith("BIOFUSE-CORPUS"):
+            raise CorpusVersionError(f"line 1: unsupported corpus version {lines[0]!r}")
+        raise CorpusFormatError("line 1: not a corpus file (missing header)")
+
+    recordings = []
+    i = 1
+    n_lines = len(lines)
+    while i < n_lines:
+        line = lines[i]
+        if not line.strip():
+            i += 1
+            continue
+        if not line.startswith("recording "):
+            raise CorpusFormatError(f"line {i + 1}: expected 'recording <id>', got {line!r}")
+        subject_id = line[len("recording "):]
+        rec_line = i + 1
+        i += 1
+
+        if i >= n_lines or not lines[i].startswith("events "):
+            raise CorpusFormatError(f"line {i + 1}: expected 'events <count>'")
+        n_events = _parse_count(lines[i][len("events "):], i + 1)
+        i += 1
+        events = []
+        for _ in range(n_events):
+            if i >= n_lines:
+                raise CorpusFormatError(f"line {i + 1}: truncated event block")
+            parts = lines[i].split()
+            if len(parts) != 4:
+                raise CorpusFormatError(f"line {i + 1}: event record needs 4 fields")
+            try:
+                events.append(
+                    EventMarker(
+                        t=_parse_float(parts[0], i + 1),
+                        kind=parts[1],
+                        round_id=_parse_int(parts[2], i + 1),
+                        dot_index=_parse_int(parts[3], i + 1),
+                    )
+                )
+            except ValidationError as e:
+                raise CorpusFormatError(f"line {i + 1}: {e}") from None
+            i += 1
+
+        streams = []
+        while i < n_lines and lines[i].startswith("stream "):
+            header = lines[i].split()
+            if len(header) != 5:
+                raise CorpusFormatError(f"line {i + 1}: stream header needs 5 fields")
+            try:
+                modality = Modality(header[1])
+            except ValueError:
+                raise CorpusFormatError(f"line {i + 1}: unknown modality {header[1]!r}") from None
+            rate = _parse_float(header[2], i + 1)
+            n_rows = _parse_count(header[3], i + 1)
+            n_ch = _parse_count(header[4], i + 1)
+            i += 1
+            if i + n_rows > n_lines:
+                raise CorpusFormatError(f"line {i + 1}: truncated stream block")
+            block = lines[i:i + n_rows]
+            rows = [ln.split() for ln in block]
+            for k, row in enumerate(rows):
+                if len(row) != n_ch + 1:
+                    raise CorpusFormatError(
+                        f"line {i + k + 1}: expected {n_ch + 1} columns, got {len(row)}"
+                    )
+            try:
+                data = np.array(rows, dtype=np.float64) if rows else np.empty((0, n_ch + 1))
+            except ValueError:
+                for k, row in enumerate(rows):
+                    for tok in row:
+                        _parse_float(tok, i + k + 1)
+                raise CorpusFormatError(f"line {i + 1}: bad numeric data in stream block") from None
+            try:
+                streams.append(
+                    Stream(
+                        modality=modality,
+                        nominal_rate_hz=rate,
+                        timestamps=data[:, 0],
+                        values=data[:, 1:],
+                    )
+                )
+            except ValidationError as e:
+                raise CorpusFormatError(
+                    f"stream starting at line {i}: {e} (recording {subject_id!r})"
+                ) from None
+            i += n_rows
+
+        try:
+            recordings.append(Recording(subject_id=subject_id, streams=streams, events=events))
+        except ValidationError as e:
+            raise CorpusFormatError(
+                f"recording {subject_id!r} starting at line {rec_line}: {e}"
+            ) from None
+
+    if not recordings:
+        raise CorpusFormatError("file contains no recordings")
+    ids = [r.subject_id for r in recordings]
+    if len(set(ids)) != len(ids):
+        raise CorpusFormatError("duplicate subject ids in corpus")
+    return recordings

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,12 @@ from biofuse.corpus import (
     Recording,
     Stream,
     SynthConfig,
-    corpus_equal,
     generate_synthetic,
     read_corpus,
     write_corpus,
 )
 from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
+from oracles import corpus_equal
 
 
 def test_generate_counts():
@@ -215,3 +217,20 @@ def test_event_marker_bounds():
 def test_recording_requires_streams():
     with pytest.raises(ValidationError, match="no streams"):
         Recording(subject_id="s00", streams=[], events=[])
+
+
+def test_read_holds_one_stream_block_of_text(tmp_path):
+    """The reader's peak traced memory stays near the arrays it returns.
+    The whole-file reader peaked at about 7x them (the full text plus one
+    token list per row); one block of text at a time stays well under 3x."""
+    cfg = SynthConfig(n_subjects=3, n_rounds=2, dots_per_round=10, seed=7)
+    path = tmp_path / "c.corpus"
+    write_corpus(generate_synthetic(cfg), path)
+    tracemalloc.start()
+    try:
+        recs = read_corpus(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    parsed = sum(s.timestamps.nbytes + s.values.nbytes for r in recs for s in r.streams)
+    assert peak <= 3 * parsed, f"peak {peak} B for {parsed} B of arrays"
