@@ -61,7 +61,6 @@ from .tnn import (
     save_model,
     single_modality_arch,
     train,
-    triplet_loss,
 )
 from .verify import (
     Decision,
@@ -73,7 +72,6 @@ from .verify import (
     decide,
     load_templates,
     save_templates,
-    similarity,
     verify_claim,
 )
 

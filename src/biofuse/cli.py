@@ -338,6 +338,9 @@ def cmd_enroll(args) -> int:
     out = _path_from(args, "out", run, "templates", "template store output")
     samples = _prepare_model_inputs(_load_datasets(dataset_paths), model)
     wanted = set(args.subjects.split(",")) if args.subjects else None
+    unknown = sorted((wanted or set()) - {s.subject_id for s in samples})
+    if unknown:
+        raise ValidationError(f"--subjects names identities with no sample: {', '.join(unknown)}")
     store = TemplateStore()
     for sample in samples:
         if wanted is not None and sample.subject_id not in wanted:

@@ -18,6 +18,7 @@ from .corpus import (
     EventMarker,
     Modality,
     Recording,
+    Stream,
     atomic_write,
     read_text_lines,
 )
@@ -110,13 +111,8 @@ class RawWindow:
     values: np.ndarray
 
 
-def extract_window(rec: Recording, ev: EventMarker, modality: Modality) -> RawWindow:
+def extract_window(stream: Stream, subject_id: str, ev: EventMarker) -> RawWindow:
     """Return all stream rows with timestamp in [ev.t - 0.1, ev.t + 0.3)."""
-    stream = rec.stream_for(modality)
-    return _extract_from_stream(stream, rec.subject_id, ev)
-
-
-def _extract_from_stream(stream, subject_id: str, ev: EventMarker) -> RawWindow:
     ts = stream.timestamps
     lo_t = ev.t - WINDOW_BEFORE_S
     hi_t = ev.t + WINDOW_AFTER_S
@@ -279,7 +275,7 @@ def build_dataset(
         stream = rec.stream_for(modality)
         for ev in sorted(rec.events, key=lambda e: (e.round_id, e.t)):
             try:
-                window = _extract_from_stream(stream, rec.subject_id, ev)
+                window = extract_window(stream, rec.subject_id, ev)
                 grid = resample_to_grid(window)
             except (WindowOutOfRange, DegenerateWindow):
                 report.counts[rec.subject_id, ev.round_id, "skipped"] += 1

@@ -12,7 +12,7 @@ from .arch import (
     single_modality_arch,
 )
 from .io import load_model, save_model
-from .loss import Triplet, backward, mine_triplets, pairwise_sq_dists, triplet_loss
+from .loss import Triplet, mine_triplets, pairwise_sq_dists
 from .network import EmbeddingModel, forward_batch, stack_inputs
 from .train import TrainConfig, make_batches, train
 
@@ -25,7 +25,6 @@ __all__ = [
     "EmbeddingModel",
     "TrainConfig",
     "Triplet",
-    "backward",
     "default_branch",
     "forward_batch",
     "fusion_arch",
@@ -38,5 +37,4 @@ __all__ = [
     "single_modality_arch",
     "stack_inputs",
     "train",
-    "triplet_loss",
 ]

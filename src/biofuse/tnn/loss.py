@@ -7,8 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import MiningError, ShapeError, ValidationError
-from .network import EmbeddingModel, backward_batch, forward_batch
+from ..errors import MiningError, ShapeError
 
 
 @dataclass(frozen=True)
@@ -18,16 +17,6 @@ class Triplet:
     anchor: int
     positive: int
     negative: int
-
-
-def triplet_loss(fa: np.ndarray, fp: np.ndarray, fn: np.ndarray, margin: float) -> float:
-    """Hinge on squared Euclidean distances: max(d_ap^2 - d_an^2 + margin, 0)."""
-    fa, fp, fn = (np.asarray(v, dtype=np.float64) for v in (fa, fp, fn))
-    if fa.shape != fp.shape or fa.shape != fn.shape:
-        raise ShapeError("triplet embeddings must share one shape")
-    d_ap = float(((fa - fp) ** 2).sum())
-    d_an = float(((fa - fn) ** 2).sum())
-    return max(d_ap - d_an + margin, 0.0)
 
 
 def pairwise_sq_dists(embeddings: np.ndarray) -> np.ndarray:
@@ -93,24 +82,3 @@ def _triplet_embedding_grads(
     d_emb = np.zeros_like(emb)
     np.add.at(d_emb, idx[active].ravel(), terms.reshape(-1, emb.shape[1]))
     return d_emb, total * inv
-
-
-def backward(
-    model: EmbeddingModel,
-    samples: Sequence,
-    triplets: Sequence[Triplet],
-    margin: float,
-) -> tuple[np.ndarray, float]:
-    """Exact gradient of the mean triplet loss w.r.t. all weights.
-
-    Differentiates through the L2 normalization; returns (flat gradient,
-    mean loss).  Triplets index into `samples`.
-    """
-    if not triplets:
-        raise ValidationError("backward needs at least one triplet")
-    from .network import stack_inputs
-
-    branches = stack_inputs(samples, model)
-    emb, cache = forward_batch(model, branches, with_cache=True)
-    d_emb, mean_loss = _triplet_embedding_grads(emb, triplets, margin)
-    return backward_batch(model, cache, d_emb), mean_loss

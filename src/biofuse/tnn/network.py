@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..corpus import Modality
 from ..errors import ShapeError, ValidationError
 from ..preprocess import PairedSample, Sample
 from .arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec, branch_output_widths
@@ -128,33 +127,29 @@ def _init_weights(layout: list[ParamSpec], seed: int, dtype) -> np.ndarray:
 
 
 def as_branch_inputs(sample, model: EmbeddingModel) -> tuple[np.ndarray, ...]:
-    """Coerce Sample / PairedSample / raw arrays into one array per branch."""
+    """One array per branch from a Sample or PairedSample."""
     arch = model.arch
     if isinstance(sample, Sample):
-        inputs: tuple[np.ndarray, ...] = (sample.data,)
-        tags: tuple[Modality, ...] | None = (sample.modality,)
+        inputs = (sample.data,)
+        tags = (sample.modality,)
     elif isinstance(sample, PairedSample):
         inputs = (sample.brain.data, sample.eye.data)
         tags = (sample.brain.modality, sample.eye.modality)
-    elif isinstance(sample, np.ndarray):
-        inputs, tags = (sample,), None
-    elif isinstance(sample, tuple):
-        inputs, tags = sample, None
     else:
         raise ShapeError(f"cannot embed object of type {type(sample).__name__}")
     if len(inputs) != arch.n_branches:
         raise ShapeError(
             f"{arch.tag} model takes {arch.n_branches} input branch(es), got {len(inputs)}"
         )
-    if tags is not None and arch.modalities is not None and tags != arch.modalities:
+    if arch.modalities is not None and tags != arch.modalities:
         raise ShapeError(
             f"sample modalities {tuple(t.value for t in tags)} do not match "
             f"model branches {tuple(m.value for m in arch.modalities)}"
         )
     for bi, x in enumerate(inputs):
         expected = (arch.input_channels[bi], arch.input_points)
-        if np.asarray(x).shape != expected:
-            raise ShapeError(f"branch {bi} input must be {expected}, got {np.asarray(x).shape}")
+        if x.shape != expected:
+            raise ShapeError(f"branch {bi} input must be {expected}, got {x.shape}")
     return inputs
 
 

@@ -1,4 +1,4 @@
-"""Comparison stage: similarity scores, template stores, thresholds, decisions.
+"""Comparison stage: best-match scores, template stores, thresholds, decisions.
 
 Similarity is negated Euclidean distance between embeddings, so higher is
 more similar and a perfect match scores 0.  A claim is accepted when its
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,15 +35,6 @@ class Scenario(enum.Enum):
     S3 = "s3"
 
 
-def similarity(e: np.ndarray, v: np.ndarray) -> float:
-    """Negated Euclidean distance; symmetric, <= 0, and 0 iff e == v."""
-    e = np.asarray(e, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if e.shape != v.shape or e.ndim != 1:
-        raise ShapeError(f"embeddings must be equal-length vectors, got {e.shape} vs {v.shape}")
-    return -float(np.sqrt(((e - v) ** 2).sum()))
-
-
 @dataclass
 class Template:
     """One enrolled embedding with its round label for exclusion rules."""
@@ -57,6 +49,8 @@ class Template:
         check_field_types(self)
         if self.vector.ndim != 1:
             raise ValidationError("template vector must be 1-D")
+        if not np.isfinite(self.vector).all():
+            raise ValidationError("template vector must be finite (no NaN or inf)")
 
 
 class TemplateStore:
@@ -98,36 +92,18 @@ def best_match(verification: np.ndarray, templates: Sequence[Template]) -> tuple
 
 @dataclass(frozen=True)
 class Threshold:
-    """Global or per-user acceptance threshold."""
+    """One global, finite acceptance threshold; `evaluate` applies per-user
+    (S3) thresholds through `metrics._tailored_rates`."""
 
     global_value: float | None = None
-    per_user: Mapping[str, float] | None = None
 
     def __post_init__(self) -> None:
-        if (self.global_value is None) == (self.per_user is None):
-            raise ValidationError("exactly one of global_value / per_user must be set")
+        if self.global_value is None or not math.isfinite(self.global_value):
+            raise ValidationError(f"threshold must be a finite number, got {self.global_value}")
 
     @classmethod
     def fixed(cls, value: float) -> "Threshold":
         return cls(global_value=float(value))
-
-    @classmethod
-    def tailored(cls, per_user: Mapping[str, float]) -> "Threshold":
-        if not per_user:
-            raise ValidationError("per-user threshold map must not be empty")
-        return cls(per_user=dict(per_user))
-
-    @property
-    def kind(self) -> str:
-        return "global" if self.global_value is not None else "per-user"
-
-    def resolve(self, identity: str) -> float:
-        if self.global_value is not None:
-            return self.global_value
-        try:
-            return self.per_user[identity]
-        except KeyError:
-            raise IdentityError(f"no threshold calibrated for identity {identity!r}") from None
 
 
 @dataclass(frozen=True)
@@ -148,7 +124,7 @@ def decide(
     matched_round_id: int | None = None,
 ) -> Decision:
     """Accept iff score >= threshold (equality accepts)."""
-    theta = threshold.resolve(identity)
+    theta = threshold.global_value
     return Decision(
         accept=score >= theta,
         score=float(score),

@@ -8,7 +8,9 @@ layer-stack engine replaced.  They use the gather-based im2col that the
 tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
 max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
 the whole-file corpus reader that the streaming `read_corpus` replaced; it
-reuses only the library's token parsers and record types.
+reuses only the library's token parsers and record types.  `triplet_step`
+and `corpus_equal` are test helpers, not oracles: the first runs one training
+step's library calls for the gradient checks.
 """
 
 import bisect
@@ -386,6 +388,18 @@ def oracle_backward(model, cache, d_emb):
         for bi, dpart in enumerate(np.split(dz, split, axis=1)):
             _oracle_backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
     return grad
+
+
+def triplet_step(model, branches, triplets, margin):
+    """(flat gradient, mean loss) of the mean triplet loss over stacked branch
+    inputs, through the library calls one `train` step makes: forward_batch,
+    then _triplet_embedding_grads, then backward_batch."""
+    from biofuse.tnn.loss import _triplet_embedding_grads
+    from biofuse.tnn.network import backward_batch, forward_batch
+
+    emb, cache = forward_batch(model, branches, with_cache=True)
+    d_emb, mean_loss = _triplet_embedding_grads(emb, triplets, margin)
+    return backward_batch(model, cache, d_emb), mean_loss
 
 
 def corpus_equal(a, b):

@@ -43,12 +43,12 @@ from biofuse.preprocess import (
     resample_to_grid,
     screen_and_interpolate,
 )
-from biofuse.tnn import TrainConfig, Triplet, backward, single_modality_arch, train
+from biofuse.tnn import TrainConfig, Triplet, single_modality_arch, train
 from biofuse.tnn.arch import ArchKind, ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.tnn.loss import _triplet_embedding_grads
-from biofuse.tnn.network import EmbeddingModel, forward_batch, stack_inputs
+from biofuse.tnn.network import EmbeddingModel, forward_batch
 from biofuse.verify import Scenario
-from oracles import oracle_eer, oracle_frr_at_far
+from oracles import oracle_eer, oracle_frr_at_far, triplet_step
 
 SEEDS = range(10)
 SCENARIOS = (Scenario.S1, Scenario.S2, Scenario.S3)
@@ -250,7 +250,7 @@ def _gradcheck_case(arch_seed: int):
             )
             for _ in range(6)
         ]
-        branches = stack_inputs(feats, model)
+        branches = tuple(np.stack(rows) for rows in zip(*feats))
         if _kink_margins(model, branches) < 1e-3:
             continue
         emb, _ = forward_batch(model, branches, with_cache=False)
@@ -265,7 +265,7 @@ def _gradcheck_case(arch_seed: int):
                 break
             active += h > 0
         if hinge_ok and active >= 1:
-            return model, feats, triplets, margin
+            return model, branches, triplets, margin
     raise AssertionError(f"no safe gradcheck inputs found for arch seed {arch_seed}")
 
 
@@ -274,11 +274,11 @@ def test_criterion_1_gradient_correctness(capsys):
     worst = 0.0
     n_checked = 0
     for arch_seed in range(20):
-        model, feats, triplets, margin = _gradcheck_case(arch_seed)
-        grad, _ = backward(model, feats, triplets, margin)
+        model, branches, triplets, margin = _gradcheck_case(arch_seed)
+        grad, _ = triplet_step(model, branches, triplets, margin)
 
         def mean_loss():
-            emb, _ = forward_batch(model, stack_inputs(feats, model), with_cache=False)
+            emb, _ = forward_batch(model, branches, with_cache=False)
             return _triplet_embedding_grads(emb, triplets, margin)[1]
 
         eps = 1e-4

@@ -105,6 +105,26 @@ def test_verify_rejects_index_out_of_range(enrolled, capsys, where):
     assert main(argv + ["--index", str(n - 1)]) == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_rejects_non_finite_threshold(enrolled, capsys, value):
+    argv, _ = enrolled
+    assert main(argv + [f"--threshold={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "ACCEPT" not in captured.out and "REJECT" not in captured.out
+
+
+def test_enroll_rejects_unknown_subjects(enrolled, tmp_path, capsys):
+    argv, _ = enrolled
+    config = argv[argv.index("--config") + 1]
+    out = tmp_path / "t.tpl"
+    assert main(["enroll", "--config", config, "--out", str(out),
+                 "--subjects", "s00,s99,s98"]) == 1
+    assert "s98, s99" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["enroll", "--config", config, "--out", str(out), "--subjects", "s00"]) == 0
+    assert "1 identities" in capsys.readouterr().out
+
 
 def _break_standardizer(stds, case):
     if case == "missing-mean":

@@ -41,7 +41,7 @@ def _recording(rate=200.0, duration=20.0, n_channels=16, modality=Modality.EYE_P
 class TestExtractWindow:
     def test_window_span(self):
         rec = _recording()
-        w = extract_window(rec, rec.events[0], Modality.EYE_PUPIL)
+        w = extract_window(rec.streams[0], rec.subject_id, rec.events[0])
         assert w.t0 == pytest.approx(9.9)
         assert w.timestamps[0] >= 9.9
         assert w.timestamps[-1] < 10.3
@@ -50,11 +50,11 @@ class TestExtractWindow:
         rec = _recording()
         early = EventMarker(t=0.05, round_id=0, dot_index=1)
         with pytest.raises(WindowOutOfRange):
-            extract_window(rec, early, Modality.EYE_PUPIL)
+            extract_window(rec.streams[0], rec.subject_id, early)
 
     def test_row_count_200hz(self):
         rec = _recording(rate=200.0)
-        w = extract_window(rec, rec.events[0], Modality.EYE_PUPIL)
+        w = extract_window(rec.streams[0], rec.subject_id, rec.events[0])
         assert w.timestamps.size == 80  # 0.4 s x 200 Hz, half-open window
 
 
@@ -243,8 +243,8 @@ class TestBuildDataset:
         _, recs = small_corpus
         rec = recs[0]
         ev = rec.events[3]
-        before = resample_to_grid(extract_window(rec, ev, Modality.BRAIN))
         stream = rec.stream_for(Modality.BRAIN)
+        before = resample_to_grid(extract_window(stream, rec.subject_id, ev))
         outside = (stream.timestamps < ev.t - 0.1) | (stream.timestamps >= ev.t + 0.3)
         perturbed = Stream(
             Modality.BRAIN,
@@ -252,8 +252,7 @@ class TestBuildDataset:
             stream.timestamps,
             stream.values + outside[:, None] * 123.456,
         )
-        rec2 = Recording(subject_id=rec.subject_id, streams=[perturbed], events=rec.events)
-        after = resample_to_grid(extract_window(rec2, ev, Modality.BRAIN))
+        after = resample_to_grid(extract_window(perturbed, rec.subject_id, ev))
         assert before.tobytes() == after.tobytes()
 
     def test_canonical_order_and_shape(self, small_corpus):

@@ -20,7 +20,6 @@ from biofuse.tnn import (
     EmbeddingModel,
     TrainConfig,
     Triplet,
-    backward,
     forward_batch,
     fusion_arch,
     load_model,
@@ -30,7 +29,6 @@ from biofuse.tnn import (
     single_modality_arch,
     stack_inputs,
     train,
-    triplet_loss,
 )
 from biofuse.tnn.arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.tnn.loss import _triplet_embedding_grads
@@ -48,6 +46,7 @@ from oracles import (
     oracle_mine,
     oracle_mine_loop,
     oracle_triplet_grads,
+    triplet_step,
 )
 
 
@@ -101,6 +100,18 @@ class TestEmbed:
         model = EmbeddingModel(fusion_arch(ArchKind.FUSION_A), seed=1)
         with pytest.raises(ShapeError):
             model.embed(_brain_sample())
+
+    def test_raw_arrays_rejected(self):
+        model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=1)
+        data = _brain_sample().data
+        for raw in (data, (data,)):
+            with pytest.raises(ShapeError, match="cannot embed"):
+                model.embed(raw)
+
+
+def triplet_loss(fa, fp, fn, margin):
+    """Loss of one triplet: the mean loss of a three-row batch."""
+    return _triplet_embedding_grads(np.stack([fa, fp, fn]), [Triplet(0, 1, 2)], margin)[1]
 
 
 class TestTripletLoss:
@@ -413,12 +424,12 @@ class TestBackward:
         arch, c, t = _tiny_arch(0)
         model = EmbeddingModel(arch, seed=0, dtype=np.float64)
         rng = np.random.default_rng(1)
-        feats = [(rng.standard_normal((c, t)),) for _ in range(4)]
+        branches = (np.stack([rng.standard_normal((c, t)) for _ in range(4)]),)
         # anchor == positive gives d_ap = 0; with a tiny margin the hinge is
         # inactive unless the negative embedding coincides with the anchor
-        emb, _ = forward_batch(model, stack_inputs(feats, model), with_cache=False)
+        emb, _ = forward_batch(model, branches, with_cache=False)
         assert ((emb[0] - emb[1]) ** 2).sum() > 1e-6
-        grad, loss = backward(model, feats, [Triplet(0, 0, 1)], margin=1e-12)
+        grad, loss = triplet_step(model, branches, [Triplet(0, 0, 1)], margin=1e-12)
         assert loss == 0.0
         assert not grad.any()
 
@@ -426,10 +437,10 @@ class TestBackward:
         arch, c, t = _tiny_arch(3)
         model = EmbeddingModel(arch, seed=3, dtype=np.float64)
         rng = np.random.default_rng(2)
-        feats = [(rng.standard_normal((c, t)),) for _ in range(4)]
+        branches = (np.stack([rng.standard_normal((c, t)) for _ in range(4)]),)
         tri = Triplet(0, 1, 2)
-        g1, l1 = backward(model, feats, [tri], margin=0.5)
-        g2, l2 = backward(model, feats, [tri, tri], margin=0.5)
+        g1, l1 = triplet_step(model, branches, [tri], margin=0.5)
+        g2, l2 = triplet_step(model, branches, [tri, tri], margin=0.5)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
         assert l1 == pytest.approx(l2)
 
@@ -437,14 +448,14 @@ class TestBackward:
         arch, c, t = _tiny_arch(1)
         model = EmbeddingModel(arch, seed=1, dtype=np.float64)
         rng = np.random.default_rng(1001)
-        feats = [(rng.standard_normal((c, t)),) for _ in range(6)]
+        branches = (np.stack([rng.standard_normal((c, t)) for _ in range(6)]),)
         triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5)]
-        grad, _ = backward(model, feats, triplets, margin=0.5)
+        grad, _ = triplet_step(model, branches, triplets, margin=0.5)
         eps = 1e-4
         fd = np.empty_like(grad)
 
         def loss_at():
-            emb, _ = forward_batch(model, stack_inputs(feats, model), with_cache=False)
+            emb, _ = forward_batch(model, branches, with_cache=False)
             return _triplet_embedding_grads(emb, triplets, 0.5)[1]
 
         for i in range(model.weights.size):
@@ -462,10 +473,10 @@ class TestBackward:
         arch, c, t = _tiny_arch(2)
         model = EmbeddingModel(arch, seed=2, dtype=np.float64)
         rng = np.random.default_rng(7)
-        feats = [(rng.standard_normal((c, t)),) for _ in range(6)]
+        branches = (np.stack([rng.standard_normal((c, t)) for _ in range(6)]),)
         triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5), Triplet(1, 0, 3), Triplet(4, 3, 0)]
-        _, l1 = backward(model, feats, triplets, margin=0.5)
-        _, l2 = backward(model, feats, list(reversed(triplets)), margin=0.5)
+        _, l1 = triplet_step(model, branches, triplets, margin=0.5)
+        _, l2 = triplet_step(model, branches, list(reversed(triplets)), margin=0.5)
         assert abs(l1 - l2) < 1e-12
 
 

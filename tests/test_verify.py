@@ -21,9 +21,13 @@ from biofuse.verify import (
     decide,
     load_templates,
     save_templates,
-    similarity,
 )
 from oracles import oracle_best_match, oracle_eer, oracle_far_frr
+
+
+def similarity(e, v):
+    """The score of `e` against one template holding `v`."""
+    return best_match(e, [Template(identity="a", vector=v, round_id=0)])[0]
 
 
 class TestSimilarity:
@@ -145,11 +149,6 @@ class TestDecide:
     def test_equality_accepts(self):
         assert decide(-3.0, Threshold.fixed(-3.0), "a", Scenario.S2).accept
 
-    def test_per_user_missing_identity(self):
-        th = Threshold.tailored({"a": -1.0})
-        with pytest.raises(IdentityError):
-            decide(0.0, th, "b", Scenario.S3)
-
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -188,7 +187,7 @@ class TestCalibrate:
         g_all = [s for v in genuine.values() for s in v]
         i_all = [s for v in impostor.values() for s in v]
         th = Threshold.fixed(eer_from_scores(g_all, i_all)[1])
-        theta = th.resolve("a")
+        theta = th.global_value
         assert theta == pytest.approx((-1.5 + -0.5) / 2)
         far, frr = oracle_far_frr(g_all, i_all, theta)
         assert far == 0.0 and frr == 0.0
@@ -208,18 +207,16 @@ class TestCalibrate:
             "a": list(rng.normal(-0.5, 0.6, 11)),
             "b": list(rng.normal(-0.2, 0.8, 13)),
         }
-        th = Threshold.tailored(per_subject_eer(_trials(genuine, impostor)).thresholds)
+        thresholds = per_subject_eer(_trials(genuine, impostor)).thresholds
         for ident in ("a", "b"):
             _, theta = oracle_eer(genuine[ident], impostor[ident])
-            assert th.resolve(ident) == pytest.approx(theta, abs=1e-9)
+            assert thresholds[ident] == pytest.approx(theta, abs=1e-9)
 
     def test_missing_impostor_side_warns_and_lists(self):
         with pytest.warns(UserWarning, match="'b'"):
             pse = per_subject_eer(_trials({"a": [1.0], "b": [1.0]}, {"a": [0.0]}))
         assert pse.skipped == ("b",)
-        th = Threshold.tailored(pse.thresholds)
-        with pytest.raises(IdentityError):
-            th.resolve("b")
+        assert "b" not in pse.thresholds
 
     def test_missing_genuine_side_warns_and_lists(self):
         with pytest.warns(UserWarning, match="'b'"):
@@ -231,13 +228,12 @@ class TestCalibrate:
 class TestThreshold:
     def test_exactly_one_kind(self):
         with pytest.raises(ValidationError):
-            Threshold(global_value=1.0, per_user={"a": 1.0})
-        with pytest.raises(ValidationError):
             Threshold()
 
-    def test_kinds(self):
-        assert Threshold.fixed(0.5).kind == "global"
-        assert Threshold.tailored({"a": 1.0}).kind == "per-user"
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="finite"):
+            Threshold.fixed(value)
 
 
 class TestTemplateStore:
@@ -266,22 +262,29 @@ class TestTemplateStore:
                 assert o.vector.astype(np.float32).tobytes() == g.vector.astype(np.float32).tobytes()
 
 
-    @pytest.mark.parametrize("entries", [
-        pytest.param([{"round_id": 0, "tag": ""}], id="no-identity"),
-        pytest.param([{"identity": "a", "round_id": "r0", "tag": ""}], id="non-integer-round"),
-        pytest.param([["a", 0]], id="entry-not-an-object"),
-        pytest.param([{"identity": "a", "round_id": float("inf"), "tag": ""}], id="infinite-round"),
-        pytest.param([{"identity": "a", "round_id": 1.5, "tag": ""}], id="float-round"),
-        pytest.param([{"identity": "a", "round_id": True, "tag": ""}], id="bool-round"),
-        pytest.param([{"identity": "a", "round_id": "2", "tag": ""}], id="string-round"),
-        pytest.param([{"identity": "a", "round_id": 0, "tag": 7}], id="integer-tag"),
-        pytest.param([{"identity": 5, "round_id": 0, "tag": ""}], id="integer-identity"),
-        pytest.param(5, id="entries-not-a-list"),
+    @pytest.mark.parametrize("entries, fill", [
+        pytest.param([{"round_id": 0, "tag": ""}], 0.0, id="no-identity"),
+        pytest.param([{"identity": "a", "round_id": "r0", "tag": ""}], 0.0,
+                     id="non-integer-round"),
+        pytest.param([["a", 0]], 0.0, id="entry-not-an-object"),
+        pytest.param([{"identity": "a", "round_id": float("inf"), "tag": ""}], 0.0,
+                     id="infinite-round"),
+        pytest.param([{"identity": "a", "round_id": 1.5, "tag": ""}], 0.0, id="float-round"),
+        pytest.param([{"identity": "a", "round_id": True, "tag": ""}], 0.0, id="bool-round"),
+        pytest.param([{"identity": "a", "round_id": "2", "tag": ""}], 0.0, id="string-round"),
+        pytest.param([{"identity": "a", "round_id": 0, "tag": 7}], 0.0, id="integer-tag"),
+        pytest.param([{"identity": 5, "round_id": 0, "tag": ""}], 0.0, id="integer-identity"),
+        pytest.param(5, 0.0, id="entries-not-a-list"),
+        pytest.param([{"identity": "a", "round_id": 0, "tag": ""}], np.nan, id="nan-vector"),
+        pytest.param([{"identity": "a", "round_id": 0, "tag": ""}], np.inf, id="inf-vector"),
+        pytest.param([{"identity": "a", "round_id": 0, "tag": ""}], -np.inf,
+                     id="minus-inf-vector"),
     ])
-    def test_malformed_entry_raises_format_error(self, tmp_path, entries):
+    def test_malformed_entry_raises_format_error(self, tmp_path, entries, fill):
         meta = json.dumps({"dim": 2, "entries": entries}).encode()
         path = tmp_path / "t.tpl"
-        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n" + np.zeros(2, "<f4").tobytes())
+        payload = np.array([0.0, fill], "<f4").tobytes()
+        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n" + payload)
         with pytest.raises(TemplateFormatError):
             load_templates(path)
 
