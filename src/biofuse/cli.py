@@ -392,8 +392,8 @@ def cmd_evaluate(args) -> int:
             f"report path {report_path} ends in .csv, so the CSV rows would replace it; "
             "pick a report path with another suffix"
         )
-    recordings = read_corpus(corpus_path)
-    report = run_experiment(recordings, run.eval)
+    # passed straight in, so run_experiment can free the corpus before training
+    report = run_experiment(read_corpus(corpus_path), run.eval)
     # neither file is replaced unless both are written; the JSON is replaced first
     with (
         atomic_write(rows_path, "w", encoding="utf-8", newline="") as rows,

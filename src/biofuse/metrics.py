@@ -570,12 +570,18 @@ def _far_key(target: float) -> str:
 
 
 def _tailored_rates(trials: TrialSet, thresholds: dict) -> tuple[float, float]:
-    """Pooled FAR/FRR when every claimed identity uses its own threshold."""
-    g_thr = np.array([thresholds[c] for c in trials.genuine.claimed])
-    i_thr = np.array([thresholds[c] for c in trials.impostor.claimed])
-    frr = float((trials.genuine.scores < g_thr).mean())
-    far = float((trials.impostor.scores >= i_thr).mean())
-    return far, frr
+    """Pooled FAR/FRR when every claimed identity uses its own threshold.
+
+    Trials claiming an identity without a threshold (one `per_subject_eer`
+    skipped) are left out, as they are from the per-subject mean."""
+
+    def scores_and_thresholds(block: TrialBlock) -> tuple[np.ndarray, np.ndarray]:
+        keep = np.array([c in thresholds for c in block.claimed], dtype=bool)
+        return block.scores[keep], np.array([thresholds[c] for c in block.claimed[keep]])
+
+    g, g_thr = scores_and_thresholds(trials.genuine)
+    i, i_thr = scores_and_thresholds(trials.impostor)
+    return float((i >= i_thr).mean()), float((g < g_thr).mean())
 
 
 def _scenario_metrics(trials: TrialSet, scenario: Scenario) -> tuple[dict, dict | None]:
@@ -652,46 +658,60 @@ def train_folds(datasets: dict, subjects, config: ExperimentConfig):
     `datasets` maps each modality the config's models read to its samples.
     Standardizers are fitted on each fold's training subjects only (scope
     `fold{i}`); arch k of the fold trains with seed train.seed + 1000*fold + k
-    (brain is arch 0 and the eye model arch 1 in score fusion).
+    (brain is arch 0 and the eye model arch 1 in score fusion).  The
+    generator keeps no reference to a fold it has yielded, so a caller that
+    drops the fold before asking for the next one frees its samples before
+    the next fold is standardized.
     """
     plan = plan_folds(subjects, config.folds, config.seed)
     arches = _experiment_arches(config)
     for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
-        scope = f"fold{fi}"
-        train_set, test_set = set(train_subjects), set(test_subjects)
-        tr, te = {}, {}
-        for m, samples in datasets.items():
-            tr_raw = [s for s in samples if s.subject_id in train_set]
-            te_raw = [s for s in samples if s.subject_id in test_set]
-            if not tr_raw or not te_raw:
-                raise EvalError(f"{scope}: modality {m.value} has an empty split")
-            std = fit_standardizer(tr_raw, scope=scope)
-            tr[m] = [apply_standardizer(std, s) for s in tr_raw]
-            te[m] = [apply_standardizer(std, s) for s in te_raw]
-            if any(s.standardized_by != scope for s in tr[m] + te[m]):
-                raise EvalError(f"{scope}: standardizer provenance mismatch")
+        yield _train_fold(datasets, fi, train_subjects, test_subjects, arches, config)
 
-        fold = TrainedFold(fi, train_subjects, test_subjects, tr, te, [], [])
-        for k, arch in enumerate(arches):
-            model, history = train(
-                model_inputs(arch, tr),
-                arch,
-                replace(config.train, seed=config.train.seed + 1000 * fi + k),
-                provenance={"fold_id": scope},
-            )
-            fold.models.append(model)
-            fold.histories.append(history)
-        if config.fusion is not None:
-            eye_m = arches[1].modalities[0]
-            fold.train_pairs = pair_samples(tr[Modality.BRAIN], tr[eye_m])
-            fold.test_pairs = pair_samples(te[Modality.BRAIN], te[eye_m])
-        yield fold
+
+def _train_fold(datasets: dict, fi: int, train_subjects, test_subjects,
+                arches: list[ArchSpec], config: ExperimentConfig) -> TrainedFold:
+    """Fold `fi` of `train_folds`: split, standardized and trained."""
+    scope = f"fold{fi}"
+    train_set, test_set = set(train_subjects), set(test_subjects)
+    tr, te = {}, {}
+    for m, samples in datasets.items():
+        tr_raw = [s for s in samples if s.subject_id in train_set]
+        te_raw = [s for s in samples if s.subject_id in test_set]
+        if not tr_raw or not te_raw:
+            raise EvalError(f"{scope}: modality {m.value} has an empty split")
+        std = fit_standardizer(tr_raw, scope=scope)
+        tr[m] = [apply_standardizer(std, s) for s in tr_raw]
+        te[m] = [apply_standardizer(std, s) for s in te_raw]
+        if any(s.standardized_by != scope for s in tr[m] + te[m]):
+            raise EvalError(f"{scope}: standardizer provenance mismatch")
+
+    fold = TrainedFold(fi, train_subjects, test_subjects, tr, te, [], [])
+    for k, arch in enumerate(arches):
+        model, history = train(
+            model_inputs(arch, tr),
+            arch,
+            replace(config.train, seed=config.train.seed + 1000 * fi + k),
+            provenance={"fold_id": scope},
+        )
+        fold.models.append(model)
+        fold.histories.append(history)
+    if config.fusion is not None:
+        eye_m = arches[1].modalities[0]
+        fold.train_pairs = pair_samples(tr[Modality.BRAIN], tr[eye_m])
+        fold.test_pairs = pair_samples(te[Modality.BRAIN], te[eye_m])
+    return fold
 
 
 def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> EvalReport:
     """Full per-fold pipeline: preprocess, train (`train_folds`), score trials, report.
 
-    Deterministic given the config.
+    Deterministic given the config.  Only what the next stage reads stays
+    referenced: the `recordings` reference is dropped once the datasets are
+    built, so a caller that passes `read_corpus(path)` straight in lets the
+    corpus arrays be freed before training (on CPython 3.11 and later; 3.10
+    holds call arguments until the call returns), and each fold is dropped
+    before the next one is standardized.
     """
     subjects = sorted({r.subject_id for r in recordings})
     arches = _experiment_arches(config)
@@ -703,6 +723,7 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
         samples, report = build_dataset(recordings, m, config.nan_policy)
         datasets[m] = samples
         prep_totals[m.value] = {stage: report.total(stage) for stage in STAGES}
+    del recordings
 
     folds: list[dict] = []
     fold_trialsets: list[TrialSet] = []
@@ -743,6 +764,7 @@ def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> Eva
             },
         })
         fold_trialsets.append(trials)
+        del fold  # free this fold's samples before the next one is built
 
     pooled, _ = _scenario_metrics(TrialSet.concat(fold_trialsets), config.scenario)
     pooled["eer_mean_of_folds"] = float(np.mean([f["eer"] for f in folds]))

@@ -20,7 +20,8 @@ from ..preprocess import PairedSample, Sample
 from .arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec, branch_output_widths
 
 _NORM_EPS = 1e-24  # inside the sqrt of the L2 normalization
-_EMBED_CHUNK = 512  # samples per forward pass in embed_batch
+_EMBED_CHUNK = 512  # samples stacked at a time in embed_batch
+_EMBED_BLOCK = 128  # rows per forward pass in embed_batch
 
 
 class ParamSpec:
@@ -100,14 +101,25 @@ class EmbeddingModel:
         return self.embed_batch([sample])[0]
 
     def embed_batch(self, samples: Sequence) -> np.ndarray:
+        """Embed samples as [N, D] float64 rows of unit L2 norm.
+
+        Samples are stacked 512 at a time and each stack runs forward in
+        blocks of 128 rows; a tail shorter than 128 rows joins the block
+        before it.  So a row runs in a pass of at least 128 rows or, in a
+        stack of fewer than 128, in one pass over the whole stack, and gets
+        the bytes of one pass per stack (README, "Determinism") while the
+        forward pass's temporaries stay at 128 rows.
+        """
         out = np.empty((len(samples), self.arch.embedding_dim), dtype=np.float64)
         for lo in range(0, len(samples), _EMBED_CHUNK):
-            part = samples[lo:lo + _EMBED_CHUNK]
-            branches = stack_inputs(part, self)
-            emb, _ = forward_batch(self, branches, with_cache=False)
-            emb = emb.astype(np.float64)
-            emb /= np.sqrt((emb * emb).sum(axis=1))[:, None]
-            out[lo:lo + len(part)] = emb
+            branches = stack_inputs(samples[lo:lo + _EMBED_CHUNK], self)
+            n = len(branches[0])
+            bounds = [0, *range(_EMBED_BLOCK, n - _EMBED_BLOCK + 1, _EMBED_BLOCK), n]
+            for a, b in zip(bounds, bounds[1:]):
+                emb, _ = forward_batch(self, tuple(x[a:b] for x in branches), with_cache=False)
+                block = out[lo + a:lo + b]
+                block[...] = emb
+                block /= np.sqrt((block * block).sum(axis=1))[:, None]
         return out
 
 
@@ -240,12 +252,14 @@ def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: b
         bias = model.views[f"{prefix}/layer{li}/b"]
         conv = isinstance(spec, ConvSpec)
         inp = _im2col(x, spec.kernel, spec.stride) if conv else x.reshape(x.shape[0], -1)
-        z = inp @ w.reshape(w.shape[0], -1).T + bias
+        z = inp @ w.reshape(w.shape[0], -1).T
+        z += bias
         mask = z > 0 if li < len(layers) - 1 else None
-        y = z if mask is None else z * mask
+        if mask is not None:
+            np.multiply(z, mask, out=z)  # ReLU in place: z * mask, -0.0 and NaN kept
         if with_cache:
             cache.append((inp, mask, x.shape))
-        x = y.transpose(0, 2, 1) if conv else y
+        x = z.transpose(0, 2, 1) if conv else z
     return x, cache
 
 

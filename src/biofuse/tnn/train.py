@@ -53,16 +53,36 @@ class _Adam:
     def __init__(self, n: int, dtype, beta1=0.9, beta2=0.999, eps=1e-8):
         self.m = np.zeros(n, dtype=dtype)
         self.v = np.zeros(n, dtype=dtype)
+        self._a = np.empty(n, dtype=dtype)
+        self._b = np.empty(n, dtype=dtype)
         self.t = 0
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, weights: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        """One Adam update of `weights` (the optimizer's dtype) in place.
+
+        m, v and the weights are updated through two preallocated buffers
+        with the operations, operand dtypes and order of the expression
+            m = beta1*m + (1-beta1)*grad;  v = beta2*v + (1-beta2)*grad*grad
+            weights -= lr * (m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)
+        so the bytes are the expression's; no array is allocated per step.
+        """
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        weights -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(weights.dtype)
+        a, b = self._a, self._b
+        np.multiply(self.m, self.beta1, out=self.m)
+        np.multiply(grad, 1.0 - self.beta1, out=a)
+        self.m += a
+        np.multiply(self.v, self.beta2, out=self.v)
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        a *= grad
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        weights -= a
 
 
 class _Sgd:

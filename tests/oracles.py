@@ -8,9 +8,12 @@ layer-stack engine replaced.  They use the gather-based im2col that the
 tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
 max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
 the whole-file corpus reader that the streaming `read_corpus` replaced; it
-reuses only the library's token parsers and record types.  `triplet_step`
-and `corpus_equal` are test helpers, not oracles: the first runs one training
-step's library calls for the gradient checks.
+reuses only the library's token parsers and record types.
+`oracle_embed_batch` is the one forward pass per 512-sample stack that
+`embed_batch`'s 128-row blocks replaced, and `oracle_adam_step` the
+expression form of the Adam update that the in-place `_Adam.step` replaced.
+`triplet_step` and `corpus_equal` are test helpers, not oracles: the first
+runs one training step's library calls for the gradient checks.
 """
 
 import bisect
@@ -388,6 +391,31 @@ def oracle_backward(model, cache, d_emb):
         for bi, dpart in enumerate(np.split(dz, split, axis=1)):
             _oracle_backward_branch(model, bi, cache["branches"][bi], dpart, grad_views)
     return grad
+
+
+def oracle_embed_batch(model, samples):
+    """[N, D] float64 unit rows: each 512-sample stack in one forward pass."""
+    from biofuse.tnn.network import stack_inputs
+
+    out = np.empty((len(samples), model.arch.embedding_dim), dtype=np.float64)
+    for lo in range(0, len(samples), 512):
+        part = samples[lo:lo + 512]
+        emb, _ = oracle_forward(model, stack_inputs(part, model))
+        emb = emb.astype(np.float64)
+        emb /= np.sqrt((emb * emb).sum(axis=1))[:, None]
+        out[lo:lo + len(part)] = emb
+    return out
+
+
+def oracle_adam_step(m, v, t, weights, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (counted from 1) as array expressions; updates `weights`
+    in place and returns the new (m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    weights -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(weights.dtype)
+    return m, v
 
 
 def triplet_step(model, branches, triplets, margin):

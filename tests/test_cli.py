@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import biofuse
+import biofuse.cli
+import biofuse.metrics
 from biofuse.cli import main
 from biofuse.preprocess import load_dataset
 from biofuse.tnn import load_model, save_model
@@ -306,6 +309,34 @@ def test_evaluate_score_fusion(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["provenance"]["models_per_fold"] == 2
     assert report["provenance"]["fusion"] == "mean"
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
+           "returns, so the corpus passed to run_experiment lives through training",
+)
+def test_evaluate_frees_the_corpus_before_training(tmp_path, monkeypatch):
+    config, _ = _write_config(tmp_path, epochs=1)
+    assert main(["gen", "--config", str(config)]) == 0
+    refs = []
+    read_corpus, train = biofuse.cli.read_corpus, biofuse.metrics.train
+
+    def reading(path):
+        recordings = read_corpus(path)
+        refs.extend(weakref.ref(r) for r in recordings)
+        return recordings
+
+    live = []
+
+    def training(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(biofuse.cli, "read_corpus", reading)
+    monkeypatch.setattr(biofuse.metrics, "train", training)
+    assert main(["evaluate", "--config", str(config)]) == 0
+    assert refs and live == [0, 0]  # no Recording survives to either fold's training
 
 
 @pytest.mark.parametrize("out,report", [

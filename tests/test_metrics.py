@@ -1,4 +1,5 @@
 import json
+import weakref
 from collections import Counter
 from dataclasses import fields
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biofuse.metrics
 from biofuse.corpus import Modality, SynthConfig, generate_synthetic
 from biofuse.errors import EvalError, ValidationError
 from biofuse.fusion import FusionRule
@@ -28,10 +30,10 @@ from biofuse.metrics import (
     score_trials,
     train_folds,
 )
-from biofuse.preprocess import GRID_POINTS, NanPolicy, Sample, build_dataset
+from biofuse.preprocess import GRID_POINTS, NanPolicy, PairedSample, Sample, build_dataset
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
-from biofuse.metrics import _build_structure, _structure_scores
+from biofuse.metrics import _build_structure, _scenario_metrics, _structure_scores
 from oracles import oracle_best_rows, oracle_eer, oracle_frr_at_far, oracle_s1_rows
 
 score_lists = st.lists(
@@ -340,6 +342,19 @@ class TestPerSubject:
         assert pse.skipped == ("b",)
         assert set(pse.by_subject) == {"a"}
 
+    def test_s3_pooled_rates_leave_out_skipped_identities(self):
+        """'b' has no impostor trial, so no threshold: its trials are left out
+        of the pooled FAR/FRR as they are from the per-subject mean."""
+        for g, i in [([(1.0, "a"), (1.0, "b")], [(0.0, "a")]),
+                     ([(0.9, "a"), (0.1, "a"), (0.5, "b")], [(0.2, "a"), (0.95, "a")])]:
+            with pytest.warns(UserWarning, match="'b'"):
+                block, thresholds = _scenario_metrics(_trialset(g, i), Scenario.S3)
+            want, _ = _scenario_metrics(
+                _trialset([t for t in g if t[1] == "a"], i), Scenario.S3)
+            assert list(thresholds) == ["a"]
+            assert (block["s3_pooled_far"], block["s3_pooled_frr"]) == (
+                want["s3_pooled_far"], want["s3_pooled_frr"])
+
 
 @pytest.fixture(scope="module")
 def mini_corpus():
@@ -412,6 +427,31 @@ class TestRunExperiment:
         metrics = {m for _, m, _ in rows}
         assert "pooled.eer" in metrics
         assert "fold0.eer" in metrics
+
+    @pytest.mark.parametrize("modality,fusion", [("brain", None), ("fusion-b", None),
+                                                 ("eye-pupil", FusionRule.MEAN)])
+    def test_previous_fold_is_freed_before_the_next_trains(
+            self, mini_corpus, monkeypatch, modality, fusion):
+        refs = {}  # fold id -> weakrefs to the training samples its models got
+        stale = []
+        train = biofuse.metrics.train
+
+        def training(samples, arch, cfg, provenance):
+            fold_id = provenance["fold_id"]
+            stale.append(sum(ref() is not None for fid, fold_refs in refs.items()
+                             if fid != fold_id for ref in fold_refs))
+            refs.setdefault(fold_id, []).extend(
+                weakref.ref(leaf) for s in samples
+                for leaf in ((s.brain, s.eye) if isinstance(s, PairedSample) else (s,)))
+            return train(samples, arch, cfg, provenance)
+
+        monkeypatch.setattr(biofuse.metrics, "train", training)
+        config = ExperimentConfig(
+            scenario=Scenario.S2, modality=modality, fusion=fusion, folds=3, seed=0,
+            train=TrainConfig(epochs=1, batch_size=16, seed=0),
+        )
+        run_experiment(mini_corpus, config)
+        assert len(refs) == 3 and stale == [0] * len(stale)
 
     def test_fusion_config_validation(self):
         with pytest.raises(ValidationError):

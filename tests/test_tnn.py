@@ -39,8 +39,11 @@ from biofuse.tnn.network import (
     _weight_grad,
     backward_batch,
 )
+from biofuse.tnn.train import _Adam
 from oracles import (
+    oracle_adam_step,
     oracle_backward,
+    oracle_embed_batch,
     oracle_forward,
     oracle_im2col,
     oracle_mine,
@@ -107,6 +110,45 @@ class TestEmbed:
         for raw in (data, (data,)):
             with pytest.raises(ShapeError, match="cannot embed"):
                 model.embed(raw)
+
+
+EMBED_SIZES = (1, 37, 75, 127, 128, 129, 255, 511, 512, 513, 520, 640, 700, 1100)
+
+
+@pytest.mark.parametrize("name", ["brain", "eye-pupil", "fusion-b"])
+def test_embed_batch_blocks_match_one_pass_per_stack(name):
+    """128-row blocks (a short tail joining the block before it) give the
+    bytes of one forward pass per 512-sample stack.  Whether they do is a
+    property of the BLAS build, so a failure names the arch and N."""
+    if name == "fusion-b":
+        arch = fusion_arch(ArchKind.FUSION_B)
+        pool = [PairedSample(brain=_brain_sample(k), eye=_eye_sample(k)) for k in range(1100)]
+    elif name == "brain":
+        arch, pool = single_modality_arch(Modality.BRAIN), [_brain_sample(k) for k in range(1100)]
+    else:
+        arch = single_modality_arch(Modality.EYE_PUPIL)
+        pool = [_eye_sample(k) for k in range(1100)]
+    model = EmbeddingModel(arch, seed=3)
+    differ = [n for n in EMBED_SIZES
+              if model.embed_batch(pool[:n]).tobytes()
+              != oracle_embed_batch(model, pool[:n]).tobytes()]
+    assert not differ, f"{arch.tag}: embed_batch bytes differ from one pass per stack at N={differ}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_in_place_matches_expression_form(dtype):
+    rng = np.random.default_rng(11)
+    n = 257
+    weights = rng.standard_normal(n).astype(dtype)
+    want_w, want_m, want_v = weights.copy(), np.zeros(n, dtype), np.zeros(n, dtype)
+    adam = _Adam(n, dtype)
+    for t in range(1, 9):
+        grad = np.zeros(n, dtype) if t in (3, 4, 7) else rng.standard_normal(n).astype(dtype)
+        adam.step(weights, grad, 1e-3)
+        want_m, want_v = oracle_adam_step(want_m, want_v, t, want_w, grad, 1e-3)
+        for got, want, what in ((weights, want_w, "weights"), (adam.m, want_m, "m"),
+                                (adam.v, want_v, "v")):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f"{what} at step {t}"
 
 
 def triplet_loss(fa, fp, fn, margin):
