@@ -9,7 +9,7 @@ interpolated between bracketing candidate thresholds).
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -47,7 +47,7 @@ from .verify import Scenario
 
 FAR_TARGETS = (0.01, 0.001, 0.0)
 
-_MAX_ROUND_BITS = 64  # enrollment rounds are tracked in a uint64 bitmask
+_MAX_ROUND_BITS = 64  # enrollment rounds are tracked in at most a uint64 bitmask
 
 
 # ---------------------------------------------------------------------------
@@ -70,21 +70,17 @@ def _score_arrays(genuine, impostor, what: str) -> tuple[np.ndarray, np.ndarray]
     i = np.asarray(impostor, dtype=np.float64)
     if g.size == 0 or i.size == 0:
         raise EvalError(f"{what} needs non-empty genuine and impostor score lists")
+    for side, scores in (("genuine", g), ("impostor", i)):
+        if not np.isfinite(scores).all():
+            raise EvalError(f"{what}: the {side} scores hold a non-finite value")
     return g, i
 
 
-def eer_from_scores(genuine, impostor) -> tuple[float, float]:
-    """EER and its threshold.
-
-    Perfectly separated score sets return EER 0 at the midpoint of the gap;
-    otherwise the FAR/FRR crossing is found over the candidate sweep, with
-    linear interpolation between bracketing thresholds.  Exact-zero plateaus
-    resolve to the largest candidate threshold (the lower-FAR side).
-    """
-    g, i = _score_arrays(genuine, impostor, "EER")
+def _eer(g: np.ndarray, i: np.ndarray, sweep) -> tuple[float, float]:
+    """`eer_from_scores` of checked score arrays and their `_sweep`."""
     if g.min() > i.max():
         return 0.0, float((g.min() + i.max()) / 2.0)
-    thr, far, frr = _sweep(g, i)
+    thr, far, frr = sweep
     d = far - frr
     k = int(np.argmax(d <= 0.0))  # exists: d ends at -1
     if d[k] == 0.0:
@@ -98,18 +94,44 @@ def eer_from_scores(genuine, impostor) -> tuple[float, float]:
     return float(eer), float(theta)
 
 
+def _frr_at(sweep, far_target: float) -> tuple[float, float]:
+    """`frr_at_far_scores` read off a `_sweep`."""
+    thr, far, frr = sweep
+    k = int(np.argmax(far <= far_target))  # far is non-increasing; far[-1] == 0
+    return float(frr[k]), float(thr[k])
+
+
+def _operating_points(genuine, impostor) -> tuple[float, float, tuple[float, ...]]:
+    """EER, its threshold and the FRR at each of FAR_TARGETS, from one sweep."""
+    g, i = _score_arrays(genuine, impostor, "EER")
+    sweep = _sweep(g, i)
+    eer, theta = _eer(g, i, sweep)
+    return eer, theta, tuple(_frr_at(sweep, t)[0] for t in FAR_TARGETS)
+
+
+def eer_from_scores(genuine, impostor) -> tuple[float, float]:
+    """EER and its threshold.
+
+    Perfectly separated score sets return EER 0 at the midpoint of the gap;
+    otherwise the FAR/FRR crossing is found over the candidate sweep, with
+    linear interpolation between bracketing thresholds.  Exact-zero plateaus
+    resolve to the largest candidate threshold (the lower-FAR side).
+    Non-finite scores raise EvalError.
+    """
+    g, i = _score_arrays(genuine, impostor, "EER")
+    return _eer(g, i, _sweep(g, i))
+
+
 def frr_at_far_scores(genuine, impostor, far_target: float) -> tuple[float, float]:
     """FRR at the smallest threshold whose FAR is <= far_target.
 
     For far_target 0 the threshold lands strictly above the maximum impostor
-    score.
+    score.  Non-finite scores raise EvalError.
     """
     if not 0.0 <= far_target <= 1.0:
         raise ValidationError("far_target must be in [0, 1]")
     g, i = _score_arrays(genuine, impostor, "FRR@FAR")
-    thr, far, frr = _sweep(g, i)
-    k = int(np.argmax(far <= far_target))  # far is non-increasing; far[-1] == 0
-    return float(frr[k]), float(thr[k])
+    return _frr_at(_sweep(g, i), far_target)
 
 
 # ---------------------------------------------------------------------------
@@ -148,53 +170,131 @@ def plan_folds(subjects, k: int = 6, seed: int = 0) -> FoldPlan:
 # Trial sets
 
 
+def _narrow(values) -> np.ndarray:
+    """Non-negative integers in the smallest unsigned dtype that holds the
+    largest of them (`np.min_scalar_type`): uint8 up to 255."""
+    values = np.asarray(values)
+    if values.size == 0:
+        return values.astype(np.uint8)
+    if values.dtype.kind not in "iu" or values.min() < 0:
+        raise ValidationError(
+            f"trial codes, rounds and masks must be non-negative integers, got {values.dtype}")
+    return values.astype(np.min_scalar_type(int(values.max())), copy=False)
+
+
 @dataclass
 class TrialBlock:
-    """Array-backed trials: one score plus metadata per row."""
+    """Array-backed trials: one score plus integer metadata per row.
+
+    Subjects are integer codes into `subjects`, the sorted array of subject
+    names the block's codes refer to (one array per block, shared by both
+    sides of a `TrialSet`).  Each integer column is stored in the smallest
+    unsigned dtype holding its largest value (`np.min_scalar_type`): at up
+    to 256 subjects and rounds below 8 every one is uint8, so a trial costs
+    12 bytes.  `claimed` and `ver_subject` read the names back.
+    """
 
     scores: np.ndarray          # float64
-    claimed: np.ndarray         # object, claimed identity
-    ver_subject: np.ndarray     # object, subject who supplied the verification sample
-    ver_round: np.ndarray       # int64
-    enr_round_mask: np.ndarray  # uint64 bitmask of enrollment rounds used
+    claimed_code: np.ndarray    # code of the claimed identity
+    ver_code: np.ndarray        # code of the subject who supplied the verification sample
+    ver_round: np.ndarray       # round of the verification sample
+    enr_round_mask: np.ndarray  # bitmask of enrollment rounds used (bit r = round r)
+    subjects: np.ndarray        # object, sorted subject names; a code indexes it
+
+    def __post_init__(self) -> None:
+        self.scores = np.asarray(self.scores, dtype=np.float64)
+        self.subjects = np.asarray(self.subjects, dtype=object)
+        if self.subjects.size > 1 and not (self.subjects[1:] > self.subjects[:-1]).all():
+            raise ValidationError("trial subjects must be sorted and distinct")
+        for name in ("claimed_code", "ver_code", "ver_round", "enr_round_mask"):
+            setattr(self, name, _narrow(getattr(self, name)))
 
     @property
     def n(self) -> int:
         return int(self.scores.size)
 
+    @property
+    def claimed(self) -> np.ndarray:
+        """Claimed identity of each trial, as an object array of names."""
+        return self.subjects[self.claimed_code]
+
+    @property
+    def ver_subject(self) -> np.ndarray:
+        """Subject who supplied each verification sample, as names."""
+        return self.subjects[self.ver_code]
+
     @staticmethod
     def concat(blocks: list["TrialBlock"]) -> "TrialBlock":
-        return TrialBlock(**{
-            f.name: np.concatenate([getattr(b, f.name) for b in blocks]) for f in fields(TrialBlock)
-        })
+        """Rows of every block in order, their codes remapped into the sorted
+        union of the blocks' subject arrays."""
+        subjects = np.unique(np.concatenate([b.subjects for b in blocks]))
+        code_dtype = np.min_scalar_type(max(subjects.size - 1, 0))
+        lookups = [np.searchsorted(subjects, b.subjects).astype(code_dtype) for b in blocks]
+        return TrialBlock(
+            scores=np.concatenate([b.scores for b in blocks]),
+            claimed_code=np.concatenate([lut[b.claimed_code] for lut, b in zip(lookups, blocks)]),
+            ver_code=np.concatenate([lut[b.ver_code] for lut, b in zip(lookups, blocks)]),
+            ver_round=np.concatenate([b.ver_round for b in blocks]),
+            enr_round_mask=np.concatenate([b.enr_round_mask for b in blocks]),
+            subjects=subjects,
+        )
 
 
 @dataclass
 class TrialSet:
+    """A scenario's genuine and impostor trials over one subject array: both
+    blocks hold equal `subjects`, so a subject code means the same on both
+    sides.  `concat` pools sets, remapping their codes into one array."""
+
     scenario: Scenario
     genuine: TrialBlock
     impostor: TrialBlock
     excluded_subjects: tuple[str, ...] = ()
 
+    def __post_init__(self) -> None:
+        if not np.array_equal(self.genuine.subjects, self.impostor.subjects):
+            raise ValidationError("genuine and impostor trials must share one subject array")
+
     def claimed_identities(self) -> list[str]:
-        ids = set(self.genuine.claimed.tolist()) | set(self.impostor.claimed.tolist())
-        return sorted(ids)
+        codes = np.union1d(self.genuine.claimed_code, self.impostor.claimed_code)
+        return self.genuine.subjects[codes].tolist()
 
     def scores_for_identity(self, identity: str) -> tuple[np.ndarray, np.ndarray]:
-        g = self.genuine.scores[self.genuine.claimed == identity]
-        i = self.impostor.scores[self.impostor.claimed == identity]
+        subjects = self.genuine.subjects
+        code = int(np.searchsorted(subjects, identity))
+        if code == subjects.size or subjects[code] != identity:
+            return self.genuine.scores[:0], self.impostor.scores[:0]
+        g = self.genuine.scores[self.genuine.claimed_code == code]
+        i = self.impostor.scores[self.impostor.claimed_code == code]
         return g, i
+
+    def scores_by_identity(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """`scores_for_identity` of every claimed identity, in name order,
+        from one stable argsort of each side's claimed codes (so each
+        identity's scores keep their trial order)."""
+        subjects = self.genuine.subjects
+        grouped = []
+        for side in (self.genuine, self.impostor):
+            order = np.argsort(side.claimed_code, kind="stable")
+            counts = np.bincount(side.claimed_code, minlength=subjects.size)
+            grouped.append((side.scores[order], counts, np.concatenate([[0], np.cumsum(counts)])))
+        (g, g_n, g_at), (i, i_n, i_at) = grouped
+        return {
+            subjects[c]: (g[g_at[c]:g_at[c + 1]], i[i_at[c]:i_at[c + 1]])
+            for c in np.flatnonzero(g_n + i_n).tolist()
+        }
 
     def subjects(self) -> set[str]:
         """Every subject a trial claims or takes its verification sample from."""
-        return {
-            s for side in (self.genuine, self.impostor)
-            for column in (side.claimed, side.ver_subject) for s in column.tolist()
-        }
+        seen = np.zeros(self.genuine.subjects.size, dtype=bool)
+        for side in (self.genuine, self.impostor):
+            seen[side.claimed_code] = True
+            seen[side.ver_code] = True
+        return set(self.genuine.subjects[seen].tolist())
 
     def round_exclusion_violations(self) -> int:
         """Genuine trials whose enrollment rounds include the verification round."""
-        mask = self.genuine.enr_round_mask
+        mask = self.genuine.enr_round_mask.astype(np.uint64)
         shift = self.genuine.ver_round.astype(np.uint64)
         return int((((mask >> shift) & np.uint64(1)) != 0).sum())
 
@@ -221,7 +321,7 @@ class _Rows:
     claim: np.ndarray       # subject code of the claimed identity
     ver: np.ndarray         # verification sample
     enr: np.ndarray | None  # enrollment sample (S1 only)
-    enr_mask: np.ndarray    # uint64 bitmask of enrollment rounds used
+    enr_mask: np.ndarray    # bitmask of enrollment rounds used, in the structure's mask dtype
 
 
 @dataclass
@@ -230,8 +330,8 @@ class _Structure:
 
     scenario: Scenario
     subjects: np.ndarray  # object, sorted; a subject code indexes it
-    code: np.ndarray      # subject code per sample
-    rounds: np.ndarray
+    code: np.ndarray      # subject code per sample, narrowed (`_narrow`)
+    rounds: np.ndarray    # round per sample, narrowed
     cross: np.ndarray     # [N, N] bool: cross-round pair of two eligible samples
     order: np.ndarray     # samples sorted by subject code (stable)
     starts: np.ndarray    # each subject's first position in `order`
@@ -240,8 +340,11 @@ class _Structure:
     excluded: tuple[str, ...]
 
 
-def _round_bit(rounds: np.ndarray) -> np.ndarray:
-    return np.left_shift(np.uint64(1), rounds.astype(np.uint64))
+def _round_bits(rounds: np.ndarray) -> np.ndarray:
+    """Bit r of each round r, in the smallest unsigned dtype holding the
+    largest round's bit (both operands of the shift in that dtype)."""
+    dtype = np.min_scalar_type(1 << int(rounds.max()))
+    return np.left_shift(dtype.type(1), rounds.astype(dtype))
 
 
 def _build_structure(samples, scenario: Scenario) -> _Structure:
@@ -249,7 +352,9 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
     rounds = np.array([s.round_id for s in samples], dtype=np.int64)
     if rounds.max() >= _MAX_ROUND_BITS:
         raise EvalError(f"round ids must stay below {_MAX_ROUND_BITS}")
+    rounds = _narrow(rounds)
     subjects, code = np.unique(labels, return_inverse=True)
+    code = _narrow(code)
     subject_of_round = np.unique(np.stack([code, rounds], axis=1), axis=0)[:, 0]
     eligible = np.bincount(subject_of_round, minlength=subjects.size) >= 2
     if eligible.sum() < 2:
@@ -265,8 +370,9 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
         same = code[:, None] == code[None, :]
         g_enr, g_ver = np.nonzero(np.triu(cross & same, k=1))
         i_enr, i_ver = np.nonzero(cross & ~same)
-        genuine = _Rows(code[g_enr], g_ver, g_enr, _round_bit(rounds[g_enr]))
-        impostor = _Rows(code[i_enr], i_ver, i_enr, _round_bit(rounds[i_enr]))
+        bit = _round_bits(rounds)
+        genuine = _Rows(code[g_enr], g_ver, g_enr, bit[g_enr])
+        impostor = _Rows(code[i_enr], i_ver, i_enr, bit[i_enr])
     else:
         # S2/S3: every eligible sample claims its own and every other eligible
         # subject; the enrollment rounds are read off the `cross` grid that
@@ -275,7 +381,8 @@ def _build_structure(samples, scenario: Scenario) -> _Structure:
         g_claim = code[g_ver]
         foreign = np.arange(subjects.size)[:, None] != code
         i_claim, i_ver = np.nonzero(eligible[:, None] & ok & foreign)
-        bits = np.where(cross[order], _round_bit(rounds[order])[:, None], np.uint64(0))
+        bit = _round_bits(rounds[order])
+        bits = np.where(cross[order], bit[:, None], bit.dtype.type(0))
         enr = np.bitwise_or.reduceat(bits, starts, axis=0)  # [S, N]
         genuine = _Rows(g_claim, g_ver, None, enr[g_claim, g_ver])
         impostor = _Rows(i_claim, i_ver, None, enr[i_claim, i_ver])
@@ -321,11 +428,12 @@ def _paired_scores(st: _Structure, embeddings) -> tuple[np.ndarray, np.ndarray]:
 def _trial_set(st: _Structure, g_scores, i_scores) -> TrialSet:
     def block(rows: _Rows, scores) -> TrialBlock:
         return TrialBlock(
-            scores=np.asarray(scores, dtype=np.float64),
-            claimed=st.subjects[rows.claim],
-            ver_subject=st.subjects[st.code[rows.ver]],
+            scores=scores,
+            claimed_code=rows.claim,
+            ver_code=st.code[rows.ver],
             ver_round=st.rounds[rows.ver],
             enr_round_mask=rows.enr_mask,
+            subjects=st.subjects,
         )
 
     return TrialSet(
@@ -440,18 +548,22 @@ def frr_at_far(trials: TrialSet, far_target: float) -> tuple[float, float]:
 class PerSubjectEer:
     by_subject: dict
     thresholds: dict
+    frr_at_far: dict  # identity -> FRR at each of FAR_TARGETS, in order
     mean: float
     variance: float
     skipped: tuple[str, ...] = ()
 
 
 def per_subject_eer(trials: TrialSet) -> PerSubjectEer:
-    """EER per claimed identity plus the mean/variance across subjects."""
+    """EER per claimed identity plus the mean/variance across subjects.
+
+    Each identity's EER, threshold and FRR at FAR_TARGETS come from one sweep
+    over its scores, grouped in one pass (`TrialSet.scores_by_identity`)."""
     by_subject: dict[str, float] = {}
     thresholds: dict[str, float] = {}
+    frr_at_far: dict[str, tuple[float, ...]] = {}
     skipped = []
-    for identity in trials.claimed_identities():
-        g, i = trials.scores_for_identity(identity)
+    for identity, (g, i) in trials.scores_by_identity().items():
         if g.size == 0 or i.size == 0:
             warnings.warn(
                 f"subject {identity!r} lacks genuine or impostor trials; excluded",
@@ -459,15 +571,15 @@ def per_subject_eer(trials: TrialSet) -> PerSubjectEer:
             )
             skipped.append(identity)
             continue
-        eer, theta = eer_from_scores(g, i)
-        by_subject[identity] = eer
-        thresholds[identity] = theta
+        by_subject[identity], thresholds[identity], frr_at_far[identity] = (
+            _operating_points(g, i))
     if not by_subject:
         raise EvalError("no subject has both genuine and impostor trials")
     values = np.asarray(list(by_subject.values()))
     return PerSubjectEer(
         by_subject=by_subject,
         thresholds=thresholds,
+        frr_at_far=frr_at_far,
         mean=float(values.mean()),
         variance=float(values.var()),
         skipped=tuple(skipped),
@@ -574,10 +686,14 @@ def _tailored_rates(trials: TrialSet, thresholds: dict) -> tuple[float, float]:
 
     Trials claiming an identity without a threshold (one `per_subject_eer`
     skipped) are left out, as they are from the per-subject mean."""
+    code = {name: c for c, name in enumerate(trials.genuine.subjects.tolist())}
+    by_code = np.full(len(code), np.nan)  # NaN: no threshold
+    by_code[[code[name] for name in thresholds]] = list(thresholds.values())
 
     def scores_and_thresholds(block: TrialBlock) -> tuple[np.ndarray, np.ndarray]:
-        keep = np.array([c in thresholds for c in block.claimed], dtype=bool)
-        return block.scores[keep], np.array([thresholds[c] for c in block.claimed[keep]])
+        thr = by_code[block.claimed_code]
+        keep = ~np.isnan(thr)
+        return block.scores[keep], thr[keep]
 
     g, g_thr = scores_and_thresholds(trials.genuine)
     i, i_thr = scores_and_thresholds(trials.impostor)
@@ -596,17 +712,16 @@ def _scenario_metrics(trials: TrialSet, scenario: Scenario) -> tuple[dict, dict 
     pse = per_subject_eer(trials)
     thresholds = None
     if scenario is Scenario.S3:
-        scores = [trials.scores_for_identity(identity) for identity in pse.by_subject]
         frr_map = {
-            _far_key(t): float(np.mean([frr_at_far_scores(g, i, t)[0] for g, i in scores]))
-            for t in FAR_TARGETS
+            _far_key(t): float(np.mean([frr[k] for frr in pse.frr_at_far.values()]))
+            for k, t in enumerate(FAR_TARGETS)
         }
         eer, theta = pse.mean, None
         s3_far, s3_frr = _tailored_rates(trials, pse.thresholds)
         thresholds = {k: float(v) for k, v in pse.thresholds.items()}
     else:
-        frr_map = {_far_key(t): frr_at_far(trials, t)[0] for t in FAR_TARGETS}
-        eer, theta = compute_eer(trials)
+        eer, theta, frrs = _operating_points(trials.genuine.scores, trials.impostor.scores)
+        frr_map = {_far_key(t): frr for t, frr in zip(FAR_TARGETS, frrs)}
         s3_far = s3_frr = None
     if not 0.0 <= eer <= 1.0:
         raise EvalError("eer out of [0, 1]")

@@ -12,8 +12,13 @@ reuses only the library's token parsers and record types.
 `oracle_embed_batch` is the one forward pass per 512-sample stack that
 `embed_batch`'s 128-row blocks replaced, and `oracle_adam_step` the
 expression form of the Adam update that the in-place `_Adam.step` replaced.
-`triplet_step` and `corpus_equal` are test helpers, not oracles: the first
-runs one training step's library calls for the gradient checks.
+The `*_by_name` oracles are the trial-set methods that grouped trials by
+comparing object arrays of subject names, before trial sets held integer
+subject codes; each side of a trial set is given as (score, claimed,
+verification subject) rows.
+`triplet_step`, `corpus_equal` and `rows_trial_set` are test helpers, not
+oracles: the first runs one training step's library calls for the gradient
+checks, the last builds a `TrialSet` from such rows.
 """
 
 import bisect
@@ -416,6 +421,83 @@ def oracle_adam_step(m, v, t, weights, grad, lr, beta1=0.9, beta2=0.999, eps=1e-
     v_hat = v / (1.0 - beta2**t)
     weights -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(weights.dtype)
     return m, v
+
+
+def _name_columns(rows):
+    """(scores, claimed, ver_subject) arrays of (score, claimed, ver) rows."""
+    return (
+        np.array([r[0] for r in rows], dtype=np.float64),
+        np.array([r[1] for r in rows], dtype=object),
+        np.array([r[2] for r in rows], dtype=object),
+    )
+
+
+def oracle_scores_for_identity_by_name(genuine, impostor, identity):
+    """(genuine, impostor) scores of the trials claiming `identity`."""
+    return tuple(
+        scores[claimed == identity]
+        for scores, claimed, _ in map(_name_columns, (genuine, impostor))
+    )
+
+
+def oracle_subjects_by_name(genuine, impostor):
+    """Every subject a trial claims or takes its verification sample from."""
+    return {
+        s for side in map(_name_columns, (genuine, impostor))
+        for column in side[1:] for s in column.tolist()
+    }
+
+
+def oracle_per_subject_eer_by_name(genuine, impostor, eer_from_scores):
+    """(by_subject, thresholds, skipped) of one boolean mask per claimed
+    identity, in name order.  `eer_from_scores` is the library's, which has
+    oracles of its own: only the grouping is checked here."""
+    identities = sorted({r[1] for r in genuine} | {r[1] for r in impostor})
+    by_subject, thresholds, skipped = {}, {}, []
+    for identity in identities:
+        g, i = oracle_scores_for_identity_by_name(genuine, impostor, identity)
+        if g.size == 0 or i.size == 0:
+            skipped.append(identity)
+            continue
+        by_subject[identity], thresholds[identity] = eer_from_scores(g, i)
+    return by_subject, thresholds, tuple(skipped)
+
+
+def oracle_tailored_rates_by_name(genuine, impostor, thresholds):
+    """Pooled (FAR, FRR) with one threshold per claimed identity, looked up
+    trial by trial; identities without a threshold are left out."""
+
+    def scores_and_thresholds(rows):
+        scores, claimed, _ = _name_columns(rows)
+        keep = np.array([c in thresholds for c in claimed], dtype=bool)
+        return scores[keep], np.array([thresholds[c] for c in claimed[keep]])
+
+    g, g_thr = scores_and_thresholds(genuine)
+    i, i_thr = scores_and_thresholds(impostor)
+    return float((i >= i_thr).mean()), float((g < g_thr).mean())
+
+
+def rows_trial_set(scenario, genuine, impostor):
+    """A `TrialSet` of (score, claimed, ver_subject) rows per side, every
+    trial at verification round 0 with enrollment round 1."""
+    from biofuse.metrics import TrialBlock, TrialSet
+
+    names = sorted({name for rows in (genuine, impostor) for r in rows for name in r[1:]})
+    subjects = np.array(names, dtype=object)
+    code = {name: k for k, name in enumerate(names)}
+
+    def block(rows):
+        n = len(rows)
+        return TrialBlock(
+            scores=np.array([r[0] for r in rows], dtype=np.float64),
+            claimed_code=np.array([code[r[1]] for r in rows], dtype=np.int64),
+            ver_code=np.array([code[r[2]] for r in rows], dtype=np.int64),
+            ver_round=np.zeros(n, dtype=np.int64),
+            enr_round_mask=np.full(n, 2, dtype=np.int64),
+            subjects=subjects,
+        )
+
+    return TrialSet(scenario=scenario, genuine=block(genuine), impostor=block(impostor))
 
 
 def triplet_step(model, branches, triplets, margin):

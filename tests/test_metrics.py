@@ -1,7 +1,8 @@
 import json
+import warnings
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,8 +34,24 @@ from biofuse.metrics import (
 from biofuse.preprocess import GRID_POINTS, NanPolicy, PairedSample, Sample, build_dataset
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
-from biofuse.metrics import _build_structure, _scenario_metrics, _structure_scores
-from oracles import oracle_best_rows, oracle_eer, oracle_frr_at_far, oracle_s1_rows
+from biofuse.metrics import (
+    FAR_TARGETS,
+    _build_structure,
+    _scenario_metrics,
+    _structure_scores,
+    _tailored_rates,
+)
+from oracles import (
+    oracle_best_rows,
+    oracle_eer,
+    oracle_frr_at_far,
+    oracle_per_subject_eer_by_name,
+    oracle_s1_rows,
+    oracle_scores_for_identity_by_name,
+    oracle_subjects_by_name,
+    oracle_tailored_rates_by_name,
+    rows_trial_set,
+)
 
 score_lists = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=1, max_size=40
@@ -95,6 +112,19 @@ class TestEer:
         assert eer == pytest.approx(o_eer, abs=1e-9)
         assert theta == pytest.approx(o_theta, abs=1e-9)
         assert 0.0 <= eer <= 1.0
+
+
+@pytest.mark.parametrize("side", ["genuine", "impostor"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rate", [eer_from_scores, lambda g, i: frr_at_far_scores(g, i, 0.0)],
+                         ids=["eer", "frr_at_far"])
+def test_non_finite_score_raises_naming_its_side(rate, bad, side):
+    # a NaN would drop out of the sweep silently: it moves the EER, and a NaN
+    # impostor would not count against FAR 0
+    scores = {"genuine": [1.0, 0.5], "impostor": [0.0, 0.6]}
+    scores[side] = [bad] + scores[side]
+    with pytest.raises(EvalError, match=f"{side} scores hold a non-finite value"):
+        rate(scores["genuine"], scores["impostor"])
 
 
 class TestFrrAtFar:
@@ -282,22 +312,137 @@ def test_best_match_rows_match_loop_oracle(layout, scenario):
     assert st_.excluded == tuple(sorted(set(labels) - eligible))
 
 def _trialset(genuine, impostor, scenario=Scenario.S2):
-    def block(scores, claimed):
-        n = len(scores)
-        return TrialBlock(
-            scores=np.asarray(scores, dtype=np.float64),
-            claimed=np.asarray(claimed, dtype=object),
-            ver_subject=np.asarray(claimed, dtype=object),
-            ver_round=np.zeros(n, dtype=np.int64),
-            enr_round_mask=np.full(n, 2, dtype=np.uint64),
-        )
+    """(score, claimed) pairs per side; impostor samples come from 'other'."""
+    return rows_trial_set(scenario, [(s, c, c) for s, c in genuine],
+                          [(s, c, "other") for s, c in impostor])
 
-    g_scores, g_claimed = zip(*genuine)
-    i_scores, i_claimed = zip(*impostor)
-    imp = block(list(i_scores), list(i_claimed))
-    imp.ver_subject = np.asarray(["other"] * len(i_scores), dtype=object)
-    return TrialSet(scenario=scenario, genuine=block(list(g_scores), list(g_claimed)),
-                    impostor=imp)
+
+def _assert_matches_name_oracles(genuine, impostor):
+    """Every per-subject view of the code-based trial set of these (score,
+    claimed, ver_subject) rows equals the object-array one, bit for bit."""
+    ts = rows_trial_set(Scenario.S3, genuine, impostor)
+    for side, rows in (("genuine", genuine), ("impostor", impostor)):
+        block = getattr(ts, side)
+        assert block.claimed.tolist() == [r[1] for r in rows]
+        assert block.ver_subject.tolist() == [r[2] for r in rows]
+    assert ts.subjects() == oracle_subjects_by_name(genuine, impostor)
+    for name in sorted(ts.subjects()) + ["nobody"]:
+        got = ts.scores_for_identity(name)
+        want = oracle_scores_for_identity_by_name(genuine, impostor, name)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], name
+    by_subject, thresholds, skipped = oracle_per_subject_eer_by_name(
+        genuine, impostor, eer_from_scores)
+    assert ts.claimed_identities() == sorted([*by_subject, *skipped])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # one per skipped identity
+        if not by_subject:
+            with pytest.raises(EvalError):
+                per_subject_eer(ts)
+            return
+        pse = per_subject_eer(ts)
+        block, _ = _scenario_metrics(ts, Scenario.S3)
+    assert list(pse.by_subject.items()) == list(by_subject.items())
+    assert list(pse.thresholds.items()) == list(thresholds.items())
+    assert pse.skipped == skipped
+    assert _tailored_rates(ts, pse.thresholds) == oracle_tailored_rates_by_name(
+        genuine, impostor, thresholds)
+    # one sweep per identity gives what the separate FRR calls give
+    per_identity = [ts.scores_for_identity(name) for name in by_subject]
+    assert block["frr_at_far"] == {
+        repr(t): float(np.mean([frr_at_far_scores(g, i, t)[0] for g, i in per_identity]))
+        for t in FAR_TARGETS
+    }
+
+
+trial_score = st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2, 2, allow_nan=False)
+trial_row = st.tuples(trial_score, st.sampled_from("abcde"), st.sampled_from("abcde"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(trial_row, min_size=1, max_size=40), st.lists(trial_row, min_size=1, max_size=40))
+def test_code_trial_sets_match_name_oracles(genuine, impostor):
+    """Random sets, with score ties and identities that lack one side (which
+    `per_subject_eer` skips and `_tailored_rates` leaves out)."""
+    _assert_matches_name_oracles(genuine, impostor)
+
+
+def test_codes_widen_past_256_subjects():
+    rng = np.random.default_rng(0)
+    names = [f"s{k:03d}" for k in range(300)]
+    genuine = [(float(rng.normal(1.0)), n, n) for n in names for _ in range(2)]
+    impostor = [(float(rng.normal(-1.0)), n, names[k - 1]) for k, n in enumerate(names)
+                for _ in range(3)]
+    ts = rows_trial_set(Scenario.S3, genuine, impostor)
+    for block in (ts.genuine, ts.impostor):
+        assert block.claimed_code.dtype == block.ver_code.dtype == np.uint16
+    _assert_matches_name_oracles(genuine, impostor)
+
+
+def test_concat_remaps_codes_of_disjoint_folds():
+    """Two folds over disjoint subject arrays (200 and 100 names) pool to
+    the same rows, names and results; the pooled codes widen to uint16."""
+    rng = np.random.default_rng(1)
+
+    def rows(names, ver_of):
+        return [(float(rng.normal()), n, ver_of(k)) for k, n in enumerate(names) for _ in range(2)]
+
+    folds = []
+    for prefix, count in (("b", 200), ("a", 100)):
+        names = [f"{prefix}{k:03d}" for k in range(count)]
+        folds.append((rows(names, lambda k: names[k]), rows(names, lambda k: names[k - 1])))
+    sets = [rows_trial_set(Scenario.S2, g, i) for g, i in folds]
+    assert all(ts.genuine.claimed_code.dtype == np.uint8 for ts in sets)
+    pooled = TrialSet.concat(sets)
+    assert pooled.genuine.subjects.tolist() == sorted(
+        {n for ts in sets for n in ts.genuine.subjects.tolist()})
+    for side in ("genuine", "impostor"):
+        block = getattr(pooled, side)
+        parts = [getattr(ts, side) for ts in sets]
+        assert block.claimed_code.dtype == block.ver_code.dtype == np.uint16
+        assert block.claimed.tolist() == [n for p in parts for n in p.claimed.tolist()]
+        assert block.ver_subject.tolist() == [n for p in parts for n in p.ver_subject.tolist()]
+        assert block.scores.tobytes() == np.concatenate([p.scores for p in parts]).tobytes()
+    _assert_matches_name_oracles(*(sum(side, []) for side in zip(*folds)))
+
+
+@pytest.mark.parametrize("top, mask_dtype", [(7, np.uint8), (9, np.uint16)])
+def test_round_masks_widen_past_round_7(top, mask_dtype):
+    """Relabeling round 3 as `top` changes only the mask bits: the same
+    scores, names and metrics, masks in the wider dtype from round 8 on."""
+    layout = [(s, r) for s in "abc" for r in (0, 1, 3) for _ in range(2)]
+    emb = np.random.default_rng(2).normal(size=(len(layout), 4))
+    low = [SimpleNamespace(subject_id=s, round_id=r) for s, r in layout]
+    high = [SimpleNamespace(subject_id=s, round_id=top if r == 3 else r) for s, r in layout]
+    for scenario in Scenario:
+        want, got = (score_trials(samples, emb, scenario) for samples in (low, high))
+        assert np.result_type(got.genuine.enr_round_mask, got.impostor.enr_round_mask) == mask_dtype
+        assert got.round_exclusion_violations() == 0
+        for side in ("genuine", "impostor"):
+            a, b = getattr(want, side), getattr(got, side)
+            assert a.scores.tobytes() == b.scores.tobytes()
+            assert (a.claimed.tolist(), a.ver_subject.tolist()) == (
+                b.claimed.tolist(), b.ver_subject.tolist())
+            assert [top if r == 3 else r for r in a.ver_round.tolist()] == b.ver_round.tolist()
+            assert [(m & ~8) | (1 << top if m & 8 else 0) for m in a.enr_round_mask.tolist()] == (
+                b.enr_round_mask.tolist())
+        assert _scenario_metrics(want, scenario) == _scenario_metrics(got, scenario)
+        # a mask holding its own verification round is caught at either width
+        g = got.genuine
+        own = [m | (1 << r) for m, r in zip(g.enr_round_mask.tolist(), g.ver_round.tolist())]
+        leaky = TrialSet(scenario, replace(g, enr_round_mask=np.array(own)), got.impostor)
+        assert leaky.round_exclusion_violations() == g.n
+
+
+def test_s1_trials_hold_at_most_13_bytes_each():
+    """Under 256 subjects and rounds below 8 a trial is a float64 score and
+    four uint8 columns, 12 bytes; an object column of names alone costs 8."""
+    samples = [SimpleNamespace(subject_id=f"s{s}", round_id=r)
+               for s in range(10) for r in range(4) for _ in range(5)]
+    emb = np.random.default_rng(3).normal(size=(len(samples), 8))
+    trials = score_trials(samples, emb, Scenario.S1)
+    sides = (trials.genuine, trials.impostor)
+    held = sum(getattr(side, f.name).nbytes for side in sides for f in fields(TrialBlock))
+    assert held <= 13 * sum(side.n for side in sides)
 
 
 class TestPerSubject:

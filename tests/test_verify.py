@@ -11,7 +11,7 @@ from biofuse.errors import (
     TemplateFormatError,
     ValidationError,
 )
-from biofuse.metrics import TrialBlock, TrialSet, eer_from_scores, per_subject_eer
+from biofuse.metrics import eer_from_scores, per_subject_eer
 from biofuse.verify import (
     Scenario,
     Template,
@@ -22,7 +22,7 @@ from biofuse.verify import (
     load_templates,
     save_templates,
 )
-from oracles import oracle_best_match, oracle_eer, oracle_far_frr
+from oracles import oracle_best_match, oracle_eer, oracle_far_frr, rows_trial_set
 
 
 def similarity(e, v):
@@ -162,22 +162,10 @@ class TestDecide:
 def _trials(genuine_by_identity, impostor_by_identity):
     """S3 trial set holding only the scores and claimed identities calibration reads."""
 
-    def block(by_identity):
-        claimed = [ident for ident, scores in by_identity.items() for _ in scores]
-        n = len(claimed)
-        return TrialBlock(
-            scores=np.asarray([s for v in by_identity.values() for s in v], dtype=np.float64),
-            claimed=np.asarray(claimed, dtype=object),
-            ver_subject=np.asarray(claimed, dtype=object),
-            ver_round=np.zeros(n, dtype=np.int64),
-            enr_round_mask=np.full(n, 2, dtype=np.uint64),
-        )
+    def rows(by_identity):
+        return [(s, ident, ident) for ident, scores in by_identity.items() for s in scores]
 
-    return TrialSet(
-        scenario=Scenario.S3,
-        genuine=block(genuine_by_identity),
-        impostor=block(impostor_by_identity),
-    )
+    return rows_trial_set(Scenario.S3, rows(genuine_by_identity), rows(impostor_by_identity))
 
 
 class TestCalibrate:
