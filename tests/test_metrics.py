@@ -317,12 +317,12 @@ def _trialset(genuine, impostor, scenario=Scenario.S2):
                           [(s, c, "other") for s, c in impostor])
 
 
-def _assert_matches_name_oracles(genuine, impostor):
-    """Every per-subject view of the code-based trial set of these (score,
-    claimed, ver_subject) rows equals the object-array one, bit for bit."""
-    ts = rows_trial_set(Scenario.S3, genuine, impostor)
+def _assert_matches_name_oracles(ts, genuine, impostor):
+    """Every per-subject view of trial set `ts`, which holds these (score,
+    claimed, ver_subject) rows, equals the object-array one, bit for bit."""
     for side, rows in (("genuine", genuine), ("impostor", impostor)):
         block = getattr(ts, side)
+        assert block.scores.tobytes() == np.array([r[0] for r in rows]).tobytes()
         assert block.claimed.tolist() == [r[1] for r in rows]
         assert block.ver_subject.tolist() == [r[2] for r in rows]
     assert ts.subjects() == oracle_subjects_by_name(genuine, impostor)
@@ -363,7 +363,7 @@ trial_row = st.tuples(trial_score, st.sampled_from("abcde"), st.sampled_from("ab
 def test_code_trial_sets_match_name_oracles(genuine, impostor):
     """Random sets, with score ties and identities that lack one side (which
     `per_subject_eer` skips and `_tailored_rates` leaves out)."""
-    _assert_matches_name_oracles(genuine, impostor)
+    _assert_matches_name_oracles(rows_trial_set(Scenario.S3, genuine, impostor), genuine, impostor)
 
 
 def test_codes_widen_past_256_subjects():
@@ -375,7 +375,7 @@ def test_codes_widen_past_256_subjects():
     ts = rows_trial_set(Scenario.S3, genuine, impostor)
     for block in (ts.genuine, ts.impostor):
         assert block.claimed_code.dtype == block.ver_code.dtype == np.uint16
-    _assert_matches_name_oracles(genuine, impostor)
+    _assert_matches_name_oracles(ts, genuine, impostor)
 
 
 def test_concat_remaps_codes_of_disjoint_folds():
@@ -395,14 +395,9 @@ def test_concat_remaps_codes_of_disjoint_folds():
     pooled = TrialSet.concat(sets)
     assert pooled.genuine.subjects.tolist() == sorted(
         {n for ts in sets for n in ts.genuine.subjects.tolist()})
-    for side in ("genuine", "impostor"):
-        block = getattr(pooled, side)
-        parts = [getattr(ts, side) for ts in sets]
+    for block in (pooled.genuine, pooled.impostor):
         assert block.claimed_code.dtype == block.ver_code.dtype == np.uint16
-        assert block.claimed.tolist() == [n for p in parts for n in p.claimed.tolist()]
-        assert block.ver_subject.tolist() == [n for p in parts for n in p.ver_subject.tolist()]
-        assert block.scores.tobytes() == np.concatenate([p.scores for p in parts]).tobytes()
-    _assert_matches_name_oracles(*(sum(side, []) for side in zip(*folds)))
+    _assert_matches_name_oracles(pooled, *(sum(side, []) for side in zip(*folds)))
 
 
 @pytest.mark.parametrize("top, mask_dtype", [(7, np.uint8), (9, np.uint16)])
