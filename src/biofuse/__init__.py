@@ -54,7 +54,6 @@ from .tnn import (
     ArchSpec,
     EmbeddingModel,
     TrainConfig,
-    Triplet,
     fusion_arch,
     load_model,
     mine_triplets,

@@ -101,6 +101,16 @@ def _build(cls, name: str, ctx: str, values: dict):
         raise ConfigError(f"{ctx}: {name}.{e}") from None
 
 
+def _check_distinct(reads: list, writes: list) -> None:
+    """Refuse a path in `writes` that resolves to the file of any other path."""
+    seen: dict[Path, object] = {}
+    for k, path in enumerate(reads + writes):
+        where = Path(path).resolve()
+        if k >= len(reads) and where in seen:
+            raise ConfigError(f"{path} and {seen[where]} name one file; they must be distinct")
+        seen.setdefault(where, path)
+
+
 def load_config(path) -> RunConfig:
     """Parse and schema-validate the run config before any work starts."""
     try:
@@ -118,9 +128,7 @@ def load_config(path) -> RunConfig:
     paths = cfg.get("paths", {})
     if not isinstance(paths, dict) or not all(isinstance(v, str) for v in paths.values()):
         raise ConfigError(f"{ctx}: 'paths' must map names to strings")
-    values = list(paths.values())
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{ctx}: referenced paths must be pairwise distinct")
+    _check_distinct([], list(paths.values()))
 
     synth_raw = _section(cfg, "synth", SynthConfig, ctx)
     nan_raw = _section(cfg, "nan_policy", NanPolicy, ctx)
@@ -193,6 +201,7 @@ def cmd_gen(args) -> int:
     if run.synth is None:
         raise ConfigError("config has no 'synth' section; nothing to generate")
     out = _path_from(args, "out", run, "corpus", "corpus output")
+    _check_distinct([args.config], [out])
     recordings = generate_synthetic(run.synth)
     write_corpus(recordings, out)
     n_events = sum(len(r.events) for r in recordings)
@@ -212,6 +221,9 @@ def cmd_preprocess(args) -> int:
             f"preprocess needs a concrete --modality ({', '.join(SAMPLE_MODALITIES)})"
         )
     modality = Modality(modality_name)
+    # a dataset goes with its `<path>.idx` sidecar
+    _check_distinct([args.config, corpus_path],
+                    [out, f"{out}.idx", *([args.report] if args.report else [])])
     recordings = read_corpus(corpus_path)
     samples, report = build_dataset(recordings, modality, run.eval.nan_policy)
     save_dataset(samples, out, modality=modality)
@@ -293,6 +305,7 @@ def cmd_train(args) -> int:
     run = _open_config(args)
     dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "model", "model output")
+    _check_distinct([args.config, *dataset_paths, *(f"{p}.idx" for p in dataset_paths)], [out])
     by_modality = _load_datasets(dataset_paths)
 
     stds = {}
@@ -333,9 +346,13 @@ def cmd_train(args) -> int:
 
 def cmd_enroll(args) -> int:
     run = _open_config(args)
-    model = load_model(_path_from(args, "model", run, "model", "model input"))
+    model_path = _path_from(args, "model", run, "model", "model input")
     dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "templates", "template store output")
+    _check_distinct(
+        [args.config, model_path, *dataset_paths, *(f"{p}.idx" for p in dataset_paths)], [out]
+    )
+    model = load_model(model_path)
     samples = _prepare_model_inputs(_load_datasets(dataset_paths), model)
     wanted = set(args.subjects.split(",")) if args.subjects else None
     unknown = sorted((wanted or set()) - {s.subject_id for s in samples})
@@ -392,6 +409,7 @@ def cmd_evaluate(args) -> int:
             f"report path {report_path} ends in .csv, so the CSV rows would replace it; "
             "pick a report path with another suffix"
         )
+    _check_distinct([args.config, corpus_path], [report_path, rows_path])
     # passed straight in, so run_experiment can free the corpus before training
     report = run_experiment(read_corpus(corpus_path), run.eval)
     # neither file is replaced unless both are written; the JSON is replaced first

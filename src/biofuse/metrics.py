@@ -255,10 +255,6 @@ class TrialSet:
         if not np.array_equal(self.genuine.subjects, self.impostor.subjects):
             raise ValidationError("genuine and impostor trials must share one subject array")
 
-    def claimed_identities(self) -> list[str]:
-        codes = np.union1d(self.genuine.claimed_code, self.impostor.claimed_code)
-        return self.genuine.subjects[codes].tolist()
-
     def scores_for_identity(self, identity: str) -> tuple[np.ndarray, np.ndarray]:
         subjects = self.genuine.subjects
         code = int(np.searchsorted(subjects, identity))

@@ -12,7 +12,7 @@ from .arch import (
     single_modality_arch,
 )
 from .io import load_model, save_model
-from .loss import Triplet, mine_triplets, pairwise_sq_dists
+from .loss import mine_triplets, pairwise_sq_dists
 from .network import EmbeddingModel, forward_batch, stack_inputs
 from .train import TrainConfig, make_batches, train
 
@@ -24,7 +24,6 @@ __all__ = [
     "PoolSpec",
     "EmbeddingModel",
     "TrainConfig",
-    "Triplet",
     "default_branch",
     "forward_batch",
     "fusion_arch",

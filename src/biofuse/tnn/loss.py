@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import MiningError, ShapeError
-
-
-@dataclass(frozen=True)
-class Triplet:
-    """Indices into a batch: anchor and positive share a subject, negative does not."""
-
-    anchor: int
-    positive: int
-    negative: int
 
 
 def pairwise_sq_dists(embeddings: np.ndarray) -> np.ndarray:
@@ -26,22 +14,23 @@ def pairwise_sq_dists(embeddings: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def mine_triplets(
-    embeddings: np.ndarray, labels: Sequence[str], margin: float
-) -> list[Triplet]:
+def mine_triplets(embeddings: np.ndarray, labels: np.ndarray, margin: float) -> np.recarray:
     """Select one negative per anchor-positive pair, deterministically.
 
     Preference goes to the hardest semi-hard negative (smallest d_an within
     the band d_ap < d_an < d_ap + margin on squared distances); if the band
     is empty, the hardest negative in the batch is taken instead.  Among
-    equal distances the lowest batch index wins.  Triplets come anchor-major,
-    positives ascending.
+    equal distances the lowest batch index wins.  Labels may be names or
+    integer codes.  Returns a record array of batch indices with integer
+    columns `anchor`, `positive` and `negative`, anchor-major, positives
+    ascending; its rows keep attribute access (`row.anchor`), which the
+    benchmark's triplet counter reads.
     """
-    labels = np.asarray(labels, dtype=object)
+    labels = np.asarray(labels)
     n = len(labels)
     if np.asarray(embeddings).shape[0] != n:
         raise ShapeError("one label per embedding required")
-    if len(set(labels.tolist())) < 2:
+    if np.unique(labels).size < 2:
         raise MiningError("batch holds a single subject; no negatives exist")
     d2 = pairwise_sq_dists(embeddings)
     same = labels[:, None] == labels[None, :]
@@ -56,21 +45,22 @@ def mine_triplets(
     pick = np.where(pool, d_an, np.inf).argmin(axis=1)
     # a pool of infinite distances only: argmin may land before the pool
     pick = np.where(pool[np.arange(a.size), pick], pick, pool.argmax(axis=1))
-    return [Triplet(*t) for t in zip(a.tolist(), p.tolist(), pick.tolist())]
+    return np.rec.fromarrays([a, p, pick], names="anchor,positive,negative")
 
 
 def _triplet_embedding_grads(
-    emb: np.ndarray, triplets: Sequence[Triplet], margin: float
+    emb: np.ndarray, triplets: np.recarray, margin: float
 ) -> tuple[np.ndarray, float]:
     """d(mean loss)/d(embeddings) and the mean loss; inactive triplets contribute zero.
 
-    A triplet is inactive iff its hinge is <= 0 (a NaN hinge stays active).
-    The loss total is summed in triplet order, and each embedding row takes
-    its gradient terms in triplet order, anchor then positive then negative.
+    `triplets` has the columns `mine_triplets` returns.  A triplet is
+    inactive iff its hinge is <= 0 (a NaN hinge stays active).  The loss
+    total is summed in triplet order, and each embedding row takes its
+    gradient terms in triplet order, anchor then positive then negative.
     """
     inv = 1.0 / len(triplets)
-    idx = np.array([(t.anchor, t.positive, t.negative) for t in triplets])
-    fa, fp, fn = emb[idx[:, 0]], emb[idx[:, 1]], emb[idx[:, 2]]
+    a, p, n = triplets.anchor, triplets.positive, triplets.negative
+    fa, fp, fn = emb[a], emb[p], emb[n]
     ap = fa - fp
     an = fa - fn
     loss = ((ap * ap).sum(axis=1) - (an * an).sum(axis=1)).astype(np.float64) + margin
@@ -80,5 +70,6 @@ def _triplet_embedding_grads(
         [2.0 * inv * (fn - fp), -2.0 * inv * ap, 2.0 * inv * an], axis=1
     )[active]                                         # [T, 3, D]
     d_emb = np.zeros_like(emb)
-    np.add.at(d_emb, idx[active].ravel(), terms.reshape(-1, emb.shape[1]))
+    rows = np.stack([a, p, n], axis=1)[active]       # [T, 3], matching `terms`
+    np.add.at(d_emb, rows.ravel(), terms.reshape(-1, emb.shape[1]))
     return d_emb, total * inv

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -90,21 +89,20 @@ class _Sgd:
         weights -= (lr * grad).astype(weights.dtype)
 
 
-def _mineable(labels: list[str]) -> bool:
-    counts = Counter(labels)
-    return len(counts) >= 2 and max(counts.values()) >= 2
+def _mineable(labels: np.ndarray) -> bool:
+    counts = np.unique(labels, return_counts=True)[1]
+    return counts.size >= 2 and counts.max() >= 2
 
 
 def make_batches(
-    labels: Sequence[str], rng: np.random.Generator, batch_size: int, per_subject: int
+    labels: np.ndarray, rng: np.random.Generator, batch_size: int, per_subject: int
 ) -> list[list[int]]:
-    """Seeded shuffle packed into subject blocks so every batch is mineable."""
-    by_subject: dict[str, list[int]] = {}
-    for i, lab in enumerate(labels):
-        by_subject.setdefault(lab, []).append(i)
+    """Seeded shuffle packed into subject blocks so every batch is mineable;
+    subjects are visited in sorted label order (names or integer codes)."""
+    labels = np.asarray(labels)
     blocks: list[list[int]] = []
-    for subject in sorted(by_subject):
-        idx = np.asarray(by_subject[subject])
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         idx = idx[rng.permutation(idx.size)]
         for lo in range(0, idx.size, per_subject):
             blocks.append(idx[lo:lo + per_subject].tolist())
@@ -122,11 +120,11 @@ def make_batches(
     # Merge any batch that cannot be mined into its neighbor.
     fixed: list[list[int]] = []
     for batch in batches:
-        if fixed and not _mineable([labels[i] for i in batch]):
+        if fixed and not _mineable(labels[batch]):
             fixed[-1].extend(batch)
         else:
             fixed.append(batch)
-    while len(fixed) > 1 and not _mineable([labels[i] for i in fixed[0]]):
+    while len(fixed) > 1 and not _mineable(labels[fixed[0]]):
         fixed[0].extend(fixed.pop(1))
     return fixed
 
@@ -146,13 +144,11 @@ def train(
     A step with no active triplet has a zero gradient and still takes an
     optimizer step (Adam's momentum keeps moving the weights).
     """
-    if not samples:
-        raise ValidationError("training set is empty")
-    labels = [s.subject_id for s in samples]
-    counts = Counter(labels)
-    if len(counts) < 2:
+    # integer subject codes in name order, so batching visits subjects as names sort
+    subjects, codes = np.unique([s.subject_id for s in samples], return_inverse=True)
+    if subjects.size < 2:  # an empty training set included
         raise ValidationError("training set must contain at least two subjects")
-    if max(counts.values()) < 2:
+    if np.bincount(codes).max() < 2:
         raise ValidationError("at least one subject needs two samples to form triplets")
 
     model = EmbeddingModel(arch, seed=cfg.seed)
@@ -163,11 +159,11 @@ def train(
     step = 0
     for _ in range(cfg.epochs):
         batch_losses: list[float] = []
-        for batch in make_batches(labels, rng, cfg.batch_size, cfg.samples_per_subject):
+        for batch in make_batches(codes, rng, cfg.batch_size, cfg.samples_per_subject):
             idx = np.asarray(batch)
             branch_batch = tuple(x[idx] for x in branches_all)
             emb, cache = forward_batch(model, branch_batch, with_cache=True)
-            triplets = mine_triplets(emb, [labels[i] for i in batch], cfg.margin)
+            triplets = mine_triplets(emb, codes[idx], cfg.margin)
             d_emb, mean_loss = _triplet_embedding_grads(emb, triplets, cfg.margin)
             grad = backward_batch(model, cache, d_emb)
             step += 1
@@ -180,7 +176,7 @@ def train(
     model.provenance = {
         **asdict(cfg),
         "n_train_samples": len(samples),
-        "n_train_subjects": len(counts),
+        "n_train_subjects": len(subjects),
         "arch": arch.tag,
         **(provenance or {}),
     }

@@ -16,13 +16,21 @@ The `*_by_name` oracles are the trial-set methods that grouped trials by
 comparing object arrays of subject names, before trial sets held integer
 subject codes; each side of a trial set is given as (score, claimed,
 verification subject) rows.
-`triplet_step`, `corpus_equal` and `rows_trial_set` are test helpers, not
-oracles: the first runs one training step's library calls for the gradient
-checks, the last builds a `TrialSet` from such rows.
+`OracleTriplet`, `oracle_mine_triplets_objects`,
+`oracle_triplet_grads_objects` and `oracle_make_batches_by_name` are the
+training step before it ran on integer arrays: mining returned one frozen
+dataclass per triplet, the gradient rebuilt an index array from them, and
+batching grouped sample indices in a dict keyed by subject name.
+`triplet_step`, `triplet_records`, `corpus_equal` and `rows_trial_set` are
+test helpers, not oracles: the first runs one training step's library calls
+for the gradient checks, the second builds the triplet record array that
+mining returns, the last builds a `TrialSet` from such rows.
 """
 
 import bisect
 import math
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,6 +269,101 @@ def oracle_triplet_grads(emb, triplets, margin):
         d_emb[p] += -2.0 * inv * ap
         d_emb[n] += 2.0 * inv * an
     return d_emb, total * inv
+
+
+@dataclass(frozen=True)
+class OracleTriplet:
+    """Indices into a batch: anchor and positive share a subject, negative does not."""
+
+    anchor: int
+    positive: int
+    negative: int
+
+
+def oracle_mine_triplets_objects(embeddings, labels, margin):
+    """Semi-hard mining over an object array of labels, one `OracleTriplet`
+    per row; raises the library's errors where it does."""
+    from biofuse.errors import MiningError, ShapeError
+
+    labels = np.asarray(labels, dtype=object)
+    n = len(labels)
+    if np.asarray(embeddings).shape[0] != n:
+        raise ShapeError("one label per embedding required")
+    if len(set(labels.tolist())) < 2:
+        raise MiningError("batch holds a single subject; no negatives exist")
+    e = np.asarray(embeddings, dtype=np.float64)
+    sq = (e * e).sum(axis=1)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (e @ e.T), 0.0)
+    same = labels[:, None] == labels[None, :]
+    a, p = np.nonzero(same & ~np.eye(n, dtype=bool))
+    if a.size == 0:
+        raise MiningError("no subject contributes two samples; no anchor-positive pairs")
+    neg = ~same[a]
+    d_an = d2[a]
+    d_ap = d2[a, p][:, None]
+    band = neg & (d_an > d_ap) & (d_an < d_ap + margin)
+    pool = np.where(band.any(axis=1)[:, None], band, neg)
+    pick = np.where(pool, d_an, np.inf).argmin(axis=1)
+    pick = np.where(pool[np.arange(a.size), pick], pick, pool.argmax(axis=1))
+    return [OracleTriplet(*t) for t in zip(a.tolist(), p.tolist(), pick.tolist())]
+
+
+def oracle_triplet_grads_objects(emb, triplets, margin):
+    """d(mean loss)/d(embeddings) and the mean loss from a list of
+    `OracleTriplet`s, through an index array rebuilt from them."""
+    inv = 1.0 / len(triplets)
+    idx = np.array([(t.anchor, t.positive, t.negative) for t in triplets])
+    fa, fp, fn = emb[idx[:, 0]], emb[idx[:, 1]], emb[idx[:, 2]]
+    ap = fa - fp
+    an = fa - fn
+    loss = ((ap * ap).sum(axis=1) - (an * an).sum(axis=1)).astype(np.float64) + margin
+    active = ~(loss <= 0.0)
+    total = float(np.cumsum(np.r_[0.0, loss[active]])[-1])
+    terms = np.stack(
+        [2.0 * inv * (fn - fp), -2.0 * inv * ap, 2.0 * inv * an], axis=1
+    )[active]
+    d_emb = np.zeros_like(emb)
+    np.add.at(d_emb, idx[active].ravel(), terms.reshape(-1, emb.shape[1]))
+    return d_emb, total * inv
+
+
+def _oracle_mineable(labels):
+    counts = Counter(labels)
+    return len(counts) >= 2 and max(counts.values()) >= 2
+
+
+def oracle_make_batches_by_name(labels, rng, batch_size, per_subject):
+    """Subject blocks from a dict of index lists keyed by label, visited in
+    `sorted` label order, packed and merged as the library packs them."""
+    by_subject = {}
+    for i, lab in enumerate(labels):
+        by_subject.setdefault(lab, []).append(i)
+    blocks = []
+    for subject in sorted(by_subject):
+        idx = np.asarray(by_subject[subject])
+        idx = idx[rng.permutation(idx.size)]
+        for lo in range(0, idx.size, per_subject):
+            blocks.append(idx[lo:lo + per_subject].tolist())
+    order = rng.permutation(len(blocks))
+    batches = []
+    cur = []
+    for bi in order:
+        block = blocks[int(bi)]
+        if cur and len(cur) + len(block) > batch_size:
+            batches.append(cur)
+            cur = []
+        cur.extend(block)
+    if cur:
+        batches.append(cur)
+    fixed = []
+    for batch in batches:
+        if fixed and not _oracle_mineable([labels[i] for i in batch]):
+            fixed[-1].extend(batch)
+        else:
+            fixed.append(batch)
+    while len(fixed) > 1 and not _oracle_mineable([labels[i] for i in fixed[0]]):
+        fixed[0].extend(fixed.pop(1))
+    return fixed
 
 
 def oracle_im2col(x, kernel, stride):
@@ -510,6 +613,13 @@ def triplet_step(model, branches, triplets, margin):
     emb, cache = forward_batch(model, branches, with_cache=True)
     d_emb, mean_loss = _triplet_embedding_grads(emb, triplets, margin)
     return backward_batch(model, cache, d_emb), mean_loss
+
+
+def triplet_records(rows):
+    """The record array `mine_triplets` returns, from (anchor, positive,
+    negative) index rows."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, 3)
+    return np.rec.fromarrays(rows.T, names="anchor,positive,negative")
 
 
 def corpus_equal(a, b):

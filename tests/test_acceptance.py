@@ -43,12 +43,12 @@ from biofuse.preprocess import (
     resample_to_grid,
     screen_and_interpolate,
 )
-from biofuse.tnn import TrainConfig, Triplet, single_modality_arch, train
+from biofuse.tnn import TrainConfig, single_modality_arch, train
 from biofuse.tnn.arch import ArchKind, ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.tnn.loss import _triplet_embedding_grads
 from biofuse.tnn.network import EmbeddingModel, forward_batch
 from biofuse.verify import Scenario
-from oracles import oracle_eer, oracle_frr_at_far, triplet_step
+from oracles import oracle_eer, oracle_frr_at_far, triplet_records, triplet_step
 
 SEEDS = range(10)
 SCENARIOS = (Scenario.S1, Scenario.S2, Scenario.S3)
@@ -86,10 +86,11 @@ def _run_seed(seed: int) -> SeedOutcome:
         modality="eye-pupil", fusion=FusionRule.MEAN, folds=BATTERY_FOLDS, seed=seed,
         train=TrainConfig(seed=seed, **BATTERY_TRAIN),
     )
+    subjects = sorted(r.subject_id for r in recordings)
     datasets = {
         m: build_dataset(recordings, m)[0] for m in (Modality.BRAIN, Modality.EYE_PUPIL)
     }
-    subjects = sorted(r.subject_id for r in recordings)
+    del recordings  # only the datasets are read from here on
 
     outcome = SeedOutcome(eers={})
     pooled: dict = {(c, s): [] for c in CONFIGS for s in SCENARIOS}
@@ -240,7 +241,7 @@ def _gradcheck_case(arch_seed: int):
     arch = _random_tiny_arch(rng)
     model = EmbeddingModel(arch, seed=arch_seed, dtype=np.float64)
     margin = 0.5
-    triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5), Triplet(1, 0, 4)]
+    triplets = triplet_records([(0, 1, 2), (3, 4, 5), (1, 0, 4)])
     for attempt in range(50):
         data_rng = np.random.default_rng(10_000 * arch_seed + attempt)
         feats = [

@@ -2,12 +2,15 @@
 
 A name exported by `biofuse` or `biofuse.tnn` must be referenced by some
 module of the package other than the `__init__` files, or by the benchmark
-harness.  References are read off the syntax tree (names, attribute names
+harness; so must each public method or property that an exported class
+defines.  References are read off the syntax tree (names, attribute names
 and `from ... import` names), so a docstring that mentions a name does not
 count as a caller.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -49,3 +52,31 @@ def test_every_export_has_a_caller_outside_the_tests(init):
     referenced = _references()
     unused = [name for name in _exports(init) if name not in referenced]
     assert not unused, f"{init.relative_to(ROOT)} exports names only tests call: {unused}"
+
+
+def _public_members(init: Path) -> list[str]:
+    """`Class.member` for each public method or property defined (not
+    inherited) by a class that an `__init__` file exports."""
+    module = importlib.import_module(".".join(init.parent.relative_to(ROOT / "src").parts))
+    members = []
+    for name in _exports(init):
+        cls = getattr(module, name)
+        if not inspect.isclass(cls):
+            continue
+        members += [
+            f"{name}.{attr}"
+            for attr, value in vars(cls).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, classmethod, staticmethod)))
+        ]
+    return members
+
+
+@pytest.mark.parametrize("init", INITS, ids=lambda p: p.parent.name)
+def test_every_public_method_of_an_exported_class_has_a_caller(init):
+    referenced = _references()
+    members = _public_members(init)
+    assert members, "no public methods found; the scan is broken"
+    unused = [m for m in members if m.split(".")[1] not in referenced]
+    assert not unused, f"{init.relative_to(ROOT)}: methods only tests call: {unused}"

@@ -363,6 +363,54 @@ def test_evaluate_report_path_ending_in_csv_exits_1(tmp_path, capsys, out, repor
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("argv,copies,clash", [
+    (["gen", "--out", "run.json"], {}, "run.json"),
+    (["preprocess", "--modality", "brain", "--out", "c.corpus"], {}, "c.corpus"),
+    (["preprocess", "--modality", "brain", "--corpus", "x.idx", "--out", "x"],
+     {"c.corpus": "x.idx"}, "x.idx"),
+    (["preprocess", "--modality", "brain", "--report", "c.corpus"], {}, "c.corpus"),
+    (["preprocess", "--modality", "brain", "--report", "run.json"], {}, "run.json"),
+    (["train", "--out", "d.ds"], {}, "d.ds"),
+    (["train", "--out", "d.ds.idx"], {}, "d.ds.idx"),
+    (["enroll", "--out", "m.model"], {}, "m.model"),
+    (["enroll", "--out", "d.ds.idx"], {}, "d.ds.idx"),
+    (["evaluate", "--out", "c.corpus"], {}, "c.corpus"),
+    (["evaluate", "--corpus", "c.csv", "--out", "c.json"], {"c.corpus": "c.csv"}, "c.csv"),
+], ids=["gen-config", "preprocess-out", "preprocess-out-index", "preprocess-report",
+        "preprocess-report-config", "train-dataset", "train-dataset-index",
+        "enroll-model", "enroll-dataset-index", "evaluate-json", "evaluate-csv"])
+def test_outputs_never_replace_inputs(enrolled, tmp_path, monkeypatch, capsys, argv, copies,
+                                      clash):
+    """Each output path, flag or derived (a dataset's .idx, evaluate's .csv),
+    is compared with --config, the inputs and the other outputs after
+    resolving; a clash exits 1, naming both paths, before any file is read
+    or written.  Flag paths are relative here and the config's absolute."""
+    config, _ = _write_config(tmp_path)
+    source = Path(enrolled[0][2]).parent
+    for name in ("c.corpus", "d.ds", "d.ds.idx", "m.model"):
+        (tmp_path / name).write_bytes((source / name).read_bytes())
+    for src, dst in copies.items():
+        (tmp_path / dst).write_bytes((tmp_path / src).read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "name one file" in err and err.count(clash) == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_config_paths_compared_after_resolving(tmp_path, capsys):
+    config, _ = _write_config(tmp_path)
+    cfg = json.loads(config.read_text())
+    cfg["paths"]["dataset"] = str(tmp_path / "sub" / ".." / "c.corpus")
+    config.write_text(json.dumps(cfg))
+    assert main(["gen", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "c.corpus") in err and cfg["paths"]["dataset"] in err
+    assert "distinct" in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 _PIPELINE = """
 import sys
 from biofuse.cli import main

@@ -332,7 +332,9 @@ def _assert_matches_name_oracles(ts, genuine, impostor):
         assert [a.tobytes() for a in got] == [b.tobytes() for b in want], name
     by_subject, thresholds, skipped = oracle_per_subject_eer_by_name(
         genuine, impostor, eer_from_scores)
-    assert ts.claimed_identities() == sorted([*by_subject, *skipped])
+    claimed = list(ts.scores_by_identity())
+    assert claimed == sorted([*by_subject, *skipped])
+    assert not set(claimed) & set(ts.excluded_subjects)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # one per skipped identity
         if not by_subject:

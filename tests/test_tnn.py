@@ -19,7 +19,6 @@ from biofuse.tnn import (
     ArchKind,
     EmbeddingModel,
     TrainConfig,
-    Triplet,
     forward_batch,
     fusion_arch,
     load_model,
@@ -46,9 +45,13 @@ from oracles import (
     oracle_embed_batch,
     oracle_forward,
     oracle_im2col,
+    oracle_make_batches_by_name,
     oracle_mine,
     oracle_mine_loop,
+    oracle_mine_triplets_objects,
     oracle_triplet_grads,
+    oracle_triplet_grads_objects,
+    triplet_records,
     triplet_step,
 )
 
@@ -153,7 +156,8 @@ def test_adam_step_in_place_matches_expression_form(dtype):
 
 def triplet_loss(fa, fp, fn, margin):
     """Loss of one triplet: the mean loss of a three-row batch."""
-    return _triplet_embedding_grads(np.stack([fa, fp, fn]), [Triplet(0, 1, 2)], margin)[1]
+    return _triplet_embedding_grads(np.stack([fa, fp, fn]), triplet_records([(0, 1, 2)]),
+                                    margin)[1]
 
 
 class TestTripletLoss:
@@ -275,12 +279,85 @@ class TestArrayStepMatchesLoop:
             if not rows:
                 continue
             want_d, want_loss = oracle_triplet_grads(emb, rows, margin)
-            got_d, got_loss = _triplet_embedding_grads(
-                emb, [Triplet(*r) for r in rows], margin
-            )
+            got_d, got_loss = _triplet_embedding_grads(emb, triplet_records(rows), margin)
             assert got_d.dtype == emb.dtype
             assert got_d.tobytes() == want_d.tobytes()
             assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+
+
+@st.composite
+def _dense_batches(draw):
+    """Embeddings, labels and margin of a training-sized batch: Gaussian rows,
+    some of them copies of others, so pairwise distances tie exactly."""
+    n = draw(st.integers(2, 48))
+    dim = draw(st.sampled_from([1, 2, 8, 16]))
+    names = [f"s{k}" for k in range(draw(st.integers(1, 12)))]
+    labels = draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    emb = rng.standard_normal((n, dim))
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=n // 2))
+    for dst, src in copies:
+        emb[dst] = emb[src]
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    margin = draw(st.floats(0.01, 4.0))
+    return emb.astype(dtype), labels, margin
+
+
+def _codes(labels):
+    """Integer subject codes in label-name order, as `train` derives them."""
+    return np.unique(labels, return_inverse=True)[1].reshape(-1)
+
+
+class TestStepMatchesObjectOracle:
+    """The record-array step on names and on integer codes against the
+    `Triplet`-object step and the name-keyed batching it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_mining_batches(), _dense_batches()), st.booleans())
+    def test_triplets_and_gradients_bit_equal(self, batch, as_codes):
+        emb, labels, margin = batch
+        given_labels = _codes(labels) if as_codes else labels
+        try:
+            want = oracle_mine_triplets_objects(emb, labels, margin)
+        except MiningError:
+            with pytest.raises(MiningError):
+                mine_triplets(emb, given_labels, margin)
+            return
+        got = mine_triplets(emb, given_labels, margin)
+        for column in ("anchor", "positive", "negative"):
+            assert getattr(got, column).tolist() == [getattr(t, column) for t in want]
+        got_d, got_loss = _triplet_embedding_grads(emb, got, margin)
+        want_d, want_loss = oracle_triplet_grads_objects(emb, want, margin)
+        assert got_d.dtype == want_d.dtype
+        assert got_d.tobytes() == want_d.tobytes()
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["s0", "s1", "s2", "s10", "s11", "b", "a"]), max_size=80),
+        st.integers(0, 2**32 - 1),
+        st.integers(4, 64),
+        st.integers(1, 8),
+    )
+    def test_batches_equal_name_keyed_batching(self, labels, seed, batch_size, per_subject):
+        want_rng = np.random.default_rng(seed)
+        want = oracle_make_batches_by_name(labels, want_rng, batch_size, per_subject)
+        for given_labels in (labels, _codes(labels)):
+            rng = np.random.default_rng(seed)
+            assert make_batches(given_labels, rng, batch_size, per_subject) == want
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_rows_keep_attribute_access(self):
+        # the benchmark's triplet counter reads .anchor/.positive/.negative per row
+        rng = np.random.default_rng(8)
+        emb = rng.standard_normal((12, 4))
+        triplets = mine_triplets(emb, ["a", "b", "c"] * 4, 0.5)
+        rows = [(t.anchor, t.positive, t.negative) for t in triplets]
+        assert len(rows) == len(triplets) == 36
+        assert np.array(rows).tolist() == np.stack(
+            [triplets.anchor, triplets.positive, triplets.negative], axis=1).tolist()
+        assert all(isinstance(v, (int, np.integer)) for row in rows for v in row)
 
 
 def _pool_reference(x, width):
@@ -471,7 +548,7 @@ class TestBackward:
         # inactive unless the negative embedding coincides with the anchor
         emb, _ = forward_batch(model, branches, with_cache=False)
         assert ((emb[0] - emb[1]) ** 2).sum() > 1e-6
-        grad, loss = triplet_step(model, branches, [Triplet(0, 0, 1)], margin=1e-12)
+        grad, loss = triplet_step(model, branches, triplet_records([(0, 0, 1)]), margin=1e-12)
         assert loss == 0.0
         assert not grad.any()
 
@@ -480,9 +557,8 @@ class TestBackward:
         model = EmbeddingModel(arch, seed=3, dtype=np.float64)
         rng = np.random.default_rng(2)
         branches = (np.stack([rng.standard_normal((c, t)) for _ in range(4)]),)
-        tri = Triplet(0, 1, 2)
-        g1, l1 = triplet_step(model, branches, [tri], margin=0.5)
-        g2, l2 = triplet_step(model, branches, [tri, tri], margin=0.5)
+        g1, l1 = triplet_step(model, branches, triplet_records([(0, 1, 2)]), margin=0.5)
+        g2, l2 = triplet_step(model, branches, triplet_records([(0, 1, 2)] * 2), margin=0.5)
         np.testing.assert_allclose(g1, g2, atol=1e-12)
         assert l1 == pytest.approx(l2)
 
@@ -491,7 +567,7 @@ class TestBackward:
         model = EmbeddingModel(arch, seed=1, dtype=np.float64)
         rng = np.random.default_rng(1001)
         branches = (np.stack([rng.standard_normal((c, t)) for _ in range(6)]),)
-        triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5)]
+        triplets = triplet_records([(0, 1, 2), (3, 4, 5)])
         grad, _ = triplet_step(model, branches, triplets, margin=0.5)
         eps = 1e-4
         fd = np.empty_like(grad)
@@ -516,9 +592,9 @@ class TestBackward:
         model = EmbeddingModel(arch, seed=2, dtype=np.float64)
         rng = np.random.default_rng(7)
         branches = (np.stack([rng.standard_normal((c, t)) for _ in range(6)]),)
-        triplets = [Triplet(0, 1, 2), Triplet(3, 4, 5), Triplet(1, 0, 3), Triplet(4, 3, 0)]
+        triplets = triplet_records([(0, 1, 2), (3, 4, 5), (1, 0, 3), (4, 3, 0)])
         _, l1 = triplet_step(model, branches, triplets, margin=0.5)
-        _, l2 = triplet_step(model, branches, list(reversed(triplets)), margin=0.5)
+        _, l2 = triplet_step(model, branches, triplets[::-1], margin=0.5)
         assert abs(l1 - l2) < 1e-12
 
 
@@ -606,6 +682,8 @@ class TestTrain:
         samples = [s for s in _toy_dataset() if s.subject_id == "s00"]
         with pytest.raises(ValidationError):
             train(samples, single_modality_arch(Modality.BRAIN), TrainConfig(epochs=1))
+        with pytest.raises(ValidationError, match="two subjects"):
+            train([], single_modality_arch(Modality.BRAIN), TrainConfig(epochs=1))
 
     def test_batches_partition_and_are_mineable(self):
         labels = [f"s{i % 5}" for i in range(53)]
