@@ -7,6 +7,7 @@ from .corpus import (
     Stream,
     SynthConfig,
     generate_synthetic,
+    iter_corpus,
     read_corpus,
     write_corpus,
 )

@@ -21,6 +21,7 @@ from .corpus import (
     SynthConfig,
     atomic_write,
     generate_synthetic,
+    iter_corpus,
     read_corpus,
     write_corpus,
 )
@@ -410,8 +411,16 @@ def cmd_evaluate(args) -> int:
             "pick a report path with another suffix"
         )
     _check_distinct([args.config, corpus_path], [report_path, rows_path])
-    # passed straight in, so run_experiment can free the corpus before training
-    report = run_experiment(read_corpus(corpus_path), run.eval)
+    # run_experiment takes each recording as it is parsed and keeps only its samples
+    recordings = iter_corpus(corpus_path)
+    try:
+        report = run_experiment(recordings, run.eval)
+    except Exception:
+        # finish the file first: a damaged corpus reports the reader's error,
+        # not one that its first recordings led to
+        for _ in recordings:
+            pass
+        raise
     # neither file is replaced unless both are written; the JSON is replaced first
     with (
         atomic_write(rows_path, "w", encoding="utf-8", newline="") as rows,

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -480,18 +481,22 @@ class _LineReader:
         self.lineno -= 1
 
 
-def read_corpus(path) -> list[Recording]:
-    """Parse a corpus file; errors name the offending line or record.
+def iter_corpus(path) -> Iterator[Recording]:
+    """Parse a corpus file one recording at a time; errors name the offending
+    line or record.
 
-    The text is read one stream block at a time, so memory holds the parsed
-    arrays plus one block of text.  A byte that is not UTF-8 anywhere in the
-    file is reported before any parse error, as when the whole text was
-    decoded first.
+    The text is read one stream block at a time and each recording is yielded
+    as soon as it is parsed, so a caller that drops each recording before
+    asking for the next holds one recording plus one block of text.  A byte that is not UTF-8 anywhere in the file is reported before
+    any parse error, as when the whole text was decoded first.  The checks
+    that need the whole file (no recordings, a duplicate subject id) raise
+    after the last recording is yielded, so a caller that consumes
+    recordings as they arrive must finish the generator to see them.
     """
     try:
         with open(path, encoding="utf-8", newline="") as f:
             try:
-                return _parse_corpus(_LineReader(f))
+                yield from _parse_corpus(_LineReader(f))
             except CorpusFormatError:
                 for _ in f:  # decode the rest
                     pass
@@ -500,7 +505,12 @@ def read_corpus(path) -> list[Recording]:
         raise _utf8_error(path, CorpusFormatError) from None
 
 
-def _parse_corpus(src: _LineReader) -> list[Recording]:
+def read_corpus(path) -> list[Recording]:
+    """Every recording of a corpus file, with the errors of `iter_corpus`."""
+    return list(iter_corpus(path))
+
+
+def _parse_corpus(src: _LineReader) -> Iterator[Recording]:
     first = src.next()
     if first is None:
         raise CorpusFormatError("line 1: empty file")
@@ -509,40 +519,44 @@ def _parse_corpus(src: _LineReader) -> list[Recording]:
             raise CorpusVersionError(f"line 1: unsupported corpus version {first!r}")
         raise CorpusFormatError("line 1: not a corpus file (missing header)")
 
-    recordings: list[Recording] = []
+    ids: list[str] = []
     while (line := src.next()) is not None:
         if not line.strip():
             continue
         if not line.startswith("recording "):
             raise CorpusFormatError(f"line {src.lineno}: expected 'recording <id>', got {line!r}")
         subject_id = line[len("recording "):]
-        rec_line = src.lineno
+        ids.append(subject_id)
+        # yielded without a local name, so this frame does not keep it alive
+        yield _parse_recording(src, subject_id)
 
-        line = src.next()
-        if line is None or not line.startswith("events "):
-            raise CorpusFormatError(f"line {rec_line + 1}: expected 'events <count>'")
-        n_events = _parse_count(line[len("events "):], src.lineno)
-        events = _parse_events(src, n_events)
-
-        streams = []
-        while (line := src.next()) is not None and line.startswith("stream "):
-            streams.append(_parse_stream(src, line, subject_id))
-        if line is not None:
-            src.unread(line)
-
-        try:
-            recordings.append(Recording(subject_id=subject_id, streams=streams, events=events))
-        except ValidationError as e:
-            raise CorpusFormatError(
-                f"recording {subject_id!r} starting at line {rec_line}: {e}"
-            ) from None
-
-    if not recordings:
+    if not ids:
         raise CorpusFormatError("file contains no recordings")
-    ids = [r.subject_id for r in recordings]
     if len(set(ids)) != len(ids):
         raise CorpusFormatError("duplicate subject ids in corpus")
-    return recordings
+
+
+def _parse_recording(src: _LineReader, subject_id: str) -> Recording:
+    """The recording whose `recording <id>` line was the last one taken."""
+    rec_line = src.lineno
+    line = src.next()
+    if line is None or not line.startswith("events "):
+        raise CorpusFormatError(f"line {rec_line + 1}: expected 'events <count>'")
+    n_events = _parse_count(line[len("events "):], src.lineno)
+    events = _parse_events(src, n_events)
+
+    streams = []
+    while (line := src.next()) is not None and line.startswith("stream "):
+        streams.append(_parse_stream(src, line, subject_id))
+    if line is not None:
+        src.unread(line)
+
+    try:
+        return Recording(subject_id=subject_id, streams=streams, events=events)
+    except ValidationError as e:
+        raise CorpusFormatError(
+            f"recording {subject_id!r} starting at line {rec_line}: {e}"
+        ) from None
 
 
 def _parse_events(src: _LineReader, n_events: int) -> list[EventMarker]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -769,10 +770,11 @@ def train_folds(datasets: dict, subjects, config: ExperimentConfig):
     `datasets` maps each modality the config's models read to its samples.
     Standardizers are fitted on each fold's training subjects only (scope
     `fold{i}`); arch k of the fold trains with seed train.seed + 1000*fold + k
-    (brain is arch 0 and the eye model arch 1 in score fusion).  The
-    generator keeps no reference to a fold it has yielded, so a caller that
-    drops the fold before asking for the next one frees its samples before
-    the next fold is standardized.
+    (brain is arch 0 and the eye model arch 1 in score fusion).  A fold's
+    test split is standardized after its models are trained, so it is not
+    live during training.  The generator keeps no reference to a fold it has
+    yielded, so a caller that drops the fold before asking for the next one
+    frees its samples before the next fold is standardized.
     """
     plan = plan_folds(subjects, config.folds, config.seed)
     arches = _experiment_arches(config)
@@ -785,19 +787,16 @@ def _train_fold(datasets: dict, fi: int, train_subjects, test_subjects,
     """Fold `fi` of `train_folds`: split, standardized and trained."""
     scope = f"fold{fi}"
     train_set, test_set = set(train_subjects), set(test_subjects)
-    tr, te = {}, {}
+    tr, te_raw, stds = {}, {}, {}
     for m, samples in datasets.items():
         tr_raw = [s for s in samples if s.subject_id in train_set]
-        te_raw = [s for s in samples if s.subject_id in test_set]
-        if not tr_raw or not te_raw:
+        te_raw[m] = [s for s in samples if s.subject_id in test_set]
+        if not tr_raw or not te_raw[m]:
             raise EvalError(f"{scope}: modality {m.value} has an empty split")
-        std = fit_standardizer(tr_raw, scope=scope)
-        tr[m] = [apply_standardizer(std, s) for s in tr_raw]
-        te[m] = [apply_standardizer(std, s) for s in te_raw]
-        if any(s.standardized_by != scope for s in tr[m] + te[m]):
-            raise EvalError(f"{scope}: standardizer provenance mismatch")
+        stds[m] = fit_standardizer(tr_raw, scope=scope)
+        tr[m] = [apply_standardizer(stds[m], s) for s in tr_raw]
 
-    fold = TrainedFold(fi, train_subjects, test_subjects, tr, te, [], [])
+    fold = TrainedFold(fi, train_subjects, test_subjects, tr, {}, [], [])
     for k, arch in enumerate(arches):
         model, history = train(
             model_inputs(arch, tr),
@@ -807,34 +806,50 @@ def _train_fold(datasets: dict, fi: int, train_subjects, test_subjects,
         )
         fold.models.append(model)
         fold.histories.append(history)
+    # the test split is read only after training, so it is standardized only now
+    for m, samples in te_raw.items():
+        fold.test[m] = [apply_standardizer(stds[m], s) for s in samples]
+        if any(s.standardized_by != scope for s in tr[m] + fold.test[m]):
+            raise EvalError(f"{scope}: standardizer provenance mismatch")
     if config.fusion is not None:
         eye_m = arches[1].modalities[0]
         fold.train_pairs = pair_samples(tr[Modality.BRAIN], tr[eye_m])
-        fold.test_pairs = pair_samples(te[Modality.BRAIN], te[eye_m])
+        fold.test_pairs = pair_samples(fold.test[Modality.BRAIN], fold.test[eye_m])
     return fold
 
 
-def run_experiment(recordings: list[Recording], config: ExperimentConfig) -> EvalReport:
+def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) -> EvalReport:
     """Full per-fold pipeline: preprocess, train (`train_folds`), score trials, report.
 
-    Deterministic given the config.  Only what the next stage reads stays
-    referenced: the `recordings` reference is dropped once the datasets are
-    built, so a caller that passes `read_corpus(path)` straight in lets the
-    corpus arrays be freed before training (on CPython 3.11 and later; 3.10
-    holds call arguments until the call returns), and each fold is dropped
-    before the next one is standardized.
+    Deterministic given the config.  `recordings` may be any iterable, such
+    as `iter_corpus(path)`: each recording is turned into its samples as it
+    arrives, so with a generator only one recording is live at a time.  The
+    samples are then put in canonical (subject) order, so the result does not
+    depend on the order of the recordings; a subject that comes twice raises
+    ValidationError.  Only what the next stage reads stays referenced: each
+    fold is dropped before the next one is standardized.  A list of
+    recordings stays alive as long as its caller holds it; on CPython 3.10,
+    which holds call arguments until the call returns, that includes
+    `run_experiment(read_corpus(path), config)`.
     """
-    subjects = sorted({r.subject_id for r in recordings})
     arches = _experiment_arches(config)
     modalities = list(dict.fromkeys(m for arch in arches for m in arch.modalities))
 
-    datasets = {}
-    prep_totals = {}
-    for m in modalities:
-        samples, report = build_dataset(recordings, m, config.nan_policy)
-        datasets[m] = samples
-        prep_totals[m.value] = {stage: report.total(stage) for stage in STAGES}
+    by_subject: dict[str, dict] = {}  # subject -> modality -> that subject's samples
+    prep_totals = {m.value: dict.fromkeys(STAGES, 0) for m in modalities}
+    for rec in recordings:
+        if rec.subject_id in by_subject:
+            raise ValidationError(f"duplicate subject_id {rec.subject_id!r} in recordings")
+        chunks = by_subject[rec.subject_id] = {}
+        for m in modalities:
+            chunks[m], report = build_dataset([rec], m, config.nan_policy)
+            for stage in STAGES:
+                prep_totals[m.value][stage] += report.total(stage)
+        del rec  # free this recording before the next one is parsed
     del recordings
+    subjects = sorted(by_subject)
+    datasets = {m: [s for sid in subjects for s in by_subject[sid][m]] for m in modalities}
+    del by_subject
 
     folds: list[dict] = []
     fold_trialsets: list[TrialSet] = []

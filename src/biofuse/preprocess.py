@@ -200,7 +200,7 @@ def fit_standardizer(samples: list[Sample], scope: str = "") -> Standardizer:
     modality = samples[0].modality
     if any(s.modality is not modality for s in samples):
         raise ValidationError("all samples must share one modality")
-    stacked = np.stack([s.data for s in samples]).astype(np.float64)
+    stacked = np.stack([s.data for s in samples], dtype=np.float64)
     flat = stacked.transpose(1, 0, 2).reshape(modality.n_channels, -1)
     mean = flat.mean(axis=1)
     std = flat.std(axis=1)
@@ -218,7 +218,9 @@ def apply_standardizer(std: Standardizer, sample: Sample) -> Sample:
         )
     if sample.standardized_by is not None:
         raise ValidationError("sample is already standardized")
-    data = (sample.data.astype(np.float64) - std.mean[:, None]) / std.std[:, None]
+    data = sample.data.astype(np.float64)
+    data -= std.mean[:, None]
+    data /= std.std[:, None]
     return replace(sample, data=data, standardized_by=std.scope)
 
 

@@ -168,7 +168,7 @@ def as_branch_inputs(sample, model: EmbeddingModel) -> tuple[np.ndarray, ...]:
 def stack_inputs(samples: Sequence, model: EmbeddingModel) -> tuple[np.ndarray, ...]:
     per_branch = [as_branch_inputs(s, model) for s in samples]
     return tuple(
-        np.stack([row[bi] for row in per_branch]).astype(model.dtype)
+        np.stack([row[bi] for row in per_branch], dtype=model.dtype)
         for bi in range(model.arch.n_branches)
     )
 

@@ -142,7 +142,9 @@ def train(
     floating-point sums in the matrix products and change the last bits).
     Any non-finite weight aborts with DivergenceError naming the step.
     A step with no active triplet has a zero gradient and still takes an
-    optimizer step (Adam's momentum keeps moving the weights).
+    optimizer step (Adam's momentum keeps moving the weights).  Each step's
+    forward cache is freed before the next step's forward pass, so one
+    step's activations are live at a time.
     """
     # integer subject codes in name order, so batching visits subjects as names sort
     subjects, codes = np.unique([s.subject_id for s in samples], return_inverse=True)
@@ -166,6 +168,7 @@ def train(
             triplets = mine_triplets(emb, codes[idx], cfg.margin)
             d_emb, mean_loss = _triplet_embedding_grads(emb, triplets, cfg.margin)
             grad = backward_batch(model, cache, d_emb)
+            del branch_batch, cache  # free this step's activations before the next forward
             step += 1
             optimizer.step(model.weights, grad, cfg.learning_rate)
             if not np.all(np.isfinite(model.weights)):

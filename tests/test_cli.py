@@ -11,6 +11,8 @@ import biofuse
 import biofuse.cli
 import biofuse.metrics
 from biofuse.cli import main
+from biofuse.corpus import read_corpus
+from biofuse.errors import CorpusFormatError
 from biofuse.preprocess import load_dataset
 from biofuse.tnn import load_model, save_model
 
@@ -311,32 +313,70 @@ def test_evaluate_score_fusion(tmp_path):
     assert report["provenance"]["fusion"] == "mean"
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="CPython 3.10 keeps call arguments on the caller's stack until the call "
-           "returns, so the corpus passed to run_experiment lives through training",
-)
 def test_evaluate_frees_the_corpus_before_training(tmp_path, monkeypatch):
+    """evaluate holds one recording at a time: each is dead before the next
+    one is parsed, and none is live at either fold's training."""
     config, _ = _write_config(tmp_path, epochs=1)
     assert main(["gen", "--config", str(config)]) == 0
-    refs = []
-    read_corpus, train = biofuse.cli.read_corpus, biofuse.metrics.train
+    refs, at_parse, at_train = [], [], []
+    iter_corpus, train = biofuse.cli.iter_corpus, biofuse.metrics.train
+
+    def live():
+        return sum(ref() is not None for ref in refs)
 
     def reading(path):
-        recordings = read_corpus(path)
-        refs.extend(weakref.ref(r) for r in recordings)
-        return recordings
-
-    live = []
+        recordings = iter_corpus(path)
+        while True:
+            at_parse.append(live())
+            rec = next(recordings, None)
+            if rec is None:
+                return
+            refs.append(weakref.ref(rec))
+            yield rec
+            del rec
 
     def training(*args, **kwargs):
-        live.append(sum(ref() is not None for ref in refs))
+        at_train.append(live())
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(biofuse.cli, "read_corpus", reading)
+    monkeypatch.setattr(biofuse.cli, "iter_corpus", reading)
     monkeypatch.setattr(biofuse.metrics, "train", training)
     assert main(["evaluate", "--config", str(config)]) == 0
-    assert refs and live == [0, 0]  # no Recording survives to either fold's training
+    assert len(refs) == 4
+    assert at_parse == [0] * 5 and at_train == [0, 0]
+
+
+def _drop_stream(text: str, subject: str, modality: str) -> str:
+    """The corpus text without `subject`'s `modality` stream block."""
+    lines = text.split("\n")
+    k = lines.index(f"recording {subject}")
+    while not lines[k].startswith(f"stream {modality} "):
+        k += 1
+    n_rows = int(lines[k].split()[3])
+    return "\n".join(lines[:k] + lines[k + 1 + n_rows:])
+
+
+@pytest.mark.parametrize("bad_byte", [False, True])
+def test_evaluate_reports_the_readers_error_on_a_damaged_corpus(tmp_path, capsys, bad_byte):
+    """A corpus whose second recording lacks the evaluated stream and whose
+    last block is truncated (and, with `bad_byte`, holds a byte that is not
+    UTF-8 near its end) fails evaluate with the error read_corpus gives,
+    not with the missing stream that evaluate meets first."""
+    config, paths = _write_config(tmp_path, extra_eval={"modality": "eye-pupil"})
+    assert main(["gen", "--config", str(config)]) == 0
+    corpus = Path(paths["corpus"])
+    text = _drop_stream(corpus.read_text(), "s01", "eye-pupil")
+    raw = bytearray(text.encode().rsplit(b"\n", 3)[0] + b"\n")  # the last rows dropped
+    if bad_byte:
+        raw[-20] = 0xFF
+    corpus.write_bytes(bytes(raw))
+    with pytest.raises(CorpusFormatError) as expected:
+        read_corpus(corpus)
+    assert ("UTF-8" in str(expected.value)) == bad_byte
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"biofuse: runtime error: {expected.value}\n"
+    assert not Path(paths["report"]).exists()
 
 
 @pytest.mark.parametrize("out,report", [

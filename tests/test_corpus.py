@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from biofuse.corpus import (
     Stream,
     SynthConfig,
     generate_synthetic,
+    iter_corpus,
     read_corpus,
     write_corpus,
 )
@@ -234,3 +236,21 @@ def test_read_holds_one_stream_block_of_text(tmp_path):
         tracemalloc.stop()
     parsed = sum(s.timestamps.nbytes + s.values.nbytes for r in recs for s in r.streams)
     assert peak <= 3 * parsed, f"peak {peak} B for {parsed} B of arrays"
+
+
+def test_iter_corpus_yields_each_recording_as_it_is_parsed(tmp_path):
+    """The first recording arrives before the rest of the file is parsed, and
+    a generator dropped mid-file closes its file (a file left open fails the
+    suite with a ResourceWarning)."""
+    cfg = SynthConfig(n_subjects=3, n_rounds=1, dots_per_round=2,
+                      eeg_rate_hz=16.0, eye_rate_hz=12.0, seed=7)
+    recs = generate_synthetic(cfg)
+    path = tmp_path / "c.corpus"
+    write_corpus(recs, path)
+    path.write_text(path.read_text() + "not a recording line\n")  # an error only the end reveals
+    recordings = iter_corpus(path)
+    assert corpus_equal([next(recordings)], recs[:1])
+    del recordings
+    gc.collect()
+    with pytest.raises(CorpusFormatError, match="expected 'recording <id>'"):
+        list(iter_corpus(path))

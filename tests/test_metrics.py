@@ -595,6 +595,49 @@ class TestRunExperiment:
         run_experiment(mini_corpus, config)
         assert len(refs) == 3 and stale == [0] * len(stale)
 
+    def test_duplicate_subject_raises_naming_it(self, mini_corpus):
+        config = ExperimentConfig(
+            scenario=Scenario.S2, modality="brain", folds=2, seed=0, train=_mini_train()
+        )
+        with pytest.raises(ValidationError, match="duplicate subject_id 's00'"):
+            run_experiment([*mini_corpus, mini_corpus[0]], config)
+
+    def test_any_iterable_in_any_order_gives_the_same_report(self, mini_corpus):
+        config = ExperimentConfig(
+            scenario=Scenario.S2, modality="fusion-b", folds=2, seed=0,
+            train=TrainConfig(epochs=1, batch_size=16, seed=0),
+        )
+        want = run_experiment(mini_corpus, config).to_json()
+        assert run_experiment(iter(mini_corpus[::-1]), config).to_json() == want
+
+    def test_test_split_is_standardized_after_training(self, mini_corpus, monkeypatch):
+        """No test sample is standardized before the fold's last model is trained."""
+        events = []  # (fold scope, "trained" or the subject of a standardized sample)
+        apply, train = biofuse.metrics.apply_standardizer, biofuse.metrics.train
+
+        def applying(std, sample):
+            events.append((std.scope, sample.subject_id))
+            return apply(std, sample)
+
+        def training(samples, arch, cfg, provenance):
+            out = train(samples, arch, cfg, provenance)
+            events.append((provenance["fold_id"], "trained"))
+            return out
+
+        monkeypatch.setattr(biofuse.metrics, "apply_standardizer", applying)
+        monkeypatch.setattr(biofuse.metrics, "train", training)
+        config = ExperimentConfig(
+            scenario=Scenario.S2, modality="eye-pupil", fusion=FusionRule.MEAN, folds=2,
+            seed=0, train=TrainConfig(epochs=1, batch_size=16, seed=0),
+        )
+        report = run_experiment(mini_corpus, config)
+        for fold in report.folds:
+            mine = [what for scope, what in events if scope == f"fold{fold['fold']}"]
+            last = len(mine) - mine[::-1].index("trained")
+            assert mine.count("trained") == 2
+            assert not set(mine[:last]) & set(fold["test_subjects"])
+            assert set(mine[last:]) == set(fold["test_subjects"])
+
     def test_fusion_config_validation(self):
         with pytest.raises(ValidationError):
             ExperimentConfig(modality="brain", fusion=FusionRule.MEAN)

@@ -5,9 +5,10 @@ any other exception (a UnicodeDecodeError, a bare numpy or JSON error) is a
 reader bug.  The formats carry no checksum, so a flip inside a float payload
 may load silently, which is allowed here.
 
-The streaming corpus reader is also checked against the whole-file reader it
-replaced (`oracles.oracle_read_corpus`): on every damaged or oddly formatted
-corpus both load the same recordings or raise the same error.
+The streaming corpus readers, `read_corpus` and `list(iter_corpus(path))`,
+are also checked against the whole-file reader they replaced
+(`oracles.oracle_read_corpus`): on every damaged or oddly formatted corpus
+all three load the same recordings or raise the same error.
 """
 
 import re
@@ -20,7 +21,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biofuse.corpus import Modality, SynthConfig, generate_synthetic, read_corpus, write_corpus
+from biofuse.corpus import (
+    Modality,
+    SynthConfig,
+    generate_synthetic,
+    iter_corpus,
+    read_corpus,
+    write_corpus,
+)
 from biofuse.errors import (
     CorpusFormatError,
     DatasetFormatError,
@@ -103,11 +111,13 @@ def _outcome(reader, path):
 
 
 def _assert_readers_agree(path):
-    got, want = _outcome(read_corpus, path), _outcome(oracle_read_corpus, path)
-    if isinstance(want, list) and isinstance(got, list):
-        assert corpus_equal(got, want)
-    else:
-        assert got == want
+    want = _outcome(oracle_read_corpus, path)
+    got = _outcome(read_corpus, path)
+    for other in (got, _outcome(lambda p: list(iter_corpus(p)), path)):
+        if isinstance(want, list) and isinstance(other, list):
+            assert corpus_equal(other, want)
+        else:
+            assert other == want
     return got
 
 

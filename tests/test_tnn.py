@@ -1,5 +1,6 @@
 import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -649,6 +650,29 @@ class TestTrain:
         want_model, want_history = train(samples, arch, cfg)
         assert model.weights.tobytes() == want_model.weights.tobytes()
         assert np.asarray(history).tobytes() == np.asarray(want_history).tobytes()
+
+    @pytest.mark.parametrize("kind", list(ArchKind))
+    def test_previous_step_cache_is_freed_before_the_next_forward(self, kind, monkeypatch):
+        """One step's activations are live at a time: when a training forward
+        pass starts, no earlier step's cache is referenced."""
+        pairs = _toy_pairs()
+        if kind is ArchKind.SINGLE:
+            arch, samples = single_modality_arch(Modality.BRAIN), [p.brain for p in pairs]
+        else:
+            arch, samples = fusion_arch(kind), pairs
+        module = importlib.import_module("biofuse.tnn.train")  # the package exports train()
+        forward = module.forward_batch
+        refs, live = [], []
+
+        def forwarding(model, branches, with_cache):
+            live.append(sum(ref() is not None for ref in refs))
+            emb, cache = forward(model, branches, with_cache)
+            refs.append(weakref.ref(cache["stacks"][0][0][0]))  # the first layer's columns
+            return emb, cache
+
+        monkeypatch.setattr(module, "forward_batch", forwarding)
+        train(samples, arch, TrainConfig(epochs=2, batch_size=8, samples_per_subject=2, seed=1))
+        assert len(refs) > 2 and live == [0] * len(refs)
 
     def test_lr_zero_is_noop(self):
         samples = _toy_dataset()

@@ -102,7 +102,7 @@ def test_evaluate_report_failing_midway(tmp_path, monkeypatch):
     (tmp_path / "r.json").write_text("old json")
     (tmp_path / "r.csv").write_text("old csv")
     before = _snapshot(tmp_path)
-    monkeypatch.setattr(cli, "read_corpus", lambda path: [])
+    monkeypatch.setattr(cli, "iter_corpus", lambda path: iter([]))
     monkeypatch.setattr(cli, "run_experiment", lambda recordings, config: Report())
     with pytest.raises(_Boom):
         cli.main(["evaluate", "--config", str(config)])
