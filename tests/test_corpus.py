@@ -1,11 +1,17 @@
 import gc
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biofuse import corpus
 from biofuse.corpus import (
     EventMarker,
     Modality,
@@ -18,7 +24,7 @@ from biofuse.corpus import (
     write_corpus,
 )
 from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
-from oracles import corpus_equal
+from oracles import corpus_equal, oracle_corpus_text
 
 
 def test_generate_counts():
@@ -254,3 +260,125 @@ def test_iter_corpus_yields_each_recording_as_it_is_parsed(tmp_path):
     gc.collect()
     with pytest.raises(CorpusFormatError, match="expected 'recording <id>'"):
         list(iter_corpus(path))
+
+
+# ---------------------------------------------------------------------------
+# Generation and writing shared over helper processes
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Every job uses helpers; returns (set the CPU count, the helpers started)."""
+    monkeypatch.setattr(corpus, "_MIN_GENERATE_EVENTS", 0)
+    monkeypatch.setattr(corpus, "_MIN_WRITE_EVENTS", 0)
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(corpus.subprocess, "Popen", Recorded)
+
+    def set_cpus(n):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: n)
+
+    return set_cpus, started
+
+
+_SHARED_CFG = SynthConfig(n_subjects=4, n_rounds=1, dots_per_round=3, blink_rate_per_min=30.0,
+                          seed=5)
+
+
+def test_shared_generation_and_writing_are_bit_identical(tmp_path, helpers):
+    set_cpus, started = helpers
+    set_cpus(1)
+    recs = generate_synthetic(_SHARED_CFG)
+    write_corpus(recs, tmp_path / "1.corpus")
+    assert not started
+    text = (tmp_path / "1.corpus").read_bytes()
+    assert text == oracle_corpus_text(recs).encode()
+    assert b"nan" in text
+    for n in (2, 3):
+        set_cpus(n)
+        shared = generate_synthetic(_SHARED_CFG)
+        assert len(started) == n - 1
+        assert corpus_equal(shared, recs)
+        for ra, rb in zip(shared, recs):
+            for sa, sb in zip(ra.streams, rb.streams):
+                assert sa.values.dtype == sb.values.dtype
+                assert sa.values.flags.writeable and sa.values.flags.c_contiguous
+        write_corpus(recs, tmp_path / f"{n}.corpus")
+        assert len(started) == 2 * (n - 1)
+        assert (tmp_path / f"{n}.corpus").read_bytes() == text
+        started.clear()
+
+
+def test_helper_error_reaches_the_caller(tmp_path, small_corpus, helpers):
+    set_cpus, started = helpers
+    _, recs = small_corpus
+    bad = Recording("bad", [Stream(Modality.BRAIN, 256.0, np.arange(2.0), np.zeros((2, 14)))], [])
+    bad.streams[0].values = np.zeros(3)  # formatting it fails: not [n x c]
+    corpus_path = tmp_path / "c.corpus"
+    corpus_path.write_text("old")
+    set_cpus(1)
+    with pytest.raises(ValueError) as in_process:
+        write_corpus([*recs, bad], corpus_path)
+    assert not started
+    set_cpus(2)
+    with pytest.raises(ValueError) as shared:
+        write_corpus([*recs, bad], corpus_path)
+    assert len(started) == 1  # the bad recording was in the helper's share
+    assert str(shared.value) == str(in_process.value)
+    assert all(p.returncode is not None for p in started)
+    assert sorted(os.listdir(tmp_path)) == ["c.corpus"]
+    assert corpus_path.read_text() == "old"
+
+
+def test_no_helper_outlives_a_call(tmp_path, helpers):
+    set_cpus, started = helpers
+    set_cpus(3)
+    recs = generate_synthetic(_SHARED_CFG)
+    write_corpus(recs, tmp_path / "c.corpus")
+    assert len(started) == 4
+    assert all(p.returncode == 0 for p in started)
+
+    # the caller stops drawing results while the helpers still run
+    started.clear()
+    results = corpus._spread(corpus._format_recording, [(r,) for r in recs], True)
+    next(results)
+    results.close()
+    assert len(started) == 2
+    assert all(p.returncode is not None for p in started)
+
+
+def test_write_corpus_takes_a_one_shot_iterable(tmp_path, small_corpus):
+    _, recs = small_corpus
+    a, b = tmp_path / "a.corpus", tmp_path / "b.corpus"
+    write_corpus(recs, a)
+    write_corpus(iter_corpus(a), b)
+    assert b.read_bytes() == a.read_bytes()
+
+
+def test_script_without_main_guard_uses_helpers(tmp_path):
+    """Helpers start a fresh interpreter on `biofuse.corpus` alone, so a
+    caller's unguarded top level is not run again in them (multiprocessing's
+    spawn and forkserver would re-run it)."""
+    script = tmp_path / "make.py"
+    script.write_text(textwrap.dedent(f"""
+        import sys
+        from biofuse import corpus
+        from biofuse.corpus import SynthConfig
+        corpus._MIN_GENERATE_EVENTS = corpus._MIN_WRITE_EVENTS = 0
+        corpus._usable_cpus = lambda: 2
+        cfg = {_SHARED_CFG!r}
+        corpus.write_corpus(corpus.generate_synthetic(cfg), sys.argv[1])
+        print("top level ran")
+    """))
+    env = dict(os.environ, PYTHONPATH=str(Path(corpus.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script), str(tmp_path / "s.corpus")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "top level ran\n"
+    write_corpus(generate_synthetic(_SHARED_CFG), tmp_path / "p.corpus")
+    assert (tmp_path / "s.corpus").read_bytes() == (tmp_path / "p.corpus").read_bytes()
