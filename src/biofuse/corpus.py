@@ -13,10 +13,8 @@ import itertools
 import math
 import os
 import pickle
-import subprocess
 import sys
 import threading
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -383,6 +381,10 @@ def _spread(fn: Callable, jobs: list[tuple], large: bool) -> Iterator:
     without a `sys.executable`.
     """
     n = max(1, min(_usable_cpus(), len(jobs))) if large and sys.executable else 1
+    if n > 1:
+        # here, not at the top: a process that starts no helper does not
+        # load subprocess and its dependencies (about 0.7 MB resident)
+        import subprocess
     q, r = divmod(len(jobs), n)
     cuts = [0] + list(itertools.accumulate(q + (k < r) for k in range(n)))
     shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -442,6 +444,8 @@ def _serve() -> None:
     try:
         results = [fn(*job) for job in jobs]
     except Exception as e:  # raised again in the caller; the helper's traceback goes to stderr
+        import traceback
+
         traceback.print_exc()
         pickle.dump((False, (type(e), e.args)), out)
     else:

@@ -278,7 +278,7 @@ def helpers(monkeypatch):
             super().__init__(*args, **kwargs)
             started.append(self)
 
-    monkeypatch.setattr(corpus.subprocess, "Popen", Recorded)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
 
     def set_cpus(n):
         monkeypatch.setattr(corpus, "_usable_cpus", lambda: n)
