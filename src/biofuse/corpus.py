@@ -14,9 +14,8 @@ import math
 import os
 import pickle
 import sys
-import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -306,9 +305,7 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
     response kernels plus small eye-channel DC offsets); event-locked
     responses mix the subject kernel with a corpus-wide common kernel
     according to subject_separability.  Eye streams carry NaN blink bursts
-    at the configured rate.  Each subject draws from its own child of the
-    seed, so the subjects are generated in shares over the usable CPUs
-    (`_spread`) with the same result for any CPU count.
+    at the configured rate.
     """
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.n_subjects + 1)
@@ -317,141 +314,32 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
         Modality.BRAIN: _draw_kernel(common_rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
         Modality.EYE_PUPIL: _draw_kernel(common_rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
     }
-    jobs = [(cfg, common, children[i + 1], i) for i in range(cfg.n_subjects)]
-    n_events = cfg.n_subjects * cfg.n_rounds * cfg.dots_per_round
-    return list(_spread(_synth_recording, jobs, n_events >= _MIN_GENERATE_EVENTS))
-
-
-def _synth_recording(
-    cfg: SynthConfig, common: dict, seed: np.random.SeedSequence, i: int
-) -> Recording:
-    """Subject `i`'s recording, drawn from its own `seed`."""
-    rng = np.random.default_rng(seed)
-    subj = {
-        Modality.BRAIN: _draw_kernel(rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
-        Modality.EYE_PUPIL: _draw_kernel(rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
-    }
-    eye_dc = rng.standard_normal(16) * _EYE_DC_SCALE * math.sqrt(cfg.subject_separability)
-    events = _synth_events(cfg, rng)
-    duration = events[-1].t + _REST_S + _TAIL_S
-    amps = np.clip(1.0 + _AMP_JITTER * rng.standard_normal(len(events)), 0.2, None)
-    brain = _synth_stream(
-        cfg, rng, Modality.BRAIN, cfg.eeg_rate_hz, duration, events, amps,
-        subj[Modality.BRAIN], common[Modality.BRAIN],
-    )
-    eye = _synth_stream(
-        cfg, rng, Modality.EYE_PUPIL, cfg.eye_rate_hz, duration, events, amps,
-        subj[Modality.EYE_PUPIL], common[Modality.EYE_PUPIL],
-    )
-    eye.values += eye_dc[None, :]
-    eye.values[:, 12:] += _PUPIL_BASELINE
-    _apply_blinks(eye, rng, cfg, duration)
-    return Recording(subject_id=f"s{i:02d}", streams=[brain, eye], events=events)
-
-
-# ---------------------------------------------------------------------------
-# Work shared over the usable CPUs
-
-# A call with fewer events than this stays in the calling process.  On a
-# 2-vCPU VM starting a helper (interpreter, numpy, biofuse) took 0.24-0.30 s,
-# and two processes beat one from about 400 events of generation (0.55 s in
-# one process) and from about 150 events of writing (0.9 s for 192 events).
-_MIN_GENERATE_EVENTS = 500
-_MIN_WRITE_EVENTS = 150
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _spread(fn: Callable, jobs: list[tuple], large: bool) -> Iterator:
-    """`fn(*job)` for each job, yielded in job order.
-
-    The jobs are cut into one contiguous share per usable CPU.  The calling
-    process works the first share as the results are drawn; each other share
-    goes to a helper process (`_serve`) started from `sys.executable` with
-    this process's `sys.path`, so no caller's `__main__` is run again.  A
-    helper reads its whole share, works it, then sends one result at a time.
-    An exception in a helper is raised here with its type and message.  When
-    the generator ends or is closed, every helper has exited or is killed.
-    No helper is started for a job that is not `large`, for one CPU, or
-    without a `sys.executable`.
-    """
-    n = max(1, min(_usable_cpus(), len(jobs))) if large and sys.executable else 1
-    if n > 1:
-        # here, not at the top: a process that starts no helper does not
-        # load subprocess and its dependencies (about 0.7 MB resident)
-        import subprocess
-    q, r = divmod(len(jobs), n)
-    cuts = [0] + list(itertools.accumulate(q + (k < r) for k in range(n)))
-    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
-    helpers: list[subprocess.Popen] = []
-    feeders: list[threading.Thread] = []
-    path = [p for p in sys.path if isinstance(p, str)]  # what the import system reads
-    boot = f"import sys; sys.path[:] = {path!r}; from biofuse.corpus import _serve; _serve()"
-    try:
-        for share in shares[1:]:
-            payload = pickle.dumps((fn, share), protocol=pickle.HIGHEST_PROTOCOL)
-            proc = subprocess.Popen(
-                [sys.executable, "-c", boot], stdin=subprocess.PIPE, stdout=subprocess.PIPE
-            )
-            helpers.append(proc)
-            # sent from a thread, so this process starts its own share while
-            # the helper is still starting up
-            feeders.append(threading.Thread(target=_send, args=(proc.stdin, payload), daemon=True))
-            feeders[-1].start()
-            del payload  # the feeder holds it until it is sent
-        for job in shares[0]:
-            yield fn(*job)
-        for proc, share in zip(helpers, shares[1:]):
-            for _ in share:
-                try:
-                    ok, value = pickle.load(proc.stdout)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(
-                        f"corpus helper exited with status {proc.wait()}"
-                    ) from None
-                if not ok:
-                    error, args = value
-                    raise error(*args)
-                yield value
-            proc.wait()
-    finally:
-        for proc in helpers:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        for feeder in feeders:
-            feeder.join()
-        for proc in helpers:
-            proc.stdout.close()
-
-
-def _send(pipe, data: bytes) -> None:
-    # a helper killed before it read its job closes the pipe; the caller has
-    # already seen why
-    with contextlib.suppress(BrokenPipeError), pipe:
-        pipe.write(data)
-
-
-def _serve() -> None:
-    """Work one share sent by `_spread` on stdin; send the results on stdout."""
-    fn, jobs = pickle.load(sys.stdin.buffer)
-    out = sys.stdout.buffer
-    try:
-        results = [fn(*job) for job in jobs]
-    except Exception as e:  # raised again in the caller; the helper's traceback goes to stderr
-        import traceback
-
-        traceback.print_exc()
-        pickle.dump((False, (type(e), e.args)), out)
-    else:
-        for result in results:
-            pickle.dump((True, result), out, protocol=pickle.HIGHEST_PROTOCOL)
-    out.flush()
+    recordings = []
+    for i in range(cfg.n_subjects):
+        rng = np.random.default_rng(children[i + 1])
+        subj = {
+            Modality.BRAIN: _draw_kernel(rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
+            Modality.EYE_PUPIL: _draw_kernel(rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
+        }
+        eye_dc = rng.standard_normal(16) * _EYE_DC_SCALE * math.sqrt(cfg.subject_separability)
+        events = _synth_events(cfg, rng)
+        duration = events[-1].t + _REST_S + _TAIL_S
+        amps = np.clip(1.0 + _AMP_JITTER * rng.standard_normal(len(events)), 0.2, None)
+        brain = _synth_stream(
+            cfg, rng, Modality.BRAIN, cfg.eeg_rate_hz, duration, events, amps,
+            subj[Modality.BRAIN], common[Modality.BRAIN],
+        )
+        eye = _synth_stream(
+            cfg, rng, Modality.EYE_PUPIL, cfg.eye_rate_hz, duration, events, amps,
+            subj[Modality.EYE_PUPIL], common[Modality.EYE_PUPIL],
+        )
+        eye.values += eye_dc[None, :]
+        eye.values[:, 12:] += _PUPIL_BASELINE
+        _apply_blinks(eye, rng, cfg, duration)
+        recordings.append(
+            Recording(subject_id=f"s{i:02d}", streams=[brain, eye], events=events)
+        )
+    return recordings
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +353,8 @@ def _fmt(x: float) -> str:
 def write_corpus(recordings: Iterable[Recording], path) -> None:
     """Write recordings as line-delimited text; lossless including NaN and float bits.
 
-    The recordings are formatted in shares over the usable CPUs (`_spread`);
-    the bytes do not depend on the CPU count.
+    The recordings are formatted in shares over the usable CPUs
+    (`_formatted`); the bytes do not depend on the CPU count.
     """
     recordings = list(recordings)
     if not recordings:
@@ -476,10 +364,8 @@ def write_corpus(recordings: Iterable[Recording], path) -> None:
         if rec.subject_id in seen:
             raise ValidationError(f"duplicate subject_id {rec.subject_id!r}")
         seen.add(rec.subject_id)
-    jobs = [(rec,) for rec in recordings]
-    large = sum(len(rec.events) for rec in recordings) >= _MIN_WRITE_EVENTS
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as f, contextlib.closing(
-        _spread(_format_recording, jobs, large)
+        _formatted(recordings)
     ) as texts:
         f.write(CORPUS_MAGIC + "\n")
         for text in texts:
@@ -489,14 +375,127 @@ def write_corpus(recordings: Iterable[Recording], path) -> None:
 def _format_recording(rec: Recording) -> str:
     """The corpus text of one recording."""
     parts = [f"recording {rec.subject_id}\n", f"events {len(rec.events)}\n"]
-    parts += [f"{_fmt(ev.t)} {ev.kind} {ev.round_id} {ev.dot_index}\n" for ev in rec.events]
+    for ev in rec.events:
+        parts.append(f"{_fmt(ev.t)} {ev.kind} {ev.round_id} {ev.dot_index}\n")
     for s in rec.streams:
         n, c = s.values.shape
         parts.append(f"stream {s.modality.value} {_fmt(s.nominal_rate_hz)} {n} {c}\n")
-        # one `%` format for the whole block; %r of a float is its repr
-        block = np.column_stack((s.timestamps, s.values))
-        parts.append(("%r" + " %r" * c + "\n") * n % tuple(block.ravel().tolist()))
+        ts = s.timestamps.tolist()
+        rows = s.values.tolist()
+        parts.append("\n".join(
+            _fmt(t) + " " + " ".join(map(repr, row)) for t, row in zip(ts, rows)
+        ))
+        if n:
+            parts.append("\n")
     return "".join(parts)
+
+
+# A helper is started only for a share of at least this many events.  On a
+# 2-vCPU VM starting one (interpreter, numpy, biofuse) took 0.24-0.30 s and
+# formatting took about 5 ms an event, so such a share is about five times
+# its helper's start.
+_MIN_SHARE_EVENTS = 300
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _formatted(recordings: list[Recording]) -> Iterator[str]:
+    """`_format_recording` of each recording, yielded in order.
+
+    The recordings are cut into contiguous shares, one per usable CPU but
+    none under `_MIN_SHARE_EVENTS` events.  The calling process formats the
+    first share as the texts are drawn; each other share goes to a helper
+    process (`_serve`) started from `sys.executable` with this process's
+    `sys.path`, so no caller's `__main__` is run again.  A helper reads its
+    whole share, formats it, then sends one text at a time.  A share whose
+    helper fails, for any reason, is formatted here, so an error is raised
+    as it is in one process.  When the generator ends or is closed, every
+    helper has exited or is killed.
+    """
+    n_events = sum(len(rec.events) for rec in recordings)
+    n = min(_usable_cpus(), len(recordings), n_events // _MIN_SHARE_EVENTS)
+    if n < 2 or not sys.executable:
+        yield from map(_format_recording, recordings)
+        return
+    # here, not at the top: a process that starts no helper does not load
+    # subprocess and its dependencies (about 0.7 MB resident)
+    import subprocess
+    import threading
+
+    q, r = divmod(len(recordings), n)
+    cuts = [0] + list(itertools.accumulate(q + (k < r) for k in range(n)))
+    shares = [recordings[a:b] for a, b in zip(cuts, cuts[1:])]
+    helpers: list[subprocess.Popen] = []
+    feeders: list[threading.Thread] = []
+    path = [p for p in sys.path if isinstance(p, str)]  # what the import system reads
+    boot = f"import sys; sys.path[:] = {path!r}; from biofuse.corpus import _serve; _serve()"
+    try:
+        for share in shares[1:]:
+            payload = pickle.dumps(share, protocol=pickle.HIGHEST_PROTOCOL)
+            proc = subprocess.Popen(
+                [sys.executable, "-c", boot],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            )
+            helpers.append(proc)
+            # sent from a thread, so this process starts its own share while
+            # the helper is still starting up
+            feeders.append(threading.Thread(target=_send, args=(proc.stdin, payload), daemon=True))
+            feeders[-1].start()
+            del payload  # the feeder holds it until it is sent
+        for rec in shares[0]:
+            yield _format_recording(rec)
+        for proc, share in zip(helpers, shares[1:]):
+            done = 0
+            for text in _received(proc, len(share)):
+                yield text
+                done += 1
+            if done < len(share):  # the helper failed: its error, or one starting it
+                proc.kill()
+                yield from map(_format_recording, share[done:])
+            proc.wait()
+    finally:
+        for proc in helpers:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        for feeder in feeders:
+            feeder.join()
+        for proc in helpers:
+            proc.stdout.close()
+
+
+def _received(proc, count: int) -> Iterator[str]:
+    """Up to `count` texts sent by a helper; fewer once it has failed."""
+    for _ in range(count):
+        try:
+            text = pickle.load(proc.stdout)
+        except Exception:  # the stream ended early or holds no pickle
+            return
+        yield text
+
+
+def _send(pipe, data: bytes) -> None:
+    # a helper that exits before it has read its share closes the pipe; its
+    # share is then formatted in the caller
+    with contextlib.suppress(BrokenPipeError), pipe:
+        pipe.write(data)
+
+
+def _serve() -> None:
+    """Format one share sent by `_formatted` on stdin; send the texts on stdout.
+
+    An error ends the helper before it sends anything.
+    """
+    texts = [_format_recording(rec) for rec in pickle.load(sys.stdin.buffer)]
+    out = sys.stdout.buffer
+    for text in texts:
+        pickle.dump(text, out, protocol=pickle.HIGHEST_PROTOCOL)
+    out.flush()
 
 
 def _parse_float(token: str, lineno: int) -> float:

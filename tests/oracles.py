@@ -9,8 +9,6 @@ tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
 max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
 the whole-file corpus reader that the streaming `read_corpus` replaced; it
 reuses only the library's token parsers and record types.
-`oracle_corpus_text` is the per-row `repr` join that the corpus writer's one
-`%r` format per stream block replaced.
 `oracle_embed_batch` is the one forward pass per 512-sample stack that
 `embed_batch`'s 128-row blocks replaced, and `oracle_adam_step` the
 expression form of the Adam update that the in-place `_Adam.step` replaced.
@@ -772,27 +770,3 @@ def oracle_read_corpus(path):
     if len(set(ids)) != len(ids):
         raise CorpusFormatError("duplicate subject ids in corpus")
     return recordings
-
-
-def oracle_corpus_text(recordings):
-    """The corpus text the writer produced with one `repr` per value, joined
-    row by row."""
-    from biofuse.corpus import CORPUS_MAGIC
-
-    out = [CORPUS_MAGIC + "\n"]
-    for rec in recordings:
-        out.append(f"recording {rec.subject_id}\n")
-        out.append(f"events {len(rec.events)}\n")
-        for ev in rec.events:
-            out.append(f"{float(ev.t)!r} {ev.kind} {ev.round_id} {ev.dot_index}\n")
-        for s in rec.streams:
-            n, c = s.values.shape
-            out.append(f"stream {s.modality.value} {float(s.nominal_rate_hz)!r} {n} {c}\n")
-            rows = s.values.tolist()
-            out.append("\n".join(
-                repr(t) + " " + " ".join(map(repr, row))
-                for t, row in zip(s.timestamps.tolist(), rows)
-            ))
-            if n:
-                out.append("\n")
-    return "".join(out)

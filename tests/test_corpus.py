@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import traceback
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from biofuse.corpus import (
     write_corpus,
 )
 from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
-from oracles import corpus_equal, oracle_corpus_text
+from oracles import corpus_equal
 
 
 def test_generate_counts():
@@ -263,14 +264,13 @@ def test_iter_corpus_yields_each_recording_as_it_is_parsed(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Generation and writing shared over helper processes
+# Writing shared over helper processes
 
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """Every job uses helpers; returns (set the CPU count, the helpers started)."""
-    monkeypatch.setattr(corpus, "_MIN_GENERATE_EVENTS", 0)
-    monkeypatch.setattr(corpus, "_MIN_WRITE_EVENTS", 0)
+    """A helper for every recording; returns (set the CPU count, the helpers started)."""
+    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 1)
     started = []
 
     class Recorded(subprocess.Popen):
@@ -290,28 +290,53 @@ _SHARED_CFG = SynthConfig(n_subjects=4, n_rounds=1, dots_per_round=3, blink_rate
                           seed=5)
 
 
-def test_shared_generation_and_writing_are_bit_identical(tmp_path, helpers):
+def test_shared_writing_is_bit_identical(tmp_path, helpers):
     set_cpus, started = helpers
-    set_cpus(1)
     recs = generate_synthetic(_SHARED_CFG)
+    set_cpus(1)
     write_corpus(recs, tmp_path / "1.corpus")
     assert not started
     text = (tmp_path / "1.corpus").read_bytes()
-    assert text == oracle_corpus_text(recs).encode()
     assert b"nan" in text
     for n in (2, 3):
         set_cpus(n)
-        shared = generate_synthetic(_SHARED_CFG)
-        assert len(started) == n - 1
-        assert corpus_equal(shared, recs)
-        for ra, rb in zip(shared, recs):
-            for sa, sb in zip(ra.streams, rb.streams):
-                assert sa.values.dtype == sb.values.dtype
-                assert sa.values.flags.writeable and sa.values.flags.c_contiguous
         write_corpus(recs, tmp_path / f"{n}.corpus")
-        assert len(started) == 2 * (n - 1)
+        assert len(started) == n - 1
+        assert all(p.returncode == 0 for p in started)
         assert (tmp_path / f"{n}.corpus").read_bytes() == text
         started.clear()
+
+
+def test_helper_count_is_bounded_by_share_size(tmp_path, helpers, monkeypatch):
+    set_cpus, started = helpers
+    recs = generate_synthetic(_SHARED_CFG)  # 4 recordings of 3 events
+    set_cpus(8)
+    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 6)
+    write_corpus(recs, tmp_path / "c.corpus")
+    assert len(started) == 1  # two shares of 6 events
+    started.clear()
+    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 7)
+    write_corpus(recs, tmp_path / "c.corpus")
+    assert not started
+
+
+def _raises_in_a_helper(tmp_path, recs, bad, set_cpus, started, error):
+    """Write `recs` then `bad` in one process and with one helper, which
+    formats `bad`; return both errors."""
+    corpus_path = tmp_path / "c.corpus"
+    corpus_path.write_text("old")
+    set_cpus(1)
+    with pytest.raises(error) as in_process:
+        write_corpus([*recs, bad], corpus_path)
+    assert not started
+    set_cpus(2)
+    with pytest.raises(error) as shared:
+        write_corpus([*recs, bad], corpus_path)
+    assert len(started) == 1
+    assert started[0].returncode not in (None, 0)  # the helper failed too
+    assert sorted(os.listdir(tmp_path)) == ["c.corpus"]
+    assert corpus_path.read_text() == "old"
+    return in_process.value, shared.value
 
 
 def test_helper_error_reaches_the_caller(tmp_path, small_corpus, helpers):
@@ -319,20 +344,54 @@ def test_helper_error_reaches_the_caller(tmp_path, small_corpus, helpers):
     _, recs = small_corpus
     bad = Recording("bad", [Stream(Modality.BRAIN, 256.0, np.arange(2.0), np.zeros((2, 14)))], [])
     bad.streams[0].values = np.zeros(3)  # formatting it fails: not [n x c]
-    corpus_path = tmp_path / "c.corpus"
-    corpus_path.write_text("old")
+    in_process, shared = _raises_in_a_helper(tmp_path, recs, bad, set_cpus, started, ValueError)
+    assert str(shared) == str(in_process)
+    # raised by this process's own formatting: one traceback, to the line
+    assert shared.__traceback__ is not None
+    frames = [f.name for f in traceback.extract_tb(shared.__traceback__)]
+    assert frames[-1] == "_format_recording"
+    assert shared.__cause__ is None and shared.__context__ is None
+
+
+class KeywordOnlyError(Exception):
+    """An exception that cannot be rebuilt from its `args`."""
+
+    def __init__(self, *, code):
+        super().__init__(f"code {code}")
+        self.code = code
+
+
+class _UnformattableId(str):
+    def __format__(self, spec):
+        raise KeywordOnlyError(code=7)
+
+
+def test_helper_error_of_any_signature_reaches_the_caller(tmp_path, small_corpus, helpers):
+    set_cpus, started = helpers
+    _, recs = small_corpus
+    bad = Recording("bad", [Stream(Modality.BRAIN, 256.0, np.arange(2.0), np.zeros((2, 14)))], [])
+    bad.subject_id = _UnformattableId("bad")
+    in_process, shared = _raises_in_a_helper(
+        tmp_path, recs, bad, set_cpus, started, KeywordOnlyError
+    )
+    assert shared.code == in_process.code == 7
+    assert str(shared) == "code 7"
+
+
+def test_helper_that_cannot_start_leaves_its_share_to_the_caller(tmp_path, helpers,
+                                                                 monkeypatch):
+    set_cpus, started = helpers
+    recs = generate_synthetic(_SHARED_CFG)
     set_cpus(1)
-    with pytest.raises(ValueError) as in_process:
-        write_corpus([*recs, bad], corpus_path)
-    assert not started
+    write_corpus(recs, tmp_path / "a.corpus")
+    failing = tmp_path / "fail.sh"
+    failing.write_text("#!/bin/sh\nexit 3\n")
+    failing.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(failing))
     set_cpus(2)
-    with pytest.raises(ValueError) as shared:
-        write_corpus([*recs, bad], corpus_path)
-    assert len(started) == 1  # the bad recording was in the helper's share
-    assert str(shared.value) == str(in_process.value)
-    assert all(p.returncode is not None for p in started)
-    assert sorted(os.listdir(tmp_path)) == ["c.corpus"]
-    assert corpus_path.read_text() == "old"
+    write_corpus(recs, tmp_path / "b.corpus")
+    assert [p.returncode for p in started] == [3]
+    assert (tmp_path / "b.corpus").read_bytes() == (tmp_path / "a.corpus").read_bytes()
 
 
 def test_no_helper_outlives_a_call(tmp_path, helpers):
@@ -340,14 +399,14 @@ def test_no_helper_outlives_a_call(tmp_path, helpers):
     set_cpus(3)
     recs = generate_synthetic(_SHARED_CFG)
     write_corpus(recs, tmp_path / "c.corpus")
-    assert len(started) == 4
+    assert len(started) == 2
     assert all(p.returncode == 0 for p in started)
 
-    # the caller stops drawing results while the helpers still run
+    # the caller stops drawing texts while the helpers still run
     started.clear()
-    results = corpus._spread(corpus._format_recording, [(r,) for r in recs], True)
-    next(results)
-    results.close()
+    texts = corpus._formatted(recs)
+    next(texts)
+    texts.close()
     assert len(started) == 2
     assert all(p.returncode is not None for p in started)
 
@@ -369,7 +428,7 @@ def test_script_without_main_guard_uses_helpers(tmp_path):
         import sys
         from biofuse import corpus
         from biofuse.corpus import SynthConfig
-        corpus._MIN_GENERATE_EVENTS = corpus._MIN_WRITE_EVENTS = 0
+        corpus._MIN_SHARE_EVENTS = 1
         corpus._usable_cpus = lambda: 2
         cfg = {_SHARED_CFG!r}
         corpus.write_corpus(corpus.generate_synthetic(cfg), sys.argv[1])
