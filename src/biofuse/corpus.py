@@ -1,19 +1,18 @@
 """Recording data model, deterministic synthetic corpora, and the on-disk corpus format.
 
-The corpus file is UTF-8, line-delimited, diffable text (grammar in
-``docs/formats.md``).  Floats are written with ``repr`` so the round trip is
-bit-exact; NaN is spelled ``nan`` and may occur in eye streams only.
+The corpus file is binary (layout in ``docs/formats.md``): short UTF-8 header
+lines, little-endian event and stream blocks, and a CRC32 per recording, so
+the round trip is bit-exact and any changed or missing byte is caught.  NaN
+may occur in eye streams only.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
-import itertools
 import math
 import os
-import pickle
-import sys
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import CorpusFormatError, CorpusVersionError, ValidationError, check_field_types
 
-CORPUS_MAGIC = "BIOFUSE-CORPUS v1"
+CORPUS_MAGIC = "BIOFUSE-CORPUS v2"
 EVENT_KIND_DOT_HIT = "DotHit"
 MAX_DOTS_PER_ROUND = 25  # dot_index is bounded to [0, 24]
 
@@ -345,178 +344,44 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
 # ---------------------------------------------------------------------------
 # On-disk format
 
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
+# one event record: t, round_id, dot_index (the kind is always DotHit)
+_EVENT = np.dtype([("t", "<f8"), ("round_id", "<i8"), ("dot_index", "<i8")])
 
 
 def write_corpus(recordings: Iterable[Recording], path) -> None:
-    """Write recordings as line-delimited text; lossless including NaN and float bits.
+    """Write recordings in the binary corpus format; lossless including NaN and float bits.
 
-    The recordings are formatted in shares over the usable CPUs
-    (`_formatted`); the bytes do not depend on the CPU count.
+    Each recording is written as it is drawn from `recordings`, so a
+    generator is never held whole.
     """
-    recordings = list(recordings)
-    if not recordings:
-        raise ValidationError("cannot write an empty corpus")
-    seen = set()
-    for rec in recordings:
-        if rec.subject_id in seen:
-            raise ValidationError(f"duplicate subject_id {rec.subject_id!r}")
-        seen.add(rec.subject_id)
-    with atomic_write(path, "w", encoding="utf-8", newline="\n") as f, contextlib.closing(
-        _formatted(recordings)
-    ) as texts:
-        f.write(CORPUS_MAGIC + "\n")
-        for text in texts:
-            f.write(text)
+    seen: set[str] = set()
+    with atomic_write(path, "wb") as f:
+        f.write(f"{CORPUS_MAGIC}\n".encode())
+        for rec in recordings:
+            if rec.subject_id in seen:
+                raise ValidationError(f"duplicate subject_id {rec.subject_id!r}")
+            seen.add(rec.subject_id)
+            crc = 0
+            for part in _recording_parts(rec):
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+            f.write(crc.to_bytes(4, "little"))
+        if not seen:
+            raise ValidationError("cannot write an empty corpus")
+        f.write(f"end {len(seen)}\n".encode())
 
 
-def _format_recording(rec: Recording) -> str:
-    """The corpus text of one recording."""
-    parts = [f"recording {rec.subject_id}\n", f"events {len(rec.events)}\n"]
-    for ev in rec.events:
-        parts.append(f"{_fmt(ev.t)} {ev.kind} {ev.round_id} {ev.dot_index}\n")
+def _recording_parts(rec: Recording) -> Iterator[bytes | np.ndarray]:
+    """The header lines and binary blocks of one recording, in file order."""
+    yield f"recording {rec.subject_id} {len(rec.events)} {len(rec.streams)}\n".encode()
+    yield np.array([(ev.t, ev.round_id, ev.dot_index) for ev in rec.events], dtype=_EVENT)
     for s in rec.streams:
         n, c = s.values.shape
-        parts.append(f"stream {s.modality.value} {_fmt(s.nominal_rate_hz)} {n} {c}\n")
-        ts = s.timestamps.tolist()
-        rows = s.values.tolist()
-        parts.append("\n".join(
-            _fmt(t) + " " + " ".join(map(repr, row)) for t, row in zip(ts, rows)
-        ))
-        if n:
-            parts.append("\n")
-    return "".join(parts)
-
-
-# A helper is started only for a share of at least this many events.  On a
-# 2-vCPU VM starting one (interpreter, numpy, biofuse) took 0.24-0.30 s and
-# formatting took about 5 ms an event, so such a share is about five times
-# its helper's start.
-_MIN_SHARE_EVENTS = 300
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _formatted(recordings: list[Recording]) -> Iterator[str]:
-    """`_format_recording` of each recording, yielded in order.
-
-    The recordings are cut into contiguous shares, one per usable CPU but
-    none under `_MIN_SHARE_EVENTS` events.  The calling process formats the
-    first share as the texts are drawn; each other share goes to a helper
-    process (`_serve`) started from `sys.executable` with this process's
-    `sys.path`, so no caller's `__main__` is run again.  A helper reads its
-    whole share, formats it, then sends one text at a time.  A share whose
-    helper fails, for any reason, is formatted here, so an error is raised
-    as it is in one process.  When the generator ends or is closed, every
-    helper has exited or is killed.
-    """
-    n_events = sum(len(rec.events) for rec in recordings)
-    n = min(_usable_cpus(), len(recordings), n_events // _MIN_SHARE_EVENTS)
-    if n < 2 or not sys.executable:
-        yield from map(_format_recording, recordings)
-        return
-    # here, not at the top: a process that starts no helper does not load
-    # subprocess and its dependencies (about 0.7 MB resident)
-    import subprocess
-    import threading
-
-    q, r = divmod(len(recordings), n)
-    cuts = [0] + list(itertools.accumulate(q + (k < r) for k in range(n)))
-    shares = [recordings[a:b] for a, b in zip(cuts, cuts[1:])]
-    helpers: list[subprocess.Popen] = []
-    feeders: list[threading.Thread] = []
-    path = [p for p in sys.path if isinstance(p, str)]  # what the import system reads
-    boot = f"import sys; sys.path[:] = {path!r}; from biofuse.corpus import _serve; _serve()"
-    try:
-        for share in shares[1:]:
-            payload = pickle.dumps(share, protocol=pickle.HIGHEST_PROTOCOL)
-            proc = subprocess.Popen(
-                [sys.executable, "-c", boot],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            )
-            helpers.append(proc)
-            # sent from a thread, so this process starts its own share while
-            # the helper is still starting up
-            feeders.append(threading.Thread(target=_send, args=(proc.stdin, payload), daemon=True))
-            feeders[-1].start()
-            del payload  # the feeder holds it until it is sent
-        for rec in shares[0]:
-            yield _format_recording(rec)
-        for proc, share in zip(helpers, shares[1:]):
-            done = 0
-            for text in _received(proc, len(share)):
-                yield text
-                done += 1
-            if done < len(share):  # the helper failed: its error, or one starting it
-                proc.kill()
-                yield from map(_format_recording, share[done:])
-            proc.wait()
-    finally:
-        for proc in helpers:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        for feeder in feeders:
-            feeder.join()
-        for proc in helpers:
-            proc.stdout.close()
-
-
-def _received(proc, count: int) -> Iterator[str]:
-    """Up to `count` texts sent by a helper; fewer once it has failed."""
-    for _ in range(count):
-        try:
-            text = pickle.load(proc.stdout)
-        except Exception:  # the stream ended early or holds no pickle
-            return
-        yield text
-
-
-def _send(pipe, data: bytes) -> None:
-    # a helper that exits before it has read its share closes the pipe; its
-    # share is then formatted in the caller
-    with contextlib.suppress(BrokenPipeError), pipe:
-        pipe.write(data)
-
-
-def _serve() -> None:
-    """Format one share sent by `_formatted` on stdin; send the texts on stdout.
-
-    An error ends the helper before it sends anything.
-    """
-    texts = [_format_recording(rec) for rec in pickle.load(sys.stdin.buffer)]
-    out = sys.stdout.buffer
-    for text in texts:
-        pickle.dump(text, out, protocol=pickle.HIGHEST_PROTOCOL)
-    out.flush()
-
-
-def _parse_float(token: str, lineno: int) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        raise CorpusFormatError(f"line {lineno}: bad float {token!r}") from None
-
-
-def _parse_int(token: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise CorpusFormatError(f"line {lineno}: bad integer {token!r}") from None
-
-
-def _parse_count(token: str, lineno: int) -> int:
-    n = _parse_int(token, lineno)
-    if n < 0:
-        raise CorpusFormatError(f"line {lineno}: negative count {token!r}")
-    return n
+        yield f"stream {s.modality.value} {float(s.nominal_rate_hz)!r} {n} {c}\n".encode()
+        block = np.empty((n, 1 + c), dtype="<f8")
+        block[:, 0] = s.timestamps
+        block[:, 1:] = s.values
+        yield block
 
 
 @contextlib.contextmanager
@@ -565,68 +430,90 @@ def read_text_lines(path, error: type[Exception]) -> list[str]:
         raise _utf8_error(path, error) from None
 
 
-class _LineReader:
-    r"""The lines of a text file opened with ``newline=""``, split where
-    ``str.splitlines`` splits them, read from the file as they are taken.
-
-    Iterating the file breaks lines only after ``\n``, ``\r`` and ``\r\n``;
-    splitlines also breaks at ``\v \f \x1c \x1d \x1e \x85 \u2028
-    \u2029``.  `lineno` is the 1-based number of the last line taken.
-    """
+class _Source:
+    """A corpus file read part by part: each part is checked against the bytes
+    left before it is read, and the CRC32 of the current recording's bytes is
+    kept.  Errors name the byte offset and, inside a recording, its id."""
 
     def __init__(self, f) -> None:
-        self._f = f
-        self._ahead: list[str] = []  # lines split off past the last one taken
-        self.lineno = 0
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
+        self.crc = 0
+        self.subject: str | None = None
 
-    def take(self, n: int) -> list[str]:
-        """The next `n` lines without their terminators, fewer at end of file."""
-        lines = self._ahead[:n]
-        del self._ahead[:n]
-        need = n - len(lines)
-        if need:
-            # each file line ends in a break (the last may end the file
-            # instead), so splitting their join splits each one in turn
-            split = "".join(itertools.islice(self._f, min(need, sys.maxsize))).splitlines()
-            lines += split[:need]
-            self._ahead = split[need:]
-        self.lineno += len(lines)
-        return lines
+    def error(self, at: int, what: str) -> CorpusFormatError:
+        where = f" (recording {self.subject!r})" if self.subject is not None else ""
+        return CorpusFormatError(f"byte {at}: {what}{where}")
 
-    def next(self) -> str | None:
-        """The next line, or None at end of file."""
-        lines = self.take(1)
-        return lines[0] if lines else None
+    def line(self) -> tuple[int, list[str]]:
+        """(offset, space-separated fields) of the next header line."""
+        at = self.f.tell()
+        raw = self.f.readline()
+        self.crc = zlib.crc32(raw, self.crc)
+        if not raw.endswith(b"\n"):
+            raise self.error(at, "truncated file: expected a header line")
+        try:
+            return at, raw[:-1].decode("utf-8").split(" ")
+        except UnicodeDecodeError as e:
+            raise self.error(at + e.start, "header line is not valid UTF-8") from None
 
-    def unread(self, line: str) -> None:
-        """Give back the line last taken."""
-        self._ahead.insert(0, line)
-        self.lineno -= 1
+    def count(self, at: int, token: str, what: str) -> int:
+        # 20 digits exceed any file size; a longer token would make `int` raise
+        if token.isascii() and token.isdigit() and len(token) <= 20:
+            return int(token)
+        raise self.error(at, f"{what} must be a non-negative integer, got {token!r}")
+
+    def block(self, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
+        """The next `shape` block of `dtype`, read straight into a new array."""
+        at = self.f.tell()
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size > self.size - at:
+            raise self.error(at, f"truncated {what}: {size} bytes declared, {self.size - at} left")
+        out = np.empty(shape, dtype=dtype)
+        if self.f.readinto(out) != size:
+            raise self.error(at, f"truncated {what}")
+        self.crc = zlib.crc32(out, self.crc)
+        return out
 
 
 def iter_corpus(path) -> Iterator[Recording]:
-    """Parse a corpus file one recording at a time; errors name the offending
-    line or record.
+    """Read a corpus file one recording at a time; errors name the byte offset
+    and the recording.
 
-    The text is read one stream block at a time and each recording is yielded
-    as soon as it is parsed, so a caller that drops each recording before
-    asking for the next holds one recording plus one block of text.  A byte
-    that is not UTF-8 anywhere in the file is reported before any parse
-    error, as when the whole text was decoded first.  The checks
-    that need the whole file (no recordings, a duplicate subject id) raise
-    after the last recording is yielded, so a caller that consumes
-    recordings as they arrive must finish the generator to see them.
+    Each recording is checked against its CRC32 and yielded as soon as it is
+    read, so a caller that drops each recording before asking for the next
+    holds one recording.  The end line's recording count is checked after the
+    last recording is yielded, so a caller that consumes recordings as they
+    arrive must finish the generator to see a truncated file.
     """
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            try:
-                yield from _parse_corpus(_LineReader(f))
-            except CorpusFormatError:
-                for _ in f:  # decode the rest
-                    pass
-                raise
-    except UnicodeDecodeError:
-        raise _utf8_error(path, CorpusFormatError) from None
+    with open(path, "rb") as f:
+        src = _Source(f)
+        magic = f.readline(64)
+        if magic != f"{CORPUS_MAGIC}\n".encode():
+            version = magic.removeprefix(b"BIOFUSE-CORPUS v")
+            if version != magic and version.endswith(b"\n") and version[:-1].isdigit():
+                raise CorpusVersionError(
+                    f"byte 0: unsupported corpus version {magic[:-1].decode()!r}; this reader "
+                    f"reads {CORPUS_MAGIC!r}: regenerate the corpus with `biofuse gen`"
+                )
+            raise src.error(0, "not a corpus file (missing header)")
+        ids: set[str] = set()
+        while True:
+            src.crc, src.subject = 0, None
+            at, fields = src.line()
+            if fields[0] != "recording" or len(fields) != 4:
+                break
+            # yielded without a local name, so this frame does not keep it alive
+            yield _read_recording(src, at, fields, ids)
+        if fields[0] != "end" or len(fields) != 2:
+            raise src.error(at, "expected a 'recording' or 'end' line")
+        if src.count(at, fields[1], "recording count") != len(ids):
+            raise src.error(at, f"end line counts {fields[1]} recordings, the file holds "
+                                f"{len(ids)}")
+        if f.read(1):
+            raise src.error(f.tell() - 1, "data after the end line")
+        if not ids:
+            raise src.error(at, "file contains no recordings")
 
 
 def read_corpus(path) -> list[Recording]:
@@ -634,133 +521,52 @@ def read_corpus(path) -> list[Recording]:
     return list(iter_corpus(path))
 
 
-def _parse_corpus(src: _LineReader) -> Iterator[Recording]:
-    first = src.next()
-    if first is None:
-        raise CorpusFormatError("line 1: empty file")
-    if first != CORPUS_MAGIC:
-        if first.startswith("BIOFUSE-CORPUS"):
-            raise CorpusVersionError(f"line 1: unsupported corpus version {first!r}")
-        raise CorpusFormatError("line 1: not a corpus file (missing header)")
-
-    ids: list[str] = []
-    while (line := src.next()) is not None:
-        if not line.strip():
-            continue
-        if not line.startswith("recording "):
-            raise CorpusFormatError(f"line {src.lineno}: expected 'recording <id>', got {line!r}")
-        subject_id = line[len("recording "):]
-        ids.append(subject_id)
-        # yielded without a local name, so this frame does not keep it alive
-        yield _parse_recording(src, subject_id)
-
-    if not ids:
-        raise CorpusFormatError("file contains no recordings")
-    if len(set(ids)) != len(ids):
-        raise CorpusFormatError("duplicate subject ids in corpus")
-
-
-def _parse_recording(src: _LineReader, subject_id: str) -> Recording:
-    """The recording whose `recording <id>` line was the last one taken."""
-    rec_line = src.lineno
-    line = src.next()
-    if line is None or not line.startswith("events "):
-        raise CorpusFormatError(f"line {rec_line + 1}: expected 'events <count>'")
-    n_events = _parse_count(line[len("events "):], src.lineno)
-    events = _parse_events(src, n_events)
-
-    streams = []
-    while (line := src.next()) is not None and line.startswith("stream "):
-        streams.append(_parse_stream(src, line, subject_id))
-    if line is not None:
-        src.unread(line)
-
-    try:
-        return Recording(subject_id=subject_id, streams=streams, events=events)
-    except ValidationError as e:
-        raise CorpusFormatError(
-            f"recording {subject_id!r} starting at line {rec_line}: {e}"
-        ) from None
-
-
-def _parse_events(src: _LineReader, n_events: int) -> list[EventMarker]:
-    first = src.lineno + 1
-    lines = src.take(n_events)
-    events = []
-    for lineno, line in enumerate(lines, first):
-        parts = line.split()
-        if len(parts) != 4:
-            raise CorpusFormatError(f"line {lineno}: event record needs 4 fields")
+def _read_recording(src: _Source, at: int, fields: list[str], ids: set[str]) -> Recording:
+    """The recording whose header line at byte `at` has just been read; its id
+    is added to `ids`, the ids read before it."""
+    src.subject = fields[1]
+    n_events = src.count(at, fields[2], "event count")
+    n_streams = src.count(at, fields[3], "stream count")
+    events = src.block((n_events,), _EVENT, "event block")
+    blocks = []
+    for _ in range(n_streams):
+        s_at, header = src.line()
+        if header[0] != "stream" or len(header) != 5:
+            raise src.error(s_at, "expected a 'stream' line")
         try:
-            events.append(
-                EventMarker(
-                    t=_parse_float(parts[0], lineno),
-                    kind=parts[1],
-                    round_id=_parse_int(parts[2], lineno),
-                    dot_index=_parse_int(parts[3], lineno),
-                )
-            )
-        except ValidationError as e:
-            raise CorpusFormatError(f"line {lineno}: {e}") from None
-    if len(lines) < n_events:
-        raise CorpusFormatError(f"line {first + len(lines)}: truncated event block")
-    return events
-
-
-def _parse_stream(src: _LineReader, header_line: str, subject_id: str) -> Stream:
-    at = src.lineno
-    header = header_line.split()
-    if len(header) != 5:
-        raise CorpusFormatError(f"line {at}: stream header needs 5 fields")
-    try:
-        modality = Modality(header[1])
-    except ValueError:
-        raise CorpusFormatError(f"line {at}: unknown modality {header[1]!r}") from None
-    rate = _parse_float(header[2], at)
-    n_rows = _parse_count(header[3], at)
-    n_ch = _parse_count(header[4], at)
-    block = src.take(n_rows)
-    if len(block) < n_rows:
-        raise CorpusFormatError(f"line {at + 1}: truncated stream block")
-    data = _parse_block(block, at + 1, n_ch + 1)
-    try:
-        return Stream(
-            modality=modality, nominal_rate_hz=rate, timestamps=data[:, 0], values=data[:, 1:]
-        )
-    except ValidationError as e:
-        raise CorpusFormatError(
-            f"stream starting at line {at}: {e} (recording {subject_id!r})"
-        ) from None
-
-
-def _parse_block(lines: list[str], first: int, n_cols: int) -> np.ndarray:
-    """A stream block as one [len(lines) x n_cols] array; `first` is the line
-    number of lines[0].
-
-    One `np.loadtxt` call parses a well-formed block.  It splits on the same
-    whitespace as `str.split` but skips blank lines and rejects tokens that
-    `float` takes (``1_000``), so a block it cannot parse to the full shape
-    goes row by row: a column check, then one `np.array` of the tokens, then
-    the per-token search that names the bad line.
-    """
-    if not lines:
-        return np.empty((0, n_cols))
-    if lines[0].strip():  # loadtxt warns on a block with no data rows
-        try:
-            data = np.loadtxt(lines, dtype=np.float64, ndmin=2, comments=None)
+            modality = Modality(header[1])
         except ValueError:
-            pass
-        else:
-            if data.shape == (len(lines), n_cols):
-                return data
-    rows = [line.split() for line in lines]
-    for lineno, row in enumerate(rows, first):
-        if len(row) != n_cols:
-            raise CorpusFormatError(f"line {lineno}: expected {n_cols} columns, got {len(row)}")
+            raise src.error(s_at, f"unknown modality {header[1]!r}") from None
+        try:
+            rate = float(header[2])
+        except ValueError:
+            raise src.error(s_at, f"bad rate {header[2]!r}") from None
+        n_rows = src.count(s_at, header[3], "row count")
+        if src.count(s_at, header[4], "channel count") != modality.n_channels:
+            raise src.error(s_at, f"a {modality.value} stream has {modality.n_channels} channels")
+        blocks.append((s_at, modality, rate, src.block((n_rows, 1 + modality.n_channels), "<f8",
+                                                      "stream block")))
+    crc_at = src.f.tell()
+    stored = src.f.read(4)
+    if len(stored) < 4:
+        raise src.error(crc_at, "truncated file: expected the recording checksum")
+    if int.from_bytes(stored, "little") != src.crc:
+        raise src.error(at, f"checksum mismatch over bytes {at}-{crc_at - 1}")
     try:
-        return np.array(rows, dtype=np.float64)
-    except ValueError:
-        for lineno, row in enumerate(rows, first):
-            for tok in row:
-                _parse_float(tok, lineno)
-        raise CorpusFormatError(f"line {first}: bad numeric data in stream block") from None
+        events = [EventMarker(t=t, round_id=r, dot_index=d) for t, r, d in events.tolist()]
+    except ValidationError as e:
+        raise src.error(at, str(e)) from None
+    streams = []
+    for s_at, modality, rate, block in blocks:
+        try:
+            streams.append(Stream(modality, rate, timestamps=block[:, 0], values=block[:, 1:]))
+        except ValidationError as e:
+            raise src.error(s_at, str(e)) from None
+    try:
+        rec = Recording(subject_id=fields[1], streams=streams, events=events)
+    except ValidationError as e:
+        raise src.error(at, str(e)) from None
+    if rec.subject_id in ids:
+        raise src.error(at, "duplicate subject id")
+    ids.add(rec.subject_id)
+    return rec

@@ -7,8 +7,8 @@ backward oracles are the per-branch loops and separate head loop that the
 layer-stack engine replaced.  They use the gather-based im2col that the
 tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
 max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
-the whole-file corpus reader that the streaming `read_corpus` replaced; it
-reuses only the library's token parsers and record types.
+a whole-file reader of the binary corpus layout, written over the file's bytes
+with `struct` and `zlib`; it reuses only the library's record types.
 `oracle_embed_batch` is the one forward pass per 512-sample stack that
 `embed_batch`'s 128-row blocks replaced, and `oracle_adam_step` the
 expression form of the Adam update that the in-place `_Adam.step` replaced.
@@ -29,8 +29,12 @@ mining returns, the last builds a `TrialSet` from such rows.
 
 import bisect
 import math
+import re
+import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -641,132 +645,110 @@ def corpus_equal(a, b):
     return True
 
 
-def _oracle_read_text_lines(path, error):
-    """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
-    raises `error` naming its line and byte offset."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
-    except UnicodeDecodeError as e:  # read() decodes the whole file at once
-        line = e.object.count(b"\n", 0, e.start) + 1
-        raise error(f"{path}: line {line}, byte {e.start}: not valid UTF-8") from None
-
-
 def oracle_read_corpus(path):
-    """The whole-file corpus reader the streaming `read_corpus` replaced: it
-    decodes and splits the whole text, then builds one token list per row."""
-    from biofuse.corpus import (
-        CORPUS_MAGIC,
-        EventMarker,
-        Modality,
-        Recording,
-        Stream,
-        _parse_count,
-        _parse_float,
-        _parse_int,
-    )
+    """A whole-file reader of the corpus layout in `docs/formats.md`: it walks
+    `path.read_bytes()` with `struct` and `zlib`, checks each recording's CRC32
+    over its byte span at once, and raises the errors `iter_corpus` raises."""
+    from biofuse.corpus import EventMarker, Modality, Recording, Stream
     from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
 
-    lines = _oracle_read_text_lines(path, CorpusFormatError)
-    if not lines:
-        raise CorpusFormatError("line 1: empty file")
-    if lines[0] != CORPUS_MAGIC:
-        if lines[0].startswith("BIOFUSE-CORPUS"):
-            raise CorpusVersionError(f"line 1: unsupported corpus version {lines[0]!r}")
-        raise CorpusFormatError("line 1: not a corpus file (missing header)")
+    data = Path(path).read_bytes()
+    subject = None
 
+    def fail(at, what):
+        where = f" (recording {subject!r})" if subject is not None else ""
+        return CorpusFormatError(f"byte {at}: {what}{where}")
+
+    def line(pos):
+        end = data.find(b"\n", pos)
+        if end < 0:
+            raise fail(pos, "truncated file: expected a header line")
+        try:
+            return data[pos:end].decode("utf-8").split(" "), end + 1
+        except UnicodeDecodeError as e:
+            raise fail(pos + e.start, "header line is not valid UTF-8") from None
+
+    def count(at, token, what):
+        if re.fullmatch("[0-9]{1,20}", token) is None:
+            raise fail(at, f"{what} must be a non-negative integer, got {token!r}")
+        return int(token)
+
+    def take(pos, size, what):
+        if size > len(data) - pos:
+            raise fail(pos, f"truncated {what}: {size} bytes declared, {len(data) - pos} left")
+        return data[pos:pos + size], pos + size
+
+    nl = data.find(b"\n", 0, 64)
+    magic = data[:nl + 1] if nl >= 0 else data[:64]
+    if magic != b"BIOFUSE-CORPUS v2\n":
+        if re.fullmatch(rb"BIOFUSE-CORPUS v[0-9]+\n", magic):
+            raise CorpusVersionError(
+                f"byte 0: unsupported corpus version {magic[:-1].decode()!r}; this reader reads "
+                "'BIOFUSE-CORPUS v2': regenerate the corpus with `biofuse gen`"
+            )
+        raise fail(0, "not a corpus file (missing header)")
+    pos = len(magic)
     recordings = []
-    i = 1
-    n_lines = len(lines)
-    while i < n_lines:
-        line = lines[i]
-        if not line.strip():
-            i += 1
-            continue
-        if not line.startswith("recording "):
-            raise CorpusFormatError(f"line {i + 1}: expected 'recording <id>', got {line!r}")
-        subject_id = line[len("recording "):]
-        rec_line = i + 1
-        i += 1
-
-        if i >= n_lines or not lines[i].startswith("events "):
-            raise CorpusFormatError(f"line {i + 1}: expected 'events <count>'")
-        n_events = _parse_count(lines[i][len("events "):], i + 1)
-        i += 1
-        events = []
-        for _ in range(n_events):
-            if i >= n_lines:
-                raise CorpusFormatError(f"line {i + 1}: truncated event block")
-            parts = lines[i].split()
-            if len(parts) != 4:
-                raise CorpusFormatError(f"line {i + 1}: event record needs 4 fields")
-            try:
-                events.append(
-                    EventMarker(
-                        t=_parse_float(parts[0], i + 1),
-                        kind=parts[1],
-                        round_id=_parse_int(parts[2], i + 1),
-                        dot_index=_parse_int(parts[3], i + 1),
-                    )
-                )
-            except ValidationError as e:
-                raise CorpusFormatError(f"line {i + 1}: {e}") from None
-            i += 1
-
-        streams = []
-        while i < n_lines and lines[i].startswith("stream "):
-            header = lines[i].split()
-            if len(header) != 5:
-                raise CorpusFormatError(f"line {i + 1}: stream header needs 5 fields")
+    while True:
+        subject = None
+        at = pos
+        fields, pos = line(pos)
+        if fields[0] != "recording" or len(fields) != 4:
+            break
+        subject = fields[1]
+        n_events = count(at, fields[2], "event count")
+        n_streams = count(at, fields[3], "stream count")
+        event_bytes, pos = take(pos, 24 * n_events, "event block")
+        blocks = []
+        for _ in range(n_streams):
+            s_at = pos
+            header, pos = line(pos)
+            if header[0] != "stream" or len(header) != 5:
+                raise fail(s_at, "expected a 'stream' line")
             try:
                 modality = Modality(header[1])
             except ValueError:
-                raise CorpusFormatError(f"line {i + 1}: unknown modality {header[1]!r}") from None
-            rate = _parse_float(header[2], i + 1)
-            n_rows = _parse_count(header[3], i + 1)
-            n_ch = _parse_count(header[4], i + 1)
-            i += 1
-            if i + n_rows > n_lines:
-                raise CorpusFormatError(f"line {i + 1}: truncated stream block")
-            block = lines[i:i + n_rows]
-            rows = [ln.split() for ln in block]
-            for k, row in enumerate(rows):
-                if len(row) != n_ch + 1:
-                    raise CorpusFormatError(
-                        f"line {i + k + 1}: expected {n_ch + 1} columns, got {len(row)}"
-                    )
+                raise fail(s_at, f"unknown modality {header[1]!r}") from None
             try:
-                data = np.array(rows, dtype=np.float64) if rows else np.empty((0, n_ch + 1))
+                rate = float(header[2])
             except ValueError:
-                for k, row in enumerate(rows):
-                    for tok in row:
-                        _parse_float(tok, i + k + 1)
-                raise CorpusFormatError(f"line {i + 1}: bad numeric data in stream block") from None
-            try:
-                streams.append(
-                    Stream(
-                        modality=modality,
-                        nominal_rate_hz=rate,
-                        timestamps=data[:, 0],
-                        values=data[:, 1:],
-                    )
-                )
-            except ValidationError as e:
-                raise CorpusFormatError(
-                    f"stream starting at line {i}: {e} (recording {subject_id!r})"
-                ) from None
-            i += n_rows
-
+                raise fail(s_at, f"bad rate {header[2]!r}") from None
+            n_rows = count(s_at, header[3], "row count")
+            n_ch = modality.n_channels
+            if count(s_at, header[4], "channel count") != n_ch:
+                raise fail(s_at, f"a {modality.value} stream has {n_ch} channels")
+            raw, pos = take(pos, 8 * n_rows * (1 + n_ch), "stream block")
+            rows = np.array(list(struct.iter_unpack(f"<{1 + n_ch}d", raw)), dtype=np.float64)
+            blocks.append((s_at, modality, rate, rows.reshape(n_rows, 1 + n_ch)))
+        if len(data) - pos < 4:
+            raise fail(pos, "truncated file: expected the recording checksum")
+        if struct.unpack_from("<I", data, pos)[0] != zlib.crc32(data[at:pos]):
+            raise fail(at, f"checksum mismatch over bytes {at}-{pos - 1}")
+        pos += 4
         try:
-            recordings.append(Recording(subject_id=subject_id, streams=streams, events=events))
+            events = [EventMarker(t=t, round_id=r, dot_index=d)
+                      for t, r, d in struct.iter_unpack("<dqq", event_bytes)]
         except ValidationError as e:
-            raise CorpusFormatError(
-                f"recording {subject_id!r} starting at line {rec_line}: {e}"
-            ) from None
+            raise fail(at, str(e)) from None
+        streams = []
+        for s_at, modality, rate, rows in blocks:
+            try:
+                streams.append(Stream(modality, rate, timestamps=rows[:, 0], values=rows[:, 1:]))
+            except ValidationError as e:
+                raise fail(s_at, str(e)) from None
+        try:
+            recordings.append(Recording(subject_id=subject, streams=streams, events=events))
+        except ValidationError as e:
+            raise fail(at, str(e)) from None
+        if subject in [r.subject_id for r in recordings[:-1]]:
+            raise fail(at, "duplicate subject id")
 
+    if fields[0] != "end" or len(fields) != 2:
+        raise fail(at, "expected a 'recording' or 'end' line")
+    if count(at, fields[1], "recording count") != len(recordings):
+        raise fail(at, f"end line counts {fields[1]} recordings, the file holds {len(recordings)}")
+    if pos < len(data):
+        raise fail(pos, "data after the end line")
     if not recordings:
-        raise CorpusFormatError("file contains no recordings")
-    ids = [r.subject_id for r in recordings]
-    if len(set(ids)) != len(ids):
-        raise CorpusFormatError("duplicate subject ids in corpus")
+        raise fail(at, "file contains no recordings")
     return recordings

@@ -11,7 +11,7 @@ import biofuse
 import biofuse.cli
 import biofuse.metrics
 from biofuse.cli import main
-from biofuse.corpus import read_corpus
+from biofuse.corpus import read_corpus, write_corpus
 from biofuse.errors import CorpusFormatError
 from biofuse.preprocess import load_dataset
 from biofuse.tnn import load_model, save_model
@@ -346,33 +346,27 @@ def test_evaluate_frees_the_corpus_before_training(tmp_path, monkeypatch):
     assert at_parse == [0] * 5 and at_train == [0, 0]
 
 
-def _drop_stream(text: str, subject: str, modality: str) -> str:
-    """The corpus text without `subject`'s `modality` stream block."""
-    lines = text.split("\n")
-    k = lines.index(f"recording {subject}")
-    while not lines[k].startswith(f"stream {modality} "):
-        k += 1
-    n_rows = int(lines[k].split()[3])
-    return "\n".join(lines[:k] + lines[k + 1 + n_rows:])
-
-
 @pytest.mark.parametrize("bad_byte", [False, True])
 def test_evaluate_reports_the_readers_error_on_a_damaged_corpus(tmp_path, capsys, bad_byte):
     """A corpus whose second recording lacks the evaluated stream and whose
-    last block is truncated (and, with `bad_byte`, holds a byte that is not
-    UTF-8 near its end) fails evaluate with the error read_corpus gives,
-    not with the missing stream that evaluate meets first."""
+    last recording is truncated (or, with `bad_byte`, has one changed byte)
+    fails evaluate with the error read_corpus gives, not with the missing
+    stream that evaluate meets first."""
     config, paths = _write_config(tmp_path, extra_eval={"modality": "eye-pupil"})
     assert main(["gen", "--config", str(config)]) == 0
     corpus = Path(paths["corpus"])
-    text = _drop_stream(corpus.read_text(), "s01", "eye-pupil")
-    raw = bytearray(text.encode().rsplit(b"\n", 3)[0] + b"\n")  # the last rows dropped
+    recordings = read_corpus(corpus)
+    recordings[1].streams = [s for s in recordings[1].streams if s.modality.value == "brain"]
+    write_corpus(recordings, corpus)
+    raw = bytearray(corpus.read_bytes())
     if bad_byte:
-        raw[-20] = 0xFF
+        raw[-20] ^= 1  # in the last stream block, before the checksum and the end line
+    else:
+        del raw[-30:]
     corpus.write_bytes(bytes(raw))
     with pytest.raises(CorpusFormatError) as expected:
         read_corpus(corpus)
-    assert ("UTF-8" in str(expected.value)) == bad_byte
+    assert ("checksum mismatch" in str(expected.value)) == bad_byte
     capsys.readouterr()
     assert main(["evaluate", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"biofuse: runtime error: {expected.value}\n"

@@ -1,18 +1,13 @@
 import gc
-import os
-import subprocess
-import sys
-import textwrap
-import traceback
+import struct
 import tracemalloc
-from pathlib import Path
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biofuse import corpus
 from biofuse.corpus import (
     EventMarker,
     Modality,
@@ -133,72 +128,102 @@ def test_roundtrip_property(tmp_path_factory, n_subjects, n_rounds, dots, blink,
     assert corpus_equal(recs, read_corpus(path))
 
 
-def _write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _recording(header: bytes, events: bytes, streams: list[tuple[bytes, bytes]]) -> bytes:
+    """The bytes of one recording: header line, event block, stream header lines
+    and blocks, then the little-endian CRC32 of all of them."""
+    body = header + events + b"".join(h + block for h, block in streams)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _corpus(*recordings: bytes) -> bytes:
+    return b"BIOFUSE-CORPUS v2\n" + b"".join(recordings) + f"end {len(recordings)}\n".encode()
+
+
+def _rows(*rows) -> bytes:
+    return b"".join(struct.pack(f"<{len(row)}d", *row) for row in rows)
+
+
+def test_write_corpus_emits_the_documented_layout(tmp_path):
+    """One recording with two events and two streams, byte for byte as
+    `docs/formats.md` lays it out, so byte order and layout hold on any host."""
+    brain = np.arange(2 * 14, dtype=np.float64).reshape(2, 14) / 7.0
+    eye = np.full((3, 16), 0.1)
+    eye[1, 2] = np.nan
+    rec = Recording("s07", [
+        Stream(Modality.BRAIN, 256.0, np.array([0.0, 1 / 256]), brain),
+        Stream(Modality.EYE_PUPIL, 200.0, np.array([0.0, 0.005, 0.01]), eye),
+    ], [EventMarker(t=1.25, round_id=0, dot_index=3), EventMarker(t=0.5, round_id=1, dot_index=0)])
+    path = tmp_path / "c.corpus"
+    write_corpus([rec], path)
+    body = (
+        b"recording s07 2 2\n"
+        + struct.pack("<dqq", 1.25, 0, 3) + struct.pack("<dqq", 0.5, 1, 0)
+        + b"stream brain 256.0 2 14\n"
+        + _rows(*([t, *row] for t, row in zip([0.0, 1 / 256], brain)))
+        + b"stream eye-pupil 200.0 3 16\n"
+        + _rows(*([t, *row] for t, row in zip([0.0, 0.005, 0.01], eye)))
+    )
+    want = b"BIOFUSE-CORPUS v2\n" + body + struct.pack("<I", zlib.crc32(body)) + b"end 1\n"
+    assert path.read_bytes() == want
+    assert corpus_equal(read_corpus(path), [rec])
 
 
 def test_read_version_mismatch(tmp_path):
+    """The text format v1 and an unknown v3 are rejected naming v2 and `biofuse gen`."""
     path = tmp_path / "bad.corpus"
-    _write_lines(path, ["BIOFUSE-CORPUS v2", "recording s00"])
-    with pytest.raises(CorpusVersionError):
-        read_corpus(path)
+    for version in ("v1", "v3"):
+        path.write_text(f"BIOFUSE-CORPUS {version}\nrecording s00\n", encoding="utf-8")
+        with pytest.raises(CorpusVersionError, match=f"'BIOFUSE-CORPUS {version}'") as e:
+            read_corpus(path)
+        assert "'BIOFUSE-CORPUS v2'" in str(e.value) and "biofuse gen" in str(e.value)
 
 
 def test_read_not_a_corpus(tmp_path):
     path = tmp_path / "bad.corpus"
-    _write_lines(path, ["hello"])
-    with pytest.raises(CorpusFormatError):
+    path.write_text("hello\n", encoding="utf-8")
+    with pytest.raises(CorpusFormatError, match="^byte 0: not a corpus file"):
         read_corpus(path)
 
 
 def test_read_rejects_negative_timestamp_gap(tmp_path):
     path = tmp_path / "bad.corpus"
-    row = " ".join(["0.0"] * 14)
-    _write_lines(path, [
-        "BIOFUSE-CORPUS v1",
-        "recording s00",
-        "events 0",
-        "stream brain 256.0 2 14",
-        "0.5 " + row,
-        "0.25 " + row,  # goes backwards
-    ])
-    with pytest.raises(CorpusFormatError, match="increasing"):
+    block = _rows([0.5] + [0.0] * 14, [0.25] + [0.0] * 14)  # goes backwards
+    path.write_bytes(_corpus(_recording(b"recording s00 0 1\n", b"",
+                                        [(b"stream brain 256.0 2 14\n", block)])))
+    with pytest.raises(CorpusFormatError, match="^byte 36: .*increasing"):
         read_corpus(path)
 
 
 def test_read_rejects_empty_stream_list(tmp_path):
     path = tmp_path / "bad.corpus"
-    _write_lines(path, ["BIOFUSE-CORPUS v1", "recording s00", "events 0"])
-    with pytest.raises(CorpusFormatError, match="no streams"):
+    path.write_bytes(_corpus(_recording(b"recording s00 0 0\n", b"", [])))
+    with pytest.raises(CorpusFormatError, match="^byte 18: recording has no streams"):
         read_corpus(path)
 
 
 def test_read_names_bad_line(tmp_path):
+    """A header line that is not UTF-8 is named by the offset of its first bad byte."""
     path = tmp_path / "bad.corpus"
-    row = " ".join(["0.0"] * 14)
-    _write_lines(path, [
-        "BIOFUSE-CORPUS v1",
-        "recording s00",
-        "events 0",
-        "stream brain 256.0 1 14",
-        "0.0 " + " ".join(["0.0"] * 13) + " oops",
-    ])
-    with pytest.raises(CorpusFormatError, match="line 5"):
+    ok = _recording(b"recording s00 0 1\n", b"", [(b"stream brain 256.0 0 14\n", b"")])
+    bad = _recording(b"recording s\xff1 0 1\n", b"", [(b"stream brain 256.0 0 14\n", b"")])
+    path.write_bytes(_corpus(ok, bad))
+    at = len(b"BIOFUSE-CORPUS v2\n") + len(ok) + len(b"recording s")
+    with pytest.raises(CorpusFormatError, match=f"^byte {at}: header line is not valid UTF-8$"):
         read_corpus(path)
 
 
-@pytest.mark.parametrize("events, header", [
-    pytest.param("events -3", "stream brain 256.0 1 14", id="events"),
-    pytest.param("events 0", "stream brain 256.0 -1 14", id="rows"),
-    pytest.param("events 0", "stream brain 256.0 1 -1", id="channels"),
+@pytest.mark.parametrize("header, stream, what", [
+    pytest.param(b"recording s00 -3 1\n", b"stream brain 256.0 0 14\n", "event count", id="events"),
+    pytest.param(b"recording s00 0 1\n", b"stream brain 256.0 -1 14\n", "row count", id="rows"),
+    pytest.param(b"recording s00 0 1\n", b"stream brain 256.0 0 -1\n", "channel count",
+                 id="channels"),
 ])
-def test_read_rejects_negative_counts(tmp_path, events, header):
+def test_read_rejects_negative_counts(tmp_path, header, stream, what):
     path = tmp_path / "bad.corpus"
-    bad_line = 3 if events.startswith("events -") else 4
-    _write_lines(path, [
-        "BIOFUSE-CORPUS v1", "recording s00", events, header, " ".join(["0.0"] * 15),
-    ])
-    with pytest.raises(CorpusFormatError, match=f"line {bad_line}: negative count"):
+    path.write_bytes(_corpus(_recording(header, b"", [(stream, b"")])))
+    at = 18 if what == "event count" else 36
+    with pytest.raises(CorpusFormatError,
+                       match=f"^byte {at}: {what} must be a non-negative integer, got '-"):
         read_corpus(path)
 
 
@@ -228,10 +253,10 @@ def test_recording_requires_streams():
         Recording(subject_id="s00", streams=[], events=[])
 
 
-def test_read_holds_one_stream_block_of_text(tmp_path):
-    """The reader's peak traced memory stays near the arrays it returns.
-    The whole-file reader peaked at about 7x them (the full text plus one
-    token list per row); one block of text at a time stays well under 3x."""
+def test_read_holds_little_more_than_the_returned_arrays(tmp_path):
+    """The reader's peak traced memory stays near the arrays it returns: each
+    block is read straight into the array that holds it.  The text reader
+    this replaced peaked at about 1.65x them."""
     cfg = SynthConfig(n_subjects=3, n_rounds=2, dots_per_round=10, seed=7)
     path = tmp_path / "c.corpus"
     write_corpus(generate_synthetic(cfg), path)
@@ -242,7 +267,7 @@ def test_read_holds_one_stream_block_of_text(tmp_path):
     finally:
         tracemalloc.stop()
     parsed = sum(s.timestamps.nbytes + s.values.nbytes for r in recs for s in r.streams)
-    assert peak <= 3 * parsed, f"peak {peak} B for {parsed} B of arrays"
+    assert peak <= 1.25 * parsed, f"peak {peak} B for {parsed} B of arrays"
 
 
 def test_iter_corpus_yields_each_recording_as_it_is_parsed(tmp_path):
@@ -254,161 +279,13 @@ def test_iter_corpus_yields_each_recording_as_it_is_parsed(tmp_path):
     recs = generate_synthetic(cfg)
     path = tmp_path / "c.corpus"
     write_corpus(recs, path)
-    path.write_text(path.read_text() + "not a recording line\n")  # an error only the end reveals
+    path.write_bytes(path.read_bytes() + b"x")  # an error only the end reveals
     recordings = iter_corpus(path)
     assert corpus_equal([next(recordings)], recs[:1])
     del recordings
     gc.collect()
-    with pytest.raises(CorpusFormatError, match="expected 'recording <id>'"):
+    with pytest.raises(CorpusFormatError, match="data after the end line"):
         list(iter_corpus(path))
-
-
-# ---------------------------------------------------------------------------
-# Writing shared over helper processes
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """A helper for every recording; returns (set the CPU count, the helpers started)."""
-    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 1)
-    started = []
-
-    class Recorded(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recorded)
-
-    def set_cpus(n):
-        monkeypatch.setattr(corpus, "_usable_cpus", lambda: n)
-
-    return set_cpus, started
-
-
-_SHARED_CFG = SynthConfig(n_subjects=4, n_rounds=1, dots_per_round=3, blink_rate_per_min=30.0,
-                          seed=5)
-
-
-def test_shared_writing_is_bit_identical(tmp_path, helpers):
-    set_cpus, started = helpers
-    recs = generate_synthetic(_SHARED_CFG)
-    set_cpus(1)
-    write_corpus(recs, tmp_path / "1.corpus")
-    assert not started
-    text = (tmp_path / "1.corpus").read_bytes()
-    assert b"nan" in text
-    for n in (2, 3):
-        set_cpus(n)
-        write_corpus(recs, tmp_path / f"{n}.corpus")
-        assert len(started) == n - 1
-        assert all(p.returncode == 0 for p in started)
-        assert (tmp_path / f"{n}.corpus").read_bytes() == text
-        started.clear()
-
-
-def test_helper_count_is_bounded_by_share_size(tmp_path, helpers, monkeypatch):
-    set_cpus, started = helpers
-    recs = generate_synthetic(_SHARED_CFG)  # 4 recordings of 3 events
-    set_cpus(8)
-    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 6)
-    write_corpus(recs, tmp_path / "c.corpus")
-    assert len(started) == 1  # two shares of 6 events
-    started.clear()
-    monkeypatch.setattr(corpus, "_MIN_SHARE_EVENTS", 7)
-    write_corpus(recs, tmp_path / "c.corpus")
-    assert not started
-
-
-def _raises_in_a_helper(tmp_path, recs, bad, set_cpus, started, error):
-    """Write `recs` then `bad` in one process and with one helper, which
-    formats `bad`; return both errors."""
-    corpus_path = tmp_path / "c.corpus"
-    corpus_path.write_text("old")
-    set_cpus(1)
-    with pytest.raises(error) as in_process:
-        write_corpus([*recs, bad], corpus_path)
-    assert not started
-    set_cpus(2)
-    with pytest.raises(error) as shared:
-        write_corpus([*recs, bad], corpus_path)
-    assert len(started) == 1
-    assert started[0].returncode not in (None, 0)  # the helper failed too
-    assert sorted(os.listdir(tmp_path)) == ["c.corpus"]
-    assert corpus_path.read_text() == "old"
-    return in_process.value, shared.value
-
-
-def test_helper_error_reaches_the_caller(tmp_path, small_corpus, helpers):
-    set_cpus, started = helpers
-    _, recs = small_corpus
-    bad = Recording("bad", [Stream(Modality.BRAIN, 256.0, np.arange(2.0), np.zeros((2, 14)))], [])
-    bad.streams[0].values = np.zeros(3)  # formatting it fails: not [n x c]
-    in_process, shared = _raises_in_a_helper(tmp_path, recs, bad, set_cpus, started, ValueError)
-    assert str(shared) == str(in_process)
-    # raised by this process's own formatting: one traceback, to the line
-    assert shared.__traceback__ is not None
-    frames = [f.name for f in traceback.extract_tb(shared.__traceback__)]
-    assert frames[-1] == "_format_recording"
-    assert shared.__cause__ is None and shared.__context__ is None
-
-
-class KeywordOnlyError(Exception):
-    """An exception that cannot be rebuilt from its `args`."""
-
-    def __init__(self, *, code):
-        super().__init__(f"code {code}")
-        self.code = code
-
-
-class _UnformattableId(str):
-    def __format__(self, spec):
-        raise KeywordOnlyError(code=7)
-
-
-def test_helper_error_of_any_signature_reaches_the_caller(tmp_path, small_corpus, helpers):
-    set_cpus, started = helpers
-    _, recs = small_corpus
-    bad = Recording("bad", [Stream(Modality.BRAIN, 256.0, np.arange(2.0), np.zeros((2, 14)))], [])
-    bad.subject_id = _UnformattableId("bad")
-    in_process, shared = _raises_in_a_helper(
-        tmp_path, recs, bad, set_cpus, started, KeywordOnlyError
-    )
-    assert shared.code == in_process.code == 7
-    assert str(shared) == "code 7"
-
-
-def test_helper_that_cannot_start_leaves_its_share_to_the_caller(tmp_path, helpers,
-                                                                 monkeypatch):
-    set_cpus, started = helpers
-    recs = generate_synthetic(_SHARED_CFG)
-    set_cpus(1)
-    write_corpus(recs, tmp_path / "a.corpus")
-    failing = tmp_path / "fail.sh"
-    failing.write_text("#!/bin/sh\nexit 3\n")
-    failing.chmod(0o755)
-    monkeypatch.setattr(sys, "executable", str(failing))
-    set_cpus(2)
-    write_corpus(recs, tmp_path / "b.corpus")
-    assert [p.returncode for p in started] == [3]
-    assert (tmp_path / "b.corpus").read_bytes() == (tmp_path / "a.corpus").read_bytes()
-
-
-def test_no_helper_outlives_a_call(tmp_path, helpers):
-    set_cpus, started = helpers
-    set_cpus(3)
-    recs = generate_synthetic(_SHARED_CFG)
-    write_corpus(recs, tmp_path / "c.corpus")
-    assert len(started) == 2
-    assert all(p.returncode == 0 for p in started)
-
-    # the caller stops drawing texts while the helpers still run
-    started.clear()
-    texts = corpus._formatted(recs)
-    next(texts)
-    texts.close()
-    assert len(started) == 2
-    assert all(p.returncode is not None for p in started)
 
 
 def test_write_corpus_takes_a_one_shot_iterable(tmp_path, small_corpus):
@@ -417,27 +294,3 @@ def test_write_corpus_takes_a_one_shot_iterable(tmp_path, small_corpus):
     write_corpus(recs, a)
     write_corpus(iter_corpus(a), b)
     assert b.read_bytes() == a.read_bytes()
-
-
-def test_script_without_main_guard_uses_helpers(tmp_path):
-    """Helpers start a fresh interpreter on `biofuse.corpus` alone, so a
-    caller's unguarded top level is not run again in them (multiprocessing's
-    spawn and forkserver would re-run it)."""
-    script = tmp_path / "make.py"
-    script.write_text(textwrap.dedent(f"""
-        import sys
-        from biofuse import corpus
-        from biofuse.corpus import SynthConfig
-        corpus._MIN_SHARE_EVENTS = 1
-        corpus._usable_cpus = lambda: 2
-        cfg = {_SHARED_CFG!r}
-        corpus.write_corpus(corpus.generate_synthetic(cfg), sys.argv[1])
-        print("top level ran")
-    """))
-    env = dict(os.environ, PYTHONPATH=str(Path(corpus.__file__).parents[1]))
-    out = subprocess.run([sys.executable, str(script), str(tmp_path / "s.corpus")],
-                         env=env, capture_output=True, text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "top level ran\n"
-    write_corpus(generate_synthetic(_SHARED_CFG), tmp_path / "p.corpus")
-    assert (tmp_path / "s.corpus").read_bytes() == (tmp_path / "p.corpus").read_bytes()

@@ -2,18 +2,23 @@
 
 Every damaged file must either load or raise that reader's own *FormatError;
 any other exception (a UnicodeDecodeError, a bare numpy or JSON error) is a
-reader bug.  The formats carry no checksum, so a flip inside a float payload
-may load silently, which is allowed here.
+reader bug.  The dataset, model and template formats carry no checksum, so a
+flip inside a float payload may load silently, which is allowed for them.  A
+corpus carries a CRC32 per recording and an end line, so every changed or
+missing byte of it must raise.
 
 The streaming corpus readers, `read_corpus` and `list(iter_corpus(path))`,
-are also checked against the whole-file reader they replaced
-(`oracles.oracle_read_corpus`): on every damaged or oddly formatted corpus
-all three load the same recordings or raise the same error.
+are also checked against an independent whole-file reader of the same layout
+(`oracles.oracle_read_corpus`): on every damaged corpus all three load the
+same recordings or raise the same error.
 """
 
+import math
 import re
 import shutil
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -96,7 +101,12 @@ def test_damaged_file_loads_or_raises_format_error(valid_files, target, truncate
             del raw[at:]
         else:
             raw[at] = byte
+        changed = bytes(raw) != path.read_bytes()
         path.write_bytes(bytes(raw))
+        if target == "corpus" and changed:
+            with pytest.raises(error):
+                reader(path)
+            return
         try:
             reader(Path(tmp) / name.removesuffix(".idx"))
         except error:
@@ -126,22 +136,28 @@ def corpus_bytes(valid_files):
     return (valid_files / "c.corpus").read_bytes()
 
 
+# header lines of a valid corpus; a corpus this small holds no such bytes by chance
+_HEADER_LINE = re.compile(rb"(BIOFUSE-CORPUS v2|recording [^\n]*|stream [^\n]*|end [0-9]+)\n")
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     damage=st.sampled_from(["truncate", "overwrite", "insert"]),
-    line=st.floats(0.0, 1.0, exclude_max=True),
+    in_header=st.booleans(),
+    where=st.floats(0.0, 1.0, exclude_max=True),
     col=st.floats(0.0, 1.0, exclude_max=True),
-    byte=st.sampled_from(b" \t\n\r\x0b\x0c_-+.0159eEnN\xff") | st.integers(0, 255),
-    inserted=st.binary(min_size=1, max_size=4)
-    | st.text("0123456789 \t\n\r\x0c_-.e", min_size=1, max_size=4).map(str.encode),
+    byte=st.sampled_from(b" \t\n\r-0159\x00\xff") | st.integers(0, 255),
+    inserted=st.binary(min_size=1, max_size=4),
 )
 def test_streaming_reader_matches_whole_file_reader(
-    corpus_bytes, tmp_path_factory, damage, line, col, byte, inserted
+    corpus_bytes, tmp_path_factory, damage, in_header, where, col, byte, inserted
 ):
-    # the damage lands on a uniformly drawn line, so header lines are hit too
-    lines = corpus_bytes.splitlines(keepends=True)
-    k = int(line * len(lines))
-    at = sum(map(len, lines[:k])) + int(col * len(lines[k]))
+    if in_header:  # a uniformly drawn header line, so header parsing is hit often
+        lines = [m.span() for m in _HEADER_LINE.finditer(corpus_bytes)]
+        a, b = lines[int(where * len(lines))]
+        at = a + int(col * (b - a))
+    else:
+        at = int(where * len(corpus_bytes))
     raw = bytearray(corpus_bytes)
     if damage == "truncate":
         del raw[at:]
@@ -154,56 +170,124 @@ def test_streaming_reader_matches_whole_file_reader(
     _assert_readers_agree(path)
 
 
-def _edit_row(edit):
-    """An edit of corpus bytes that applies `edit` to the second row of the
-    first stream block, which is file line 7."""
+def _recording_spans(raw):
+    """(start, end) of each recording's checksummed bytes in a valid corpus."""
+    starts = [m.start() for m in re.finditer(rb"recording [^\n]*\n", raw)]
+    ends = starts[1:] + [raw.rindex(b"end ")]
+    return [(a, b - 4) for a, b in zip(starts, ends)]
+
+
+def _in_recording(k, *edits):
+    """An edit of valid corpus bytes that applies `edits` to recording k's
+    bytes and then writes their new checksum, so that the reader meets what
+    the edits broke and not a checksum mismatch."""
     def apply(raw):
-        lines = raw.split(b"\n")
-        k = next(i for i, ln in enumerate(lines) if ln.startswith(b"stream ")) + 2
-        lines[k] = edit(lines[k])
-        return b"\n".join(lines)
+        a, b = _recording_spans(raw)[k]
+        body = raw[a:b]
+        for edit in edits:
+            body = edit(body)
+        return raw[:a] + body + struct.pack("<I", zlib.crc32(body)) + raw[b + 4:]
     return apply
+
+
+def _sub(old, new):
+    return lambda body: body.replace(old, new, 1)
 
 
 def _with_byte(raw, at, value):
     return raw[:at] + bytes([value]) + raw[at + 1:]
 
 
-def _first_value(token):
-    """A row edit that replaces the row's first value (its second column) with `token`."""
-    def edit(row):
-        t, _, *rest = row.split(b" ")
-        return b" ".join([t, token, *rest])
+def _block_value(modality, row, col, value):
+    """An edit that sets one value of the `modality` block; column 0 is the
+    timestamp."""
+    def edit(body):
+        header = re.search(rb"stream " + modality + rb" [^\n]*\n", body)
+        n_cols = 1 + int(header.group().split()[4])
+        at = header.end() + 8 * (row * n_cols + col)
+        return body[:at] + struct.pack("<d", value) + body[at + 8:]
     return edit
 
 
-# name -> (edit of the valid corpus bytes, None if the result loads, else a
-# pattern of the error message)
+def _in_block(offset, data):
+    """An edit that overwrites bytes of the first brain block from `offset` on."""
+    def edit(raw):
+        at = raw.index(b"stream brain ")
+        at = raw.index(b"\n", at) + 1 + offset
+        return raw[:at] + data + raw[at + len(data):]
+    return edit
+
+
+# The valid corpus: s00's recording line at byte 18, its brain stream line at
+# 60 (block at 84) and eye-pupil line at 7044; s01's recording line at 13060;
+# the end line at 26102, 6 bytes before the end of the file.
+# name -> (edit of the valid corpus bytes, a pattern of the error message).
+# The first names are those of the text format's cases, each given a v2 edit
+# of the same kind of damage.
 _FIXED = {
-    "crlf": (lambda raw: raw.replace(b"\n", b"\r\n"), None),
-    "cr": (lambda raw: raw.replace(b"\n", b"\r"), None),
-    "no-final-newline": (lambda raw: raw[:-1], None),
-    "crlf-no-final-newline": (lambda raw: raw.replace(b"\n", b"\r\n")[:-2], None),
-    "underscore-token": (_edit_row(_first_value(b"1_000")), None),
-    "blank-line-in-block": (_edit_row(lambda row: b"\n" + row),
-                            "^line 7: expected 15 columns, got 0$"),
-    "formfeed-in-row": (_edit_row(lambda row: row.replace(b" ", b"\x0c", 1)),
-                        "^line 7: expected 15 columns, got 1$"),
-    "line-separator-in-row": (_edit_row(lambda row: row.replace(b" ", "\u2028".encode(), 1)),
-                              "^line 7: expected 15 columns, got 1$"),
-    "next-line-in-row": (_edit_row(lambda row: row.replace(b" ", "\x85".encode(), 1)),
-                         "^line 7: expected 15 columns, got 1$"),
-    "column-too-few": (_edit_row(lambda row: row.rsplit(b" ", 1)[0]),
-                       "^line 7: expected 15 columns, got 14$"),
-    "column-too-many": (_edit_row(lambda row: row + b" 0.5"),
-                        "^line 7: expected 15 columns, got 16$"),
-    "bad-float": (_edit_row(_first_value(b"0.5x")), "^line 7: bad float '0.5x'$"),
-    "invalid-utf8-mid-file": (lambda raw: _with_byte(raw, len(raw) // 2, 0xFF),
-                              r": line \d+, byte \d+: not valid UTF-8$"),
-    # the whole-file reader decoded everything before parsing anything
+    "crlf": (lambda raw: raw.replace(b"\n", b"\r\n"), r"^byte 0: not a corpus file"),
+    "cr": (lambda raw: raw.replace(b"\n", b"\r"), r"^byte 0: not a corpus file"),
+    "no-final-newline": (lambda raw: raw[:-1],
+                         r"^byte 26102: truncated file: expected a header line$"),
+    "crlf-no-final-newline": (lambda raw: raw.replace(b"\n", b"\r\n")[:-2],
+                              r"^byte 0: not a corpus file"),
+    "underscore-token": (_in_recording(0, _sub(b"recording s00 1 ", b"recording s00 0_1 ")),
+                         r"^byte 18: event count must be a non-negative integer, got '0_1' "
+                         r"\(recording 's00'\)$"),
+    # a byte inserted into a block shifts the stream line after it
+    "blank-line-in-block": (_in_recording(0, _sub(b" 58 14\n", b" 58 14\n\n")),
+                            r"^byte 7044: .*\(recording 's00'\)$"),
+    # changed block bytes are caught by the checksum
+    "formfeed-in-row": (_in_block(8, b"\x0c"),
+                        r"^byte 18: checksum mismatch over bytes 18-13055 \(recording 's00'\)$"),
+    "line-separator-in-row": (_in_block(16, "\u2028".encode()),
+                              r"^byte 18: checksum mismatch over bytes 18-13055"),
+    "next-line-in-row": (_in_block(24, "\x85".encode()),
+                         r"^byte 18: checksum mismatch over bytes 18-13055"),
+    "column-too-few": (_in_recording(0, _sub(b"16.0 58 14\n", b"16.0 58 13\n")),
+                       r"^byte 60: a brain stream has 14 channels \(recording 's00'\)$"),
+    "column-too-many": (_in_recording(0, _sub(b"16.0 58 14\n", b"16.0 58 15\n")),
+                        r"^byte 60: a brain stream has 14 channels \(recording 's00'\)$"),
+    "bad-float": (_in_recording(0, _sub(b"brain 16.0 ", b"brain 16.0x ")),
+                  r"^byte 60: bad rate '16.0x' \(recording 's00'\)$"),
+    "invalid-utf8-mid-file": (_in_recording(1, _sub(b"recording s01", b"recording s\xff1")),
+                              r"^byte 13071: header line is not valid UTF-8$"),
+    # the first damage in file order is the one reported
     "bad-float-then-invalid-utf8": (
-        lambda raw: _with_byte(_edit_row(_first_value(b"x"))(raw), len(raw) - 2, 0xFF),
-        r": line \d+, byte \d+: not valid UTF-8$"),
+        lambda raw: _FIXED["invalid-utf8-mid-file"][0](_FIXED["bad-float"][0](raw)),
+        r"^byte 60: bad rate '16.0x'"),
+    "bad-count": (_in_recording(0, _sub(b"recording s00 1 2", b"recording s00 1 x")),
+                  r"^byte 18: stream count must be a non-negative integer, got 'x' "
+                  r"\(recording 's00'\)$"),
+    "negative-count": (_in_recording(0, _sub(b"brain 16.0 58 ", b"brain 16.0 -58 ")),
+                       r"^byte 60: row count must be a non-negative integer, got '-58'"),
+    # a damaged count fails before anything is allocated
+    "huge-count": (_in_recording(0, _sub(b"brain 16.0 58 ", b"brain 16.0 99999999999999999 ")),
+                   r"^byte 99: truncated stream block: 11999999999999999880 bytes declared, "
+                   r"26024 left \(recording 's00'\)$"),
+    "unknown-modality": (_in_recording(0, _sub(b"stream brain ", b"stream brainz ")),
+                         r"^byte 60: unknown modality 'brainz' \(recording 's00'\)$"),
+    "truncated-block": (lambda raw: raw[:100],
+                        r"^byte 84: truncated stream block: 6960 bytes declared, 16 left"),
+    "truncated-checksum": (lambda raw: raw[:26100],
+                           r"^byte 26098: truncated file: expected the recording checksum "
+                           r"\(recording 's01'\)$"),
+    "checksum-mismatch": (lambda raw: _with_byte(raw, 24000, raw[24000] ^ 1),
+                          r"^byte 13060: checksum mismatch over bytes 13060-26097 "
+                          r"\(recording 's01'\)$"),
+    "backwards-timestamps": (_in_recording(0, _block_value(b"brain", 1, 0, -1.0)),
+                             r"^byte 60: timestamps must be strictly increasing "
+                             r"\(recording 's00'\)$"),
+    "nan-in-brain": (_in_recording(0, _block_value(b"brain", 2, 3, math.nan)),
+                     r"^byte 60: NaN values are allowed in eye streams only"),
+    "no-streams": (_in_recording(0, lambda body: b"recording s00 1 0\n" + body[18:42]),
+                   r"^byte 18: recording has no streams \(recording 's00'\)$"),
+    "duplicate-id": (_in_recording(1, _sub(b"recording s01", b"recording s00")),
+                     r"^byte 13060: duplicate subject id \(recording 's00'\)$"),
+    "end-count": (lambda raw: raw.replace(b"end 2\n", b"end 3\n"),
+                  r"^byte 26102: end line counts 3 recordings, the file holds 2$"),
+    "data-after-end": (lambda raw: raw + b"\n",
+                       r"^byte 26108: data after the end line$"),
 }
 
 
@@ -213,8 +297,6 @@ def test_streaming_reader_fixed_cases(corpus_bytes, tmp_path, name):
     path = tmp_path / "c.corpus"
     path.write_bytes(edit(corpus_bytes))
     got = _assert_readers_agree(path)
-    if error is None:
-        assert isinstance(got, list), got
-    else:
-        assert got[0] is CorpusFormatError
-        assert re.search(error, got[1]), got[1]
+    assert not isinstance(got, list), "the damaged corpus loaded"
+    assert issubclass(got[0], CorpusFormatError)
+    assert re.search(error, got[1]), got[1]

@@ -7,26 +7,13 @@ import stat
 
 import pytest
 
-from biofuse import cli, corpus
+from biofuse import cli
 from biofuse.corpus import Modality, atomic_write, write_corpus
 from biofuse.preprocess import build_dataset, save_dataset
 
 
 class _Boom(Exception):
     pass
-
-
-def _raise_on_call(fn, n):
-    """`fn`, except that its n-th call raises."""
-    calls = [0]
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        if calls[0] == n:
-            raise _Boom(f"call {n}")
-        return fn(*args, **kwargs)
-
-    return wrapper
 
 
 def _snapshot(directory):
@@ -55,14 +42,18 @@ def test_new_file_mode_matches_plain_open(tmp_path):
     assert modes[0] == modes[1]
 
 
-def test_corpus_writer_failing_midway(tmp_path, small_corpus, monkeypatch):
+def test_corpus_writer_failing_midway(tmp_path, small_corpus):
     _, recordings = small_corpus
     path = tmp_path / "c.corpus"
     write_corpus(recordings, path)
     before = _snapshot(tmp_path)
-    monkeypatch.setattr(corpus, "_fmt", _raise_on_call(corpus._fmt, 50))
+
+    def drawn_then_failing():
+        yield from recordings[::-1][:2]
+        raise _Boom("after 2 recordings")
+
     with pytest.raises(_Boom):
-        write_corpus(recordings[::-1], path)
+        write_corpus(drawn_then_failing(), path)
     assert _snapshot(tmp_path) == before
 
 

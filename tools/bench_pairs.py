@@ -69,14 +69,14 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=None,
                    help="seconds per run (default: BENCHMARK.json's run_seconds)")
-    p.add_argument("--claim", required=True, help="the end-to-end metric the change claims")
+    p.add_argument("--claim", help="the end-to-end metric the change claims, if any")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    if args.claim not in better:
+    if args.claim is not None and args.claim not in better:
         p.error(f"--claim must be one of {sorted(better)}")
     record = {"workload": args.workload, "claim": args.claim, "seconds": args.seconds,
               "sets": [measure(args, seed, better) for seed in args.seed]}
