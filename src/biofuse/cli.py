@@ -19,13 +19,13 @@ import numpy as np
 from .corpus import (
     Modality,
     SynthConfig,
-    atomic_write,
     generate_synthetic,
     iter_corpus,
     read_corpus,
     write_corpus,
 )
 from .errors import BiofuseError, ConfigError, IdentityError, ModelFormatError, ValidationError
+from .fileio import atomic_write
 from .fusion import FusionRule
 from .metrics import FEATURE_FUSIONS, SAMPLE_MODALITIES, ExperimentConfig, run_experiment
 from .preprocess import (
@@ -222,9 +222,7 @@ def cmd_preprocess(args) -> int:
             f"preprocess needs a concrete --modality ({', '.join(SAMPLE_MODALITIES)})"
         )
     modality = Modality(modality_name)
-    # a dataset goes with its `<path>.idx` sidecar
-    _check_distinct([args.config, corpus_path],
-                    [out, f"{out}.idx", *([args.report] if args.report else [])])
+    _check_distinct([args.config, corpus_path], [out, *([args.report] if args.report else [])])
     recordings = read_corpus(corpus_path)
     samples, report = build_dataset(recordings, modality, run.eval.nan_policy)
     save_dataset(samples, out, modality=modality)
@@ -306,7 +304,7 @@ def cmd_train(args) -> int:
     run = _open_config(args)
     dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "model", "model output")
-    _check_distinct([args.config, *dataset_paths, *(f"{p}.idx" for p in dataset_paths)], [out])
+    _check_distinct([args.config, *dataset_paths], [out])
     by_modality = _load_datasets(dataset_paths)
 
     stds = {}
@@ -350,9 +348,7 @@ def cmd_enroll(args) -> int:
     model_path = _path_from(args, "model", run, "model", "model input")
     dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "templates", "template store output")
-    _check_distinct(
-        [args.config, model_path, *dataset_paths, *(f"{p}.idx" for p in dataset_paths)], [out]
-    )
+    _check_distinct([args.config, model_path, *dataset_paths], [out])
     model = load_model(model_path)
     samples = _prepare_model_inputs(_load_datasets(dataset_paths), model)
     wanted = set(args.subjects.split(",")) if args.subjects else None

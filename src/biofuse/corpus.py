@@ -8,17 +8,15 @@ may occur in eye streams only.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
-import os
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import CorpusFormatError, CorpusVersionError, ValidationError, check_field_types
+from .fileio import BlockFormat, BlockReader, atomic_write, read_blocks, write_blocks
 
 CORPUS_MAGIC = "BIOFUSE-CORPUS v2"
 EVENT_KIND_DOT_HIT = "DotHit"
@@ -82,8 +80,8 @@ class Stream:
     def __post_init__(self) -> None:
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.nominal_rate_hz <= 0:
-            raise ValidationError("nominal_rate_hz must be positive")
+        if not 0 < self.nominal_rate_hz < math.inf:
+            raise ValidationError("nominal_rate_hz must be positive and finite")
         if self.timestamps.ndim != 1:
             raise ValidationError("timestamps must be 1-D")
         if self.values.shape != (self.timestamps.size, self.modality.n_channels):
@@ -171,14 +169,14 @@ class SynthConfig:
             raise ValidationError("n_subjects, n_rounds and dots_per_round must be >= 1")
         if self.dots_per_round > MAX_DOTS_PER_ROUND:
             raise ValidationError(f"dots_per_round must be <= {MAX_DOTS_PER_ROUND}")
-        if self.eeg_rate_hz <= 0 or self.eye_rate_hz <= 0:
-            raise ValidationError("eeg_rate_hz and eye_rate_hz must be positive")
+        if not (0 < self.eeg_rate_hz < math.inf and 0 < self.eye_rate_hz < math.inf):
+            raise ValidationError("eeg_rate_hz and eye_rate_hz must be positive and finite")
         if not 0.0 <= self.subject_separability <= 1.0:
             raise ValidationError("subject_separability must be in [0, 1]")
-        if self.blink_rate_per_min < 0:
-            raise ValidationError("blink_rate_per_min must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.blink_rate_per_min < math.inf:
+            raise ValidationError("blink_rate_per_min must be finite and >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValidationError("noise_sigma must be finite and >= 0")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 unsigned bits")
 
@@ -344,6 +342,8 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
 # ---------------------------------------------------------------------------
 # On-disk format
 
+CORPUS = BlockFormat(CORPUS_MAGIC, "corpus", CorpusFormatError,
+                     "regenerate the corpus with `biofuse gen`", CorpusVersionError)
 # one event record: t, round_id, dot_index (the kind is always DotHit)
 _EVENT = np.dtype([("t", "<f8"), ("round_id", "<i8"), ("dot_index", "<i8")])
 
@@ -361,11 +361,7 @@ def write_corpus(recordings: Iterable[Recording], path) -> None:
             if rec.subject_id in seen:
                 raise ValidationError(f"duplicate subject_id {rec.subject_id!r}")
             seen.add(rec.subject_id)
-            crc = 0
-            for part in _recording_parts(rec):
-                f.write(part)
-                crc = zlib.crc32(part, crc)
-            f.write(crc.to_bytes(4, "little"))
+            write_blocks(f, _recording_parts(rec))
         if not seen:
             raise ValidationError("cannot write an empty corpus")
         f.write(f"end {len(seen)}\n".encode())
@@ -384,98 +380,6 @@ def _recording_parts(rec: Recording) -> Iterator[bytes | np.ndarray]:
         yield block
 
 
-@contextlib.contextmanager
-def atomic_write(path, mode: str, **open_kwargs):
-    """Open a temp file beside `path` for writing and move it onto `path` when
-    the block ends; if the block raises, the temp file is removed and any
-    previous file at `path` is left as it was.  A new file gets the mode bits
-    a plain `open` gives under the umask."""
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    fd = os.open(tmp, flags, 0o666)
-    try:
-        with open(fd, mode, **open_kwargs) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def _utf8_error(path, error: type[Exception]) -> Exception:
-    """`error` naming the line and byte offset of the first byte sequence in
-    `path` that is not UTF-8.  No UTF-8 sequence contains a newline byte, so
-    each line decodes on its own."""
-    offset = 0
-    with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                return error(f"{path}: line {lineno}, byte {offset + e.start}: not valid UTF-8")
-            offset += len(raw)
-    return error(f"{path}: not valid UTF-8")  # the file changed while it was read
-
-
-def read_text_lines(path, error: type[Exception]) -> list[str]:
-    """The lines of a UTF-8 text file; a byte sequence that is not UTF-8
-    raises `error` naming its line and byte offset."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().splitlines()
-    except UnicodeDecodeError:
-        raise _utf8_error(path, error) from None
-
-
-class _Source:
-    """A corpus file read part by part: each part is checked against the bytes
-    left before it is read, and the CRC32 of the current recording's bytes is
-    kept.  Errors name the byte offset and, inside a recording, its id."""
-
-    def __init__(self, f) -> None:
-        self.f = f
-        self.size = os.fstat(f.fileno()).st_size
-        self.crc = 0
-        self.subject: str | None = None
-
-    def error(self, at: int, what: str) -> CorpusFormatError:
-        where = f" (recording {self.subject!r})" if self.subject is not None else ""
-        return CorpusFormatError(f"byte {at}: {what}{where}")
-
-    def line(self) -> tuple[int, list[str]]:
-        """(offset, space-separated fields) of the next header line."""
-        at = self.f.tell()
-        raw = self.f.readline()
-        self.crc = zlib.crc32(raw, self.crc)
-        if not raw.endswith(b"\n"):
-            raise self.error(at, "truncated file: expected a header line")
-        try:
-            return at, raw[:-1].decode("utf-8").split(" ")
-        except UnicodeDecodeError as e:
-            raise self.error(at + e.start, "header line is not valid UTF-8") from None
-
-    def count(self, at: int, token: str, what: str) -> int:
-        # 20 digits exceed any file size; a longer token would make `int` raise
-        if token.isascii() and token.isdigit() and len(token) <= 20:
-            return int(token)
-        raise self.error(at, f"{what} must be a non-negative integer, got {token!r}")
-
-    def block(self, shape: tuple[int, ...], dtype, what: str) -> np.ndarray:
-        """The next `shape` block of `dtype`, read straight into a new array."""
-        at = self.f.tell()
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        if size > self.size - at:
-            raise self.error(at, f"truncated {what}: {size} bytes declared, {self.size - at} left")
-        out = np.empty(shape, dtype=dtype)
-        if self.f.readinto(out) != size:
-            raise self.error(at, f"truncated {what}")
-        self.crc = zlib.crc32(out, self.crc)
-        return out
-
-
 def iter_corpus(path) -> Iterator[Recording]:
     """Read a corpus file one recording at a time; errors name the byte offset
     and the recording.
@@ -486,20 +390,11 @@ def iter_corpus(path) -> Iterator[Recording]:
     last recording is yielded, so a caller that consumes recordings as they
     arrive must finish the generator to see a truncated file.
     """
-    with open(path, "rb") as f:
-        src = _Source(f)
-        magic = f.readline(64)
-        if magic != f"{CORPUS_MAGIC}\n".encode():
-            version = magic.removeprefix(b"BIOFUSE-CORPUS v")
-            if version != magic and version.endswith(b"\n") and version[:-1].isdigit():
-                raise CorpusVersionError(
-                    f"byte 0: unsupported corpus version {magic[:-1].decode()!r}; this reader "
-                    f"reads {CORPUS_MAGIC!r}: regenerate the corpus with `biofuse gen`"
-                )
-            raise src.error(0, "not a corpus file (missing header)")
+    with read_blocks(path, CORPUS) as src:
         ids: set[str] = set()
         while True:
-            src.crc, src.subject = 0, None
+            src.restart()
+            src.scope = None
             at, fields = src.line()
             if fields[0] != "recording" or len(fields) != 4:
                 break
@@ -510,8 +405,7 @@ def iter_corpus(path) -> Iterator[Recording]:
         if src.count(at, fields[1], "recording count") != len(ids):
             raise src.error(at, f"end line counts {fields[1]} recordings, the file holds "
                                 f"{len(ids)}")
-        if f.read(1):
-            raise src.error(f.tell() - 1, "data after the end line")
+        src.finish("the end line")
         if not ids:
             raise src.error(at, "file contains no recordings")
 
@@ -521,18 +415,16 @@ def read_corpus(path) -> list[Recording]:
     return list(iter_corpus(path))
 
 
-def _read_recording(src: _Source, at: int, fields: list[str], ids: set[str]) -> Recording:
+def _read_recording(src: BlockReader, at: int, fields: list[str], ids: set[str]) -> Recording:
     """The recording whose header line at byte `at` has just been read; its id
     is added to `ids`, the ids read before it."""
-    src.subject = fields[1]
+    src.scope = f"recording {fields[1]!r}"
     n_events = src.count(at, fields[2], "event count")
     n_streams = src.count(at, fields[3], "stream count")
     events = src.block((n_events,), _EVENT, "event block")
     blocks = []
     for _ in range(n_streams):
-        s_at, header = src.line()
-        if header[0] != "stream" or len(header) != 5:
-            raise src.error(s_at, "expected a 'stream' line")
+        s_at, header = src.expect("stream", 5)
         try:
             modality = Modality(header[1])
         except ValueError:
@@ -546,12 +438,7 @@ def _read_recording(src: _Source, at: int, fields: list[str], ids: set[str]) -> 
             raise src.error(s_at, f"a {modality.value} stream has {modality.n_channels} channels")
         blocks.append((s_at, modality, rate, src.block((n_rows, 1 + modality.n_channels), "<f8",
                                                       "stream block")))
-    crc_at = src.f.tell()
-    stored = src.f.read(4)
-    if len(stored) < 4:
-        raise src.error(crc_at, "truncated file: expected the recording checksum")
-    if int.from_bytes(stored, "little") != src.crc:
-        raise src.error(at, f"checksum mismatch over bytes {at}-{crc_at - 1}")
+    src.checksum("recording checksum")
     try:
         events = [EventMarker(t=t, round_id=r, dot_index=d) for t, r, d in events.tolist()]
     except ValidationError as e:

@@ -7,6 +7,8 @@ z-scored per channel with statistics fitted on training data only.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
@@ -19,8 +21,6 @@ from .corpus import (
     Modality,
     Recording,
     Stream,
-    atomic_write,
-    read_text_lines,
 )
 from .errors import (
     DatasetFormatError,
@@ -30,12 +30,11 @@ from .errors import (
     WindowOutOfRange,
     check_field_types,
 )
+from .fileio import BlockFormat, read_blocks, write_file
 
 GRID_RATE_HZ = 256.0
 GRID_POINTS = 102  # floor(0.4 s * 256 /s); fixed static sample length
 GRID_STEP_S = 1.0 / GRID_RATE_HZ
-
-DATASET_MAGIC = b"BIOFUSE-DS v1"
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,12 @@ class Sample:
     standardized_by: str | None = None  # scope tag of the applied standardizer
 
     def __post_init__(self) -> None:
+        if not self.subject_id or any(c.isspace() for c in self.subject_id):
+            raise ValidationError("subject_id must be a non-empty token without whitespace")
+        if self.round_id < 0:
+            raise ValidationError("round_id must be >= 0")
+        if not math.isfinite(self.t0):
+            raise ValidationError("window start t0 must be finite")
         self.data = np.asarray(self.data)
         expected = (self.modality.n_channels, GRID_POINTS)
         if self.data.shape != expected:
@@ -311,89 +316,60 @@ def pair_samples(brain: list[Sample], eye: list[Sample]) -> list[PairedSample]:
 
 
 # ---------------------------------------------------------------------------
-# Dataset file (binary table + text sidecar index)
+# Dataset file
+
+DATASET = BlockFormat("BIOFUSE-DS v2", "dataset", DatasetFormatError,
+                      "rebuild the dataset with `biofuse preprocess`")
+# one index record per sample: its subject's place on the subjects line, round_id, t0
+_INDEX = np.dtype([("subject", "<i8"), ("round_id", "<i8"), ("t0", "<f8")])
 
 
 def save_dataset(samples: list[Sample], path, modality: Modality | None = None) -> None:
-    """Write samples as little-endian float32 rows plus a `<path>.idx` sidecar."""
+    """Write samples as one index block and one little-endian float32 block."""
     if samples:
         modality = samples[0].modality
         if any(s.modality is not modality for s in samples):
             raise ValidationError("all samples in a dataset must share one modality")
     elif modality is None:
         raise ValidationError("empty dataset needs an explicit modality")
-    n_channels = modality.n_channels
-    header = (
-        DATASET_MAGIC
-        + b"\n"
-        + f"{modality.value} {len(samples)} {n_channels} {GRID_POINTS}\n".encode()
-    )
-    block = n_channels * GRID_POINTS * 4
-    # neither file is replaced unless both are written; the payload is replaced first
-    with (
-        atomic_write(f"{path}.idx", "w", encoding="utf-8", newline="\n") as idx,
-        atomic_write(path, "wb") as f,
-    ):
-        f.write(header)
-        for s in samples:
-            f.write(np.ascontiguousarray(s.data, dtype="<f4").tobytes())
-        for k, s in enumerate(samples):
-            offset = len(header) + k * block
-            idx.write(f"{s.subject_id} {s.round_id} {repr(float(s.t0))} {offset}\n")
+    subjects = sorted({s.subject_id for s in samples})
+    code = {subject: k for k, subject in enumerate(subjects)}
+    index = np.array([(code[s.subject_id], s.round_id, s.t0) for s in samples], dtype=_INDEX)
+    head = [
+        f"dataset {modality.value} {len(samples)} {modality.n_channels} {GRID_POINTS}\n".encode(),
+        " ".join(["subjects", *subjects]).encode() + b"\n",
+        index,
+    ]
+    data = (np.ascontiguousarray(s.data, dtype="<f4") for s in samples)
+    write_file(path, DATASET, itertools.chain(head, data))
 
 
 def load_dataset(path) -> tuple[list[Sample], Modality]:
-    """Read a dataset file and its sidecar; errors name what is malformed."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl1 = raw.find(b"\n")
-    if nl1 < 0 or raw[:nl1] != DATASET_MAGIC:
-        if raw.startswith(b"BIOFUSE-DS"):
-            raise DatasetFormatError(f"unsupported dataset version {raw[:nl1]!r}")
-        raise DatasetFormatError("not a dataset file (missing header)")
-    nl2 = raw.find(b"\n", nl1 + 1)
-    if nl2 < 0:
-        raise DatasetFormatError("truncated dataset header")
-    try:
-        mod_tok, n_str, c_str, p_str = raw[nl1 + 1:nl2].decode().split()
-        modality = Modality(mod_tok)
-        n, c, p = int(n_str), int(c_str), int(p_str)
-    except (ValueError, UnicodeDecodeError):
-        raise DatasetFormatError("bad dataset meta line") from None
-    if c != modality.n_channels or p != GRID_POINTS:
-        raise DatasetFormatError(f"meta line inconsistent with modality {modality.value}")
-    payload = raw[nl2 + 1:]
-    if len(payload) != n * c * p * 4:
-        raise DatasetFormatError(
-            f"payload holds {len(payload)} bytes, expected {n * c * p * 4}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, c, p)
-
-    try:
-        index_lines = read_text_lines(f"{path}.idx", DatasetFormatError)
-    except FileNotFoundError:
-        raise DatasetFormatError(f"missing sidecar index {path}.idx") from None
-    if len(index_lines) != n:
-        raise DatasetFormatError("sidecar index length does not match dataset")
-    samples = []
-    for k, line in enumerate(index_lines):
-        parts = line.split()
-        if len(parts) != 4:
-            raise DatasetFormatError(f"index line {k + 1}: expected 4 fields")
+    """Read a dataset file; errors name the byte offset and what is malformed."""
+    with read_blocks(path, DATASET) as src:
+        at, (_, name, n, c, p) = src.expect("dataset", 5)
         try:
-            round_id, t0 = int(parts[1]), float(parts[2])
+            modality = Modality(name)
         except ValueError:
-            raise DatasetFormatError(f"index line {k + 1}: bad round or t0") from None
-        offset = nl2 + 1 + k * c * p * 4
-        if parts[3] != str(offset):
-            raise DatasetFormatError(
-                f"index line {k + 1}: byte offset {parts[3]!r}, expected {offset}"
-            )
-        try:
-            samples.append(
-                Sample(subject_id=parts[0], round_id=round_id, modality=modality,
-                       data=data[k].copy(), t0=t0)
-            )
-        except ValidationError as e:
-            raise DatasetFormatError(f"sample {k}: {e}") from None
+            raise src.error(at, f"unknown modality {name!r}") from None
+        n = src.count(at, n, "sample count")
+        shape = (modality.n_channels, GRID_POINTS)
+        if (src.count(at, c, "channel count"), src.count(at, p, "point count")) != shape:
+            raise src.error(at, f"a {modality.value} sample is {shape}")
+        s_at, subjects = src.line()
+        if subjects.pop(0) != "subjects":
+            raise src.error(s_at, "expected a 'subjects' line")
+        index_at = src.f.tell()
+        index = src.block((n,), _INDEX, "index block")
+        data = src.block((n, *shape), "<f4", "sample block")
+        src.checksum()
+        src.finish()
+        samples = []
+        for k, (code, round_id, t0) in enumerate(index.tolist()):
+            try:
+                if not 0 <= code < len(subjects):
+                    raise ValidationError(f"subject {code} is not on the subjects line")
+                samples.append(Sample(subjects[code], round_id, modality, data[k], t0))
+            except ValidationError as e:
+                raise src.error(index_at + k * _INDEX.itemsize, f"sample {k}: {e}") from None
     return samples, modality

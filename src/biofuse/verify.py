@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_write
 from .errors import (
     IdentityError,
     ShapeError,
@@ -23,8 +22,7 @@ from .errors import (
     ValidationError,
     check_field_types,
 )
-
-TEMPLATE_MAGIC = b"BIOFUSE-TPL v1"
+from .fileio import BlockFormat, read_blocks, write_file
 
 
 class Scenario(enum.Enum):
@@ -153,65 +151,50 @@ def verify_claim(
 # Template store file
 
 
+TEMPLATES = BlockFormat("BIOFUSE-TPL v2", "template store", TemplateFormatError,
+                        "enroll the templates again with `biofuse enroll`")
+
+
 def save_templates(store: TemplateStore, path) -> None:
+    """Write a store: its entries as one JSON line and its vectors as one float64 block."""
     entries = []
     vectors = []
-    dim = None
     for identity in store.identities():
         for tpl in store._by_identity[identity]:
-            if dim is None:
-                dim = tpl.vector.size
-            elif tpl.vector.size != dim:
+            if vectors and tpl.vector.size != vectors[0].size:
                 raise ValidationError("all templates must share one embedding width")
             entries.append({"identity": tpl.identity, "round_id": tpl.round_id, "tag": tpl.tag})
             vectors.append(tpl.vector)
-    meta = json.dumps({"dim": dim or 0, "entries": entries}, sort_keys=True)
-    with atomic_write(path, "wb") as f:
-        f.write(TEMPLATE_MAGIC + b"\n")
-        f.write(meta.encode() + b"\n")
-        if vectors:
-            f.write(np.ascontiguousarray(np.stack(vectors), dtype="<f4").tobytes())
+    dim = vectors[0].size if vectors else 0
+    write_file(path, TEMPLATES, [
+        f"templates {len(entries)} {dim}\n".encode(),
+        f"entries {json.dumps(entries, sort_keys=True)}\n".encode(),
+        np.array(vectors, dtype="<f8"),
+    ])
 
 
 def load_templates(path) -> TemplateStore:
-    with open(path, "rb") as f:
-        raw = f.read()
-    nl1 = raw.find(b"\n")
-    if nl1 < 0 or raw[:nl1] != TEMPLATE_MAGIC:
-        if raw.startswith(b"BIOFUSE-TPL"):
-            raise TemplateFormatError(f"unsupported template store version {raw[:nl1]!r}")
-        raise TemplateFormatError("not a template store file (bad magic)")
-    nl2 = raw.find(b"\n", nl1 + 1)
-    if nl2 < 0:
-        raise TemplateFormatError("truncated template store header")
-    try:
-        meta = json.loads(raw[nl1 + 1:nl2].decode())
-        dim = meta["dim"]
-        entries = meta["entries"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise TemplateFormatError(f"bad template store meta: {e}") from None
-    if not isinstance(entries, list):
-        raise TemplateFormatError("template store entries must be a list")
-    min_dim = 1 if entries else 0
-    if type(dim) is not int or dim < min_dim:
-        raise TemplateFormatError(
-            f"template store dim must be an integer >= {min_dim}, got {dim!r}"
-        )
-    payload = raw[nl2 + 1:]
-    if len(payload) != len(entries) * dim * 4:
-        raise TemplateFormatError("template payload size does not match entry count")
-    store = TemplateStore()
-    if entries:
-        vectors = np.frombuffer(payload, dtype="<f4").reshape(len(entries), dim)
+    with read_blocks(path, TEMPLATES) as src:
+        at, (_, n, dim) = src.expect("templates", 3)
+        n, dim = src.count(at, n, "template count"), src.count(at, dim, "dim")
+        if (dim == 0) != (n == 0):
+            want = "at least 1 with" if n else "0 without"
+            raise src.error(at, f"template store dim must be {want} entries, got {dim}")
+        entries_at, (_, entries) = src.expect("entries", 2, maxsplit=1)
+        vectors = src.block((n, dim), "<f8", "template block")
+        src.checksum()
+        src.finish()
+        try:
+            entries = json.loads(entries)
+        except (ValueError, RecursionError) as e:
+            raise src.error(entries_at, f"bad template entries: {e}") from None
+        if not isinstance(entries, list) or len(entries) != n:
+            raise src.error(entries_at, f"template store entries must be a list of {n}")
+        store = TemplateStore()
         for k, (entry, vec) in enumerate(zip(entries, vectors)):
             try:
-                template = Template(
-                    identity=entry["identity"],
-                    vector=vec.astype(np.float64),
-                    round_id=entry["round_id"],
-                    tag=entry.get("tag", ""),
-                )
+                store.enroll(Template(identity=entry["identity"], vector=vec,
+                                      round_id=entry["round_id"], tag=entry.get("tag", "")))
             except (ValidationError, KeyError, TypeError) as e:
-                raise TemplateFormatError(f"bad template entry {k}: {e!r}") from None
-            store.enroll(template)
+                raise src.error(entries_at, f"bad template entry {k}: {e!r}") from None
     return store

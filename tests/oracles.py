@@ -21,10 +21,12 @@ verification subject) rows.
 training step before it ran on integer arrays: mining returned one frozen
 dataclass per triplet, the gradient rebuilt an index array from them, and
 batching grouped sample indices in a dict keyed by subject name.
-`triplet_step`, `triplet_records`, `corpus_equal` and `rows_trial_set` are
-test helpers, not oracles: the first runs one training step's library calls
-for the gradient checks, the second builds the triplet record array that
-mining returns, the last builds a `TrialSet` from such rows.
+`triplet_step`, `triplet_records`, `corpus_equal`, `rows_trial_set` and
+`reseal` are test helpers, not oracles: the first runs one training step's
+library calls for the gradient checks, the second builds the triplet record
+array that mining returns, `rows_trial_set` builds a `TrialSet` from such
+rows, and `reseal` edits a dataset, model or template file behind a valid
+checksum.
 """
 
 import bisect
@@ -752,3 +754,12 @@ def oracle_read_corpus(path):
     if not recordings:
         raise fail(at, "file contains no recordings")
     return recordings
+
+
+def reseal(path, edit):
+    """Apply `edit` to the bytes of a dataset, model or template file without
+    its closing CRC32, and write them back closed by their new CRC32 (over
+    every byte after the magic line), so that the reader meets what the edit
+    broke and not a checksum mismatch."""
+    raw = edit(Path(path).read_bytes()[:-4])
+    Path(path).write_bytes(raw + struct.pack("<I", zlib.crc32(raw[raw.index(b"\n") + 1:])))

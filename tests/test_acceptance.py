@@ -469,7 +469,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
         assert cli_main(["evaluate", "--config", str(config)]) == 0
         artifacts[run] = {
             name: (d / name).read_bytes()
-            for name in ("c.corpus", "d.ds", "d.ds.idx", "m.model", "report.json", "report.csv")
+            for name in ("c.corpus", "d.ds", "m.model", "report.json", "report.csv")
         }
     for name in artifacts["one"]:
         assert artifacts["one"][name] == artifacts["two"][name], f"{name} differs across runs"

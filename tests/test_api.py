@@ -1,14 +1,16 @@
-"""Every public name the package exports has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests.
 
-A name exported by `biofuse` or `biofuse.tnn` must be referenced by some
-module of the package other than the `__init__` files, or by the benchmark
-harness; so must each public method or property that an exported class
-defines.  References are read off the syntax tree (names, attribute names
-and `from ... import` names), so a docstring that mentions a name does not
-count as a caller.
+A name exported by `biofuse` or `biofuse.tnn`, and every public function or
+class defined at the top level of any package module, must be referenced by
+some module of the package other than the `__init__` files, or by the
+benchmark harness; so must each public method or property that an exported
+class defines.  References are read off the syntax tree (names, attribute
+names and `from ... import` names), so a docstring that mentions a name does
+not count as a caller.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 from pathlib import Path
@@ -32,9 +34,13 @@ def _exports(init: Path) -> list[str]:
     ]
 
 
-def _references() -> set[str]:
-    sources = [p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "bench").rglob("*.py")
+def _module_sources() -> list[Path]:
+    return sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+@functools.cache
+def _references() -> frozenset[str]:
+    sources = _module_sources() + sorted((ROOT / "bench").rglob("*.py"))
     names: set[str] = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -44,7 +50,7 @@ def _references() -> set[str]:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
-    return names
+    return frozenset(names)
 
 
 @pytest.mark.parametrize("init", INITS, ids=lambda p: p.parent.name)
@@ -52,6 +58,16 @@ def test_every_export_has_a_caller_outside_the_tests(init):
     referenced = _references()
     unused = [name for name in _exports(init) if name not in referenced]
     assert not unused, f"{init.relative_to(ROOT)} exports names only tests call: {unused}"
+
+
+@pytest.mark.parametrize("source", _module_sources(), ids=lambda p: p.stem)
+def test_every_public_function_and_class_of_a_module_has_a_caller(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    defined = [node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
+    unused = [name for name in defined if name not in _references()]
+    assert not unused, f"{source.relative_to(ROOT)} defines names only tests call: {unused}"
 
 
 def _public_members(init: Path) -> list[str]:

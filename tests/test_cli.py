@@ -15,6 +15,7 @@ from biofuse.corpus import read_corpus, write_corpus
 from biofuse.errors import CorpusFormatError
 from biofuse.preprocess import load_dataset
 from biofuse.tnn import load_model, save_model
+from biofuse.verify import load_templates
 
 
 def _write_config(tmp_path, n_subjects=4, epochs=2, folds=2, extra_eval=None, seed=0):
@@ -129,6 +130,22 @@ def test_enroll_rejects_unknown_subjects(enrolled, tmp_path, capsys):
     assert not out.exists()
     assert main(["enroll", "--config", config, "--out", str(out), "--subjects", "s00"]) == 0
     assert "1 identities" in capsys.readouterr().out
+
+
+def test_enrolled_templates_are_their_embeddings_bit_for_bit(enrolled):
+    """Templates are stored as float64, so each stored vector is the
+    `model.embed` row `enroll` computed for its sample."""
+    argv, _ = enrolled
+    root = Path(argv[argv.index("--config") + 1]).parent
+    model = load_model(root / "m.model")
+    samples = biofuse.cli._prepare_model_inputs(
+        biofuse.cli._load_datasets([str(root / "d.ds")]), model)
+    store = load_templates(root / "t.tpl")
+    assert len(store) == len(samples)
+    for identity in store.identities():
+        want = [model.embed(s) for s in samples if s.subject_id == identity]
+        got = [t.vector for t in store.templates_for(identity)]
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], identity
 
 
 def _break_standardizer(stds, case):
@@ -400,28 +417,23 @@ def test_evaluate_report_path_ending_in_csv_exits_1(tmp_path, capsys, out, repor
 @pytest.mark.parametrize("argv,copies,clash", [
     (["gen", "--out", "run.json"], {}, "run.json"),
     (["preprocess", "--modality", "brain", "--out", "c.corpus"], {}, "c.corpus"),
-    (["preprocess", "--modality", "brain", "--corpus", "x.idx", "--out", "x"],
-     {"c.corpus": "x.idx"}, "x.idx"),
     (["preprocess", "--modality", "brain", "--report", "c.corpus"], {}, "c.corpus"),
     (["preprocess", "--modality", "brain", "--report", "run.json"], {}, "run.json"),
     (["train", "--out", "d.ds"], {}, "d.ds"),
-    (["train", "--out", "d.ds.idx"], {}, "d.ds.idx"),
     (["enroll", "--out", "m.model"], {}, "m.model"),
-    (["enroll", "--out", "d.ds.idx"], {}, "d.ds.idx"),
     (["evaluate", "--out", "c.corpus"], {}, "c.corpus"),
     (["evaluate", "--corpus", "c.csv", "--out", "c.json"], {"c.corpus": "c.csv"}, "c.csv"),
-], ids=["gen-config", "preprocess-out", "preprocess-out-index", "preprocess-report",
-        "preprocess-report-config", "train-dataset", "train-dataset-index",
-        "enroll-model", "enroll-dataset-index", "evaluate-json", "evaluate-csv"])
+], ids=["gen-config", "preprocess-out", "preprocess-report", "preprocess-report-config",
+        "train-dataset", "enroll-model", "evaluate-json", "evaluate-csv"])
 def test_outputs_never_replace_inputs(enrolled, tmp_path, monkeypatch, capsys, argv, copies,
                                       clash):
-    """Each output path, flag or derived (a dataset's .idx, evaluate's .csv),
+    """Each output path, flag or derived (evaluate's .csv),
     is compared with --config, the inputs and the other outputs after
     resolving; a clash exits 1, naming both paths, before any file is read
     or written.  Flag paths are relative here and the config's absolute."""
     config, _ = _write_config(tmp_path)
     source = Path(enrolled[0][2]).parent
-    for name in ("c.corpus", "d.ds", "d.ds.idx", "m.model"):
+    for name in ("c.corpus", "d.ds", "m.model"):
         (tmp_path / name).write_bytes((source / name).read_bytes())
     for src, dst in copies.items():
         (tmp_path / dst).write_bytes((tmp_path / src).read_bytes())
@@ -463,7 +475,7 @@ for argv in (
 def test_pipeline_bytes_identical_across_processes(tmp_path):
     """Two fresh interpreters with different hash seeds and one BLAS thread
     write the same bytes at every stage (criterion 7 compares in-process runs)."""
-    names = ("c.corpus", "d.ds", "d.ds.idx", "m.model", "t.tpl", "report.json", "report.csv")
+    names = ("c.corpus", "d.ds", "m.model", "t.tpl", "report.json", "report.csv")
     config = json.loads(_write_config(tmp_path, n_subjects=6)[0].read_text())
     config["paths"] = {key: Path(p).name for key, p in config["paths"].items()}
     src = str(Path(biofuse.__file__).parents[1])

@@ -1,4 +1,5 @@
 import gc
+import math
 import struct
 import tracemalloc
 import zlib
@@ -232,6 +233,30 @@ def test_brain_stream_rejects_nan():
     vals[1, 3] = np.nan
     with pytest.raises(ValidationError, match="eye streams only"):
         Stream(Modality.BRAIN, 256.0, np.arange(4) / 256.0, vals)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+def test_stream_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValidationError, match="^nominal_rate_hz must be positive and finite$"):
+        Stream(Modality.BRAIN, rate, np.arange(4) / 256.0, np.zeros((4, 14)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["eeg_rate_hz", "eye_rate_hz", "blink_rate_per_min",
+                                   "noise_sigma"])
+def test_synth_config_rejects_non_finite_values(field, value):
+    # each of these used to construct and fail inside generate_synthetic
+    with pytest.raises(ValidationError, match=f"{field}.* finite"):
+        SynthConfig(n_subjects=2, n_rounds=1, **{field: value})
+
+
+@pytest.mark.parametrize("rate", [b"nan", b"inf"])
+def test_read_rejects_non_finite_rate(tmp_path, rate):
+    path = tmp_path / "bad.corpus"
+    stream = b"stream brain " + rate + b" 0 14\n"
+    path.write_bytes(_corpus(_recording(b"recording s00 0 1\n", b"", [(stream, b"")])))
+    with pytest.raises(CorpusFormatError, match="^byte 36: nominal_rate_hz must be positive"):
+        read_corpus(path)
 
 
 def test_stream_channel_count_enforced():

@@ -1,3 +1,7 @@
+import math
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -27,7 +31,7 @@ from biofuse.preprocess import (
     save_dataset,
     screen_and_interpolate,
 )
-from oracles import oracle_interp
+from oracles import oracle_interp, reseal
 
 
 def _recording(rate=200.0, duration=20.0, n_channels=16, modality=Modality.EYE_PUPIL):
@@ -264,6 +268,15 @@ class TestBuildDataset:
         assert all(not np.isnan(s.data).any() for s in samples)
 
 
+def _index_edit(k, field, value):
+    """An edit of dataset bytes that sets `field` of sample k's index record."""
+    def edit(raw):
+        at = raw.index(b"\n", raw.index(b"\nsubjects") + 1) + 1 + 24 * k
+        at += {"subject": 0, "round_id": 8, "t0": 16}[field]
+        return raw[:at] + struct.pack("<d" if field == "t0" else "<q", value) + raw[at + 8:]
+    return edit
+
+
 class TestDatasetFile:
     def test_roundtrip(self, tmp_path, small_corpus):
         _, recs = small_corpus
@@ -277,51 +290,40 @@ class TestDatasetFile:
             assert (a.subject_id, a.round_id, a.t0) == (b.subject_id, b.round_id, b.t0)
             assert a.data.tobytes() == b.data.tobytes()
 
-    def test_offsets_index_addresses_payload(self, tmp_path, small_corpus):
+    def test_file_layout_matches_docs(self, tmp_path, small_corpus):
+        """The magic line, the dataset and subjects lines, one 24-byte index
+        record and one float32 [C x 102] block per sample, then the CRC32 of
+        every byte after the magic line."""
         _, recs = small_corpus
         samples, _ = build_dataset(recs, Modality.BRAIN)
         path = tmp_path / "d.ds"
         save_dataset(samples, path)
-        raw = path.read_bytes()
-        line = (tmp_path / "d.ds.idx").read_text().splitlines()[5]
-        offset = int(line.split()[3])
-        block = 14 * GRID_POINTS * 4
-        got = np.frombuffer(raw[offset:offset + block], dtype="<f4").reshape(14, GRID_POINTS)
-        assert got.tobytes() == samples[5].data.tobytes()
+        body = f"dataset brain {len(samples)} 14 {GRID_POINTS}\nsubjects s00 s01 s02\n".encode()
+        body += b"".join(struct.pack("<qqd", int(s.subject_id[1:]), s.round_id, s.t0)
+                         for s in samples)
+        body += b"".join(s.data.astype("<f4").tobytes() for s in samples)
+        assert path.read_bytes() == (b"BIOFUSE-DS v2\n" + body
+                                     + struct.pack("<I", zlib.crc32(body)))
 
-
-    @pytest.mark.parametrize(
-        "field, value", [(1, "r1"), (2, "later"), (3, "12.5")], ids=["round", "t0", "offset"]
-    )
-    def test_non_numeric_sidecar_field_raises_format_error(
-        self, tmp_path, small_corpus, field, value
-    ):
+    @pytest.mark.parametrize("edit, error", [
+        pytest.param(_index_edit(1, "round_id", -1), "sample 1: round_id must be >= 0",
+                     id="round"),
+        pytest.param(_index_edit(1, "t0", math.nan), "sample 1: window start t0 must be finite",
+                     id="t0"),
+        pytest.param(_index_edit(1, "subject", 7),
+                     "sample 1: subject 7 is not on the subjects line", id="subject"),
+        pytest.param(lambda raw: raw.replace(b"dataset brain 3 ", b"dataset brain x "),
+                     "sample count must be a non-negative integer, got 'x'", id="count"),
+        pytest.param(lambda raw: raw.replace(b"\nsubjects", b"\nsubject"),
+                     "expected a 'subjects' line", id="subjects-line"),
+    ])
+    def test_bad_index_raises_format_error(self, tmp_path, small_corpus, edit, error):
         _, recs = small_corpus
         samples, _ = build_dataset(recs, Modality.BRAIN)
         path = tmp_path / "d.ds"
         save_dataset(samples[:3], path)
-        idx = tmp_path / "d.ds.idx"
-        lines = idx.read_text().splitlines()
-        parts = lines[1].split()
-        parts[field] = value
-        lines[1] = " ".join(parts)
-        idx.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="index line 2"):
-            load_dataset(path)
-
-
-    def test_wrong_sidecar_offset_raises_format_error(self, tmp_path, small_corpus):
-        _, recs = small_corpus
-        samples, _ = build_dataset(recs, Modality.BRAIN)
-        path = tmp_path / "d.ds"
-        save_dataset(samples[:3], path)
-        idx = tmp_path / "d.ds.idx"
-        lines = idx.read_text().splitlines()
-        parts = lines[2].split()
-        parts[3] = str(int(parts[3]) + 4)  # a whole float32 off: inside the payload
-        lines[2] = " ".join(parts)
-        idx.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="index line 3: byte offset"):
+        reseal(path, edit)
+        with pytest.raises(DatasetFormatError, match=error):
             load_dataset(path)
 
     def test_nan_payload_raises_format_error(self, tmp_path, small_corpus):
@@ -330,13 +332,31 @@ class TestDatasetFile:
         path = tmp_path / "d.ds"
         save_dataset(samples[:2], path)
         clean = path.read_bytes()
-        offset = int((tmp_path / "d.ds.idx").read_text().split()[3])
         for value in (np.nan, np.inf, -np.inf):
-            raw = bytearray(clean)
-            raw[offset:offset + 4] = np.float32(value).astype("<f4").tobytes()
-            path.write_bytes(bytes(raw))
+            path.write_bytes(clean)
+
+            def edit(raw, value=value):  # the first value of sample 0's block
+                at = len(raw) - 2 * 14 * GRID_POINTS * 4
+                return raw[:at] + np.float32(value).astype("<f4").tobytes() + raw[at + 4:]
+
+            reseal(path, edit)
             with pytest.raises(DatasetFormatError, match="sample 0"):
                 load_dataset(path)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("subject_id", "a b", "subject_id must be a non-empty token without whitespace"),
+    ("subject_id", "", "subject_id must be a non-empty token without whitespace"),
+    ("subject_id", "x\ny", "subject_id must be a non-empty token without whitespace"),
+    ("round_id", -1, "round_id must be >= 0"),
+    ("t0", math.nan, "window start t0 must be finite"),
+    ("t0", -math.inf, "window start t0 must be finite"),
+])
+def test_sample_rejects_what_a_dataset_file_cannot_hold(field, value, error):
+    fields = dict(subject_id="s00", round_id=0, t0=0.0)
+    fields[field] = value
+    with pytest.raises(ValidationError, match=error):
+        Sample(modality=Modality.BRAIN, data=np.zeros((14, GRID_POINTS)), **fields)
 
 
 def test_pair_samples_inner_join(small_corpus):

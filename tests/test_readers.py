@@ -1,11 +1,9 @@
 """Fuzz the four file readers with truncations and single-byte overwrites.
 
-Every damaged file must either load or raise that reader's own *FormatError;
+Every file kind carries CRC32 checksums over all bytes after its magic line,
+so every changed or missing byte must raise that reader's own *FormatError;
 any other exception (a UnicodeDecodeError, a bare numpy or JSON error) is a
-reader bug.  The dataset, model and template formats carry no checksum, so a
-flip inside a float payload may load silently, which is allowed for them.  A
-corpus carries a CRC32 per recording and an end line, so every changed or
-missing byte of it must raise.
+reader bug, and an unchanged file must load.
 
 The streaming corpus readers, `read_corpus` and `list(iter_corpus(path))`,
 are also checked against an independent whole-file reader of the same layout
@@ -44,13 +42,12 @@ from biofuse.preprocess import GRID_POINTS, Sample, load_dataset, save_dataset
 from biofuse.tnn import ArchKind, EmbeddingModel, load_model, save_model
 from biofuse.tnn.arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
 from biofuse.verify import Template, TemplateStore, load_templates, save_templates
-from oracles import corpus_equal, oracle_read_corpus
+from oracles import corpus_equal, oracle_read_corpus, reseal
 
-# target -> (file the damage goes into, reader called on the main file, its error)
+# target -> (file name, its reader, the error the reader raises)
 _TARGETS = {
     "corpus": ("c.corpus", read_corpus, CorpusFormatError),
     "dataset": ("d.ds", load_dataset, DatasetFormatError),
-    "sidecar": ("d.ds.idx", load_dataset, DatasetFormatError),
     "model": ("m.model", load_model, ModelFormatError),
     "templates": ("t.tpl", load_templates, TemplateFormatError),
 }
@@ -103,14 +100,49 @@ def test_damaged_file_loads_or_raises_format_error(valid_files, target, truncate
             raw[at] = byte
         changed = bytes(raw) != path.read_bytes()
         path.write_bytes(bytes(raw))
-        if target == "corpus" and changed:
+        if changed:
             with pytest.raises(error):
                 reader(path)
-            return
-        try:
-            reader(Path(tmp) / name.removesuffix(".idx"))
-        except error:
-            pass
+        else:
+            reader(path)
+
+
+def _deeply_nested(keyword):
+    """An edit replacing the JSON of the `keyword` header line by 100 000
+    nested arrays, deeper than the JSON decoder's recursion limit."""
+    def edit(raw):
+        at = raw.index(b"\n" + keyword + b" ") + len(keyword) + 2
+        return raw[:at] + b"[" * 100_000 + raw[raw.index(b"\n", at):]
+    return edit
+
+
+@pytest.mark.parametrize("target, keyword, error", [
+    ("model", b"arch", "bad arch descriptor"),
+    ("model", b"provenance", "bad provenance"),
+    ("templates", b"entries", "bad template entries"),
+], ids=["model-arch", "model-provenance", "templates"])
+def test_deeply_nested_json_raises_format_error(valid_files, tmp_path, target, keyword, error):
+    name, reader, format_error = _TARGETS[target]
+    path = tmp_path / name
+    shutil.copy(valid_files / name, path)
+    reseal(path, _deeply_nested(keyword))
+    with pytest.raises(format_error, match=error):
+        reader(path)
+
+
+@pytest.mark.parametrize("target, v1, rebuild", [
+    ("dataset", b"BIOFUSE-DS v1\nbrain 0 14 102\n", "biofuse preprocess"),
+    ("model", b"BIOFUSE-MODEL v1\nARCH {}\nWEIGHTS 0\n\nPROVENANCE {}\n", "biofuse train"),
+    ("templates", b'BIOFUSE-TPL v1\n{"dim": 0, "entries": []}\n', "biofuse enroll"),
+], ids=["dataset", "model", "templates"])
+def test_v1_file_names_v2_and_the_command_that_rebuilds_it(tmp_path, target, v1, rebuild):
+    name, reader, error = _TARGETS[target]
+    path = tmp_path / name
+    path.write_bytes(v1)
+    magic = v1[:v1.index(b"\n")].decode()
+    with pytest.raises(error, match=f"^byte 0: unsupported .* version '{magic}'") as e:
+        reader(path)
+    assert f"'{magic[:-1]}2'" in str(e.value) and f"`{rebuild}`" in str(e.value)
 
 
 def _outcome(reader, path):
@@ -280,6 +312,10 @@ _FIXED = {
                              r"\(recording 's00'\)$"),
     "nan-in-brain": (_in_recording(0, _block_value(b"brain", 2, 3, math.nan)),
                      r"^byte 60: NaN values are allowed in eye streams only"),
+    "nan-rate": (_in_recording(0, _sub(b"brain 16.0 ", b"brain nan ")),
+                 r"^byte 60: nominal_rate_hz must be positive and finite \(recording 's00'\)$"),
+    "inf-rate": (_in_recording(0, _sub(b"brain 16.0 ", b"brain inf ")),
+                 r"^byte 60: nominal_rate_hz must be positive and finite \(recording 's00'\)$"),
     "no-streams": (_in_recording(0, lambda body: b"recording s00 1 0\n" + body[18:42]),
                    r"^byte 18: recording has no streams \(recording 's00'\)$"),
     "duplicate-id": (_in_recording(1, _sub(b"recording s01", b"recording s00")),

@@ -52,6 +52,7 @@ from oracles import (
     oracle_mine_triplets_objects,
     oracle_triplet_grads,
     oracle_triplet_grads_objects,
+    reseal,
     triplet_records,
     triplet_step,
 )
@@ -753,8 +754,8 @@ class TestModelFile:
         path = tmp_path / "m.model"
         save_model(model, path)
         raw = path.read_bytes()
-        cut = raw.find(b"WEIGHTS ")
-        cut = raw.find(b"\n", cut) + 64  # 64 bytes into the payload
+        cut = raw.find(b"\nweights ")
+        cut = raw.find(b"\n", cut + 1) + 64  # 64 bytes into the payload
         (tmp_path / "t.model").write_bytes(raw[:cut])
         with pytest.raises(ModelFormatError, match="truncated"):
             load_model(tmp_path / "t.model")
@@ -786,19 +787,18 @@ class TestModelFile:
         model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=0)
         path = tmp_path / "m.model"
         save_model(model, path)
-        raw = path.read_bytes()
-        head_end = raw.find(b"\n", len(b"BIOFUSE-MODEL v1\n"))
-        prov_start = raw.rfind(b"\nPROVENANCE ")
-        arch = json.loads(raw[len(b"BIOFUSE-MODEL v1\nARCH "):head_end])
-        prov = json.loads(raw[prov_start + len(b"\nPROVENANCE "):])
-        arch, prov = edit(arch, prov)
-        path.write_bytes(
-            b"BIOFUSE-MODEL v1\nARCH " + json.dumps(arch).encode()
-            + raw[head_end:prov_start]
-            + b"\nPROVENANCE " + json.dumps(prov).encode() + b"\n"
-        )
-        with pytest.raises(ModelFormatError):
+
+        def rewrite(raw):
+            magic, arch, prov, rest = raw.split(b"\n", 3)
+            arch, prov = edit(json.loads(arch[len(b"arch "):]),
+                              json.loads(prov[len(b"provenance "):]))
+            return b"\n".join([magic, b"arch " + json.dumps(arch).encode(),
+                               b"provenance " + json.dumps(prov).encode(), rest])
+
+        reseal(path, rewrite)
+        with pytest.raises(ModelFormatError, match="arch|provenance") as e:
             load_model(path)
+        assert "checksum" not in str(e.value)
 
     def test_loaded_fusion_model_rejects_single_modality_input(self, tmp_path):
         model = EmbeddingModel(fusion_arch(ArchKind.FUSION_A), seed=0)

@@ -22,7 +22,7 @@ from biofuse.verify import (
     load_templates,
     save_templates,
 )
-from oracles import oracle_best_match, oracle_eer, oracle_far_frr, rows_trial_set
+from oracles import oracle_best_match, oracle_eer, oracle_far_frr, reseal, rows_trial_set
 
 
 def similarity(e, v):
@@ -224,6 +224,14 @@ class TestThreshold:
             Threshold.fixed(value)
 
 
+def _write_store(path, n, dim, entries, vectors):
+    """A template store file with the given header values, sealed by a valid CRC32."""
+    path.write_bytes(b"BIOFUSE-TPL v2\n" + f"templates {n} {json.dumps(dim)}\n".encode()
+                     + b"entries " + json.dumps(entries).encode() + b"\n"
+                     + vectors.tobytes() + bytes(4))
+    reseal(path, lambda raw: raw)
+
+
 class TestTemplateStore:
     def test_unknown_identity(self):
         store = TemplateStore()
@@ -236,7 +244,7 @@ class TestTemplateStore:
         rng = np.random.default_rng(5)
         for ident in ("a", "b"):
             for r in range(3):
-                vec = rng.standard_normal(32).astype(np.float32).astype(np.float64)
+                vec = rng.standard_normal(32)
                 store.enroll(Template(identity=ident, vector=vec, round_id=r, tag="single:brain"))
         path = tmp_path / "t.tpl"
         save_templates(store, path)
@@ -246,8 +254,8 @@ class TestTemplateStore:
             orig = store.templates_for(ident)
             got = loaded.templates_for(ident)
             assert [t.round_id for t in got] == [t.round_id for t in orig]
-            for o, g in zip(orig, got):
-                assert o.vector.astype(np.float32).tobytes() == g.vector.astype(np.float32).tobytes()
+            for o, g in zip(orig, got):  # stored as float64, bit for bit
+                assert o.vector.tobytes() == g.vector.tobytes() and o.tag == g.tag
 
 
     @pytest.mark.parametrize("entries, fill", [
@@ -269,12 +277,11 @@ class TestTemplateStore:
                      id="minus-inf-vector"),
     ])
     def test_malformed_entry_raises_format_error(self, tmp_path, entries, fill):
-        meta = json.dumps({"dim": 2, "entries": entries}).encode()
         path = tmp_path / "t.tpl"
-        payload = np.array([0.0, fill], "<f4").tobytes()
-        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n" + payload)
-        with pytest.raises(TemplateFormatError):
+        _write_store(path, 1, 2, entries, np.array([0.0, fill], "<f8"))
+        with pytest.raises(TemplateFormatError, match="entr") as e:
             load_templates(path)
+        assert "checksum" not in str(e.value)
 
     @pytest.mark.parametrize("dim, n_entries", [
         pytest.param(0, 1, id="zero-with-entries"),
@@ -285,16 +292,15 @@ class TestTemplateStore:
     ])
     def test_bad_dim_raises_format_error(self, tmp_path, dim, n_entries):
         entries = [{"identity": "a", "round_id": 0, "tag": ""}] * n_entries
-        meta = json.dumps({"dim": dim, "entries": entries}).encode()
         path = tmp_path / "t.tpl"
-        path.write_bytes(b"BIOFUSE-TPL v1\n" + meta + b"\n")
+        _write_store(path, n_entries, dim, entries, np.zeros(0))
         with pytest.raises(TemplateFormatError, match="dim"):
             load_templates(path)
 
     def test_empty_store_roundtrips_with_dim_zero(self, tmp_path):
         path = tmp_path / "t.tpl"
         save_templates(TemplateStore(), path)
-        assert b'"dim": 0' in path.read_bytes()
+        assert b"\ntemplates 0 0\n" in path.read_bytes()
         assert len(load_templates(path)) == 0
 
 

@@ -8,7 +8,8 @@ import stat
 import pytest
 
 from biofuse import cli
-from biofuse.corpus import Modality, atomic_write, write_corpus
+from biofuse.corpus import Modality, write_corpus
+from biofuse.fileio import atomic_write
 from biofuse.preprocess import build_dataset, save_dataset
 
 
@@ -63,14 +64,14 @@ def test_dataset_writer_failing_midway(tmp_path, small_corpus):
     path = tmp_path / "d.ds"
     save_dataset(samples, path)
     before = _snapshot(tmp_path)
-    assert sorted(before) == ["d.ds", "d.ds.idx"]
+    assert sorted(before) == ["d.ds"]
 
-    class BadFloat:
-        def __float__(self):
+    class BadData:
+        def __array__(self, *args, **kwargs):
             raise _Boom
 
     samples = samples[::-1]
-    samples[3].t0 = BadFloat()  # the sidecar's fourth row fails
+    samples[3].data = BadData()  # fails after three samples' blocks are written
     with pytest.raises(_Boom):
         save_dataset(samples, path)
     assert _snapshot(tmp_path) == before

@@ -9,6 +9,9 @@ Each pair runs `bench/run.py --trace 0` once in each checkout; the order
 alternates from pair to pair, so a drift of the machine's load does not
 favour one side.  A pair is won when the change's value is better than the
 parent's in the direction the benchmark declares.  Runs go one at a time.
+Each side's checkout is recorded as its commit and whether its tree has
+uncommitted changes (`null` for a tree outside git), so a run of a working
+tree is not labelled with its parent commit.
 """
 
 from __future__ import annotations
@@ -31,6 +34,20 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
     env = next(json.loads(line[len("environment "):]) for line in lines
                if line.startswith("environment "))
     return json.loads(lines[-1]), env
+
+
+def checkout_state(checkout: Path) -> dict | None:
+    """The commit `checkout` is at and whether its tree differs from it;
+    None for a tree without `.git`."""
+    if not (checkout / ".git").exists():
+        return None
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
+                              check=True).stdout
+
+    return {"commit": git("rev-parse", "HEAD").strip(),
+            "dirty": bool(git("status", "--porcelain"))}
 
 
 def summary(values: list[float]) -> dict:
@@ -79,6 +96,8 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in better:
         p.error(f"--claim must be one of {sorted(better)}")
     record = {"workload": args.workload, "claim": args.claim, "seconds": args.seconds,
+              "checkouts": {side: checkout_state(getattr(args, side))
+                            for side in ("parent", "change")},
               "sets": [measure(args, seed, better) for seed in args.seed]}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
