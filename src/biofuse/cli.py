@@ -117,7 +117,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             cfg = json.load(f)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ConfigError(f"config {path}: invalid JSON ({e})") from None
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path}: top level must be an object")

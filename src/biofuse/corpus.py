@@ -9,7 +9,9 @@ may occur in eye streams only.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -233,18 +235,26 @@ def _draw_kernel(rng: np.random.Generator, n_channels: int, band: tuple[float, f
 
 
 def _pink_noise(rng: np.random.Generator, n: int, n_channels: int) -> np.ndarray:
-    """Unit-variance noise with a 1/sqrt(f)-shaped spectrum (pink-like)."""
+    """Unit-variance noise with a 1/sqrt(f)-shaped spectrum (pink-like).
+
+    Scaled in place: a worker thread's malloc arena keeps its largest
+    temporaries resident, so each stream allocates as few as it can.
+    """
     white = rng.standard_normal((n, n_channels))
     if n < 8:
         return white
     spec = np.fft.rfft(white, axis=0)
+    del white
     f = np.fft.rfftfreq(n)
     weight = np.zeros_like(f)
     weight[1:] = 1.0 / np.sqrt(f[1:])
-    x = np.fft.irfft(spec * weight[:, None], n=n, axis=0)
+    spec *= weight[:, None]
+    x = np.fft.irfft(spec, n=n, axis=0)
+    del spec
     std = x.std(axis=0)
     std[std == 0] = 1.0
-    return x / std
+    x /= std
+    return x
 
 
 def _synth_events(cfg: SynthConfig, rng: np.random.Generator) -> list[EventMarker]:
@@ -271,7 +281,8 @@ def _synth_stream(
 ) -> Stream:
     n = int(duration * rate_hz) + 1
     ts = np.arange(n) / rate_hz
-    vals = cfg.noise_sigma * _pink_noise(rng, n, modality.n_channels)
+    vals = _pink_noise(rng, n, modality.n_channels)
+    vals *= cfg.noise_sigma
     w_subj = math.sqrt(cfg.subject_separability)
     w_comm = math.sqrt(1.0 - cfg.subject_separability)
     for ev, amp in zip(events, amps):
@@ -295,6 +306,28 @@ def _apply_blinks(
         stream.values[lo:hi, :] = np.nan
 
 
+# Fewest events a generator thread is given: smaller corpora (the benchmark's
+# 96-event warm-up, most test corpora) stay on the calling thread.
+_MIN_SHARE_EVENTS = 300
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(cfg: SynthConfig) -> list[range]:
+    """Contiguous subject ranges, one per usable CPU but none under
+    `_MIN_SHARE_EVENTS` events."""
+    events = cfg.n_subjects * cfg.n_rounds * cfg.dots_per_round
+    n = max(1, min(_usable_cpus(), cfg.n_subjects, events // _MIN_SHARE_EVENTS))
+    q, r = divmod(cfg.n_subjects, n)
+    cuts = [0] + list(itertools.accumulate(q + (k < r) for k in range(n)))
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
 def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
     """Generate one Recording per subject, a pure function of the config.
 
@@ -303,6 +336,12 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
     responses mix the subject kernel with a corpus-wide common kernel
     according to subject_separability.  Eye streams carry NaN blink bursts
     at the configured rate.
+
+    Every subject draws from its own child of the config's `SeedSequence`,
+    so its bytes do not depend on which thread generates it.  The subjects
+    are cut into `_shares`; the calling thread generates the first share and
+    one pool thread each of the others, and every pool thread has exited
+    when this returns or raises.
     """
     root = np.random.SeedSequence(cfg.seed)
     children = root.spawn(cfg.n_subjects + 1)
@@ -311,32 +350,50 @@ def generate_synthetic(cfg: SynthConfig) -> list[Recording]:
         Modality.BRAIN: _draw_kernel(common_rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
         Modality.EYE_PUPIL: _draw_kernel(common_rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
     }
-    recordings = []
-    for i in range(cfg.n_subjects):
-        rng = np.random.default_rng(children[i + 1])
-        subj = {
-            Modality.BRAIN: _draw_kernel(rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
-            Modality.EYE_PUPIL: _draw_kernel(rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
-        }
-        eye_dc = rng.standard_normal(16) * _EYE_DC_SCALE * math.sqrt(cfg.subject_separability)
-        events = _synth_events(cfg, rng)
-        duration = events[-1].t + _REST_S + _TAIL_S
-        amps = np.clip(1.0 + _AMP_JITTER * rng.standard_normal(len(events)), 0.2, None)
-        brain = _synth_stream(
-            cfg, rng, Modality.BRAIN, cfg.eeg_rate_hz, duration, events, amps,
-            subj[Modality.BRAIN], common[Modality.BRAIN],
-        )
-        eye = _synth_stream(
-            cfg, rng, Modality.EYE_PUPIL, cfg.eye_rate_hz, duration, events, amps,
-            subj[Modality.EYE_PUPIL], common[Modality.EYE_PUPIL],
-        )
-        eye.values += eye_dc[None, :]
-        eye.values[:, 12:] += _PUPIL_BASELINE
-        _apply_blinks(eye, rng, cfg, duration)
-        recordings.append(
-            Recording(subject_id=f"s{i:02d}", streams=[brain, eye], events=events)
-        )
+
+    def share(subjects: range) -> list[Recording]:
+        return [_synth_recording(cfg, i, children[i + 1], common) for i in subjects]
+
+    first, *rest = _shares(cfg)
+    if not rest:
+        return share(first)
+    # here, not at the top: a process that never starts a pool thread does
+    # not load the executor (about 0.8 MB resident)
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=len(rest)) as pool:
+        futures = [pool.submit(share, subjects) for subjects in rest]
+        recordings = share(first)
+        for fut in futures:
+            recordings += fut.result()
     return recordings
+
+
+def _synth_recording(
+    cfg: SynthConfig, i: int, seed: np.random.SeedSequence, common: dict[Modality, _Kernel]
+) -> Recording:
+    """Subject `i`'s recording, drawn from its own seed."""
+    rng = np.random.default_rng(seed)
+    subj = {
+        Modality.BRAIN: _draw_kernel(rng, 14, _KERNEL_BANDS_HZ[Modality.BRAIN]),
+        Modality.EYE_PUPIL: _draw_kernel(rng, 16, _KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
+    }
+    eye_dc = rng.standard_normal(16) * _EYE_DC_SCALE * math.sqrt(cfg.subject_separability)
+    events = _synth_events(cfg, rng)
+    duration = events[-1].t + _REST_S + _TAIL_S
+    amps = np.clip(1.0 + _AMP_JITTER * rng.standard_normal(len(events)), 0.2, None)
+    brain = _synth_stream(
+        cfg, rng, Modality.BRAIN, cfg.eeg_rate_hz, duration, events, amps,
+        subj[Modality.BRAIN], common[Modality.BRAIN],
+    )
+    eye = _synth_stream(
+        cfg, rng, Modality.EYE_PUPIL, cfg.eye_rate_hz, duration, events, amps,
+        subj[Modality.EYE_PUPIL], common[Modality.EYE_PUPIL],
+    )
+    eye.values += eye_dc[None, :]
+    eye.values[:, 12:] += _PUPIL_BASELINE
+    _apply_blinks(eye, rng, cfg, duration)
+    return Recording(subject_id=f"s{i:02d}", streams=[brain, eye], events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ tap-loop `_im2col` replaced (`oracle_im2col`) and reuse only the library's
 max-pool kernels, which have tests of their own.  `oracle_read_corpus` is
 a whole-file reader of the binary corpus layout, written over the file's bytes
 with `struct` and `zlib`; it reuses only the library's record types.
+`oracle_generate_synthetic` is the serial per-subject loop that
+`generate_synthetic`'s thread shares replaced, with the noise and stream
+helpers it called then; it reuses the library's kernel, event and blink
+draws, which did not change.
 `oracle_embed_batch` is the one forward pass per 512-sample stack that
 `embed_batch`'s 128-row blocks replaced, and `oracle_adam_step` the
 expression form of the Adam update that the in-place `_Adam.step` replaced.
@@ -645,6 +649,78 @@ def corpus_equal(a, b):
             if sa.values.tobytes() != sb.values.tobytes():
                 return False
     return True
+
+
+def _oracle_pink_noise(rng, n, n_channels):
+    """Unit-variance noise with a 1/sqrt(f)-shaped spectrum (pink-like)."""
+    white = rng.standard_normal((n, n_channels))
+    if n < 8:
+        return white
+    spec = np.fft.rfft(white, axis=0)
+    f = np.fft.rfftfreq(n)
+    weight = np.zeros_like(f)
+    weight[1:] = 1.0 / np.sqrt(f[1:])
+    x = np.fft.irfft(spec * weight[:, None], n=n, axis=0)
+    std = x.std(axis=0)
+    std[std == 0] = 1.0
+    return x / std
+
+
+def _oracle_synth_stream(cfg, rng, modality, rate_hz, duration, events, amps,
+                         kernel_subject, kernel_common):
+    from biofuse.corpus import WINDOW_AFTER_S, WINDOW_BEFORE_S, Stream
+
+    n = int(duration * rate_hz) + 1
+    ts = np.arange(n) / rate_hz
+    vals = cfg.noise_sigma * _oracle_pink_noise(rng, n, modality.n_channels)
+    w_subj = math.sqrt(cfg.subject_separability)
+    w_comm = math.sqrt(1.0 - cfg.subject_separability)
+    for ev, amp in zip(events, amps):
+        lo = int(np.searchsorted(ts, ev.t - WINDOW_BEFORE_S, side="left"))
+        hi = int(np.searchsorted(ts, ev.t + WINDOW_AFTER_S, side="left"))
+        tau = ts[lo:hi] - (ev.t - WINDOW_BEFORE_S)
+        vals[lo:hi] += amp * (w_subj * kernel_subject.wave(tau) + w_comm * kernel_common.wave(tau))
+    return Stream(modality=modality, nominal_rate_hz=rate_hz, timestamps=ts, values=vals)
+
+
+def oracle_generate_synthetic(cfg):
+    """Every subject generated in turn on the calling thread."""
+    from biofuse import corpus as c
+    from biofuse.corpus import Modality, Recording
+
+    root = np.random.SeedSequence(cfg.seed)
+    children = root.spawn(cfg.n_subjects + 1)
+    common_rng = np.random.default_rng(children[0])
+    common = {
+        Modality.BRAIN: c._draw_kernel(common_rng, 14, c._KERNEL_BANDS_HZ[Modality.BRAIN]),
+        Modality.EYE_PUPIL: c._draw_kernel(common_rng, 16, c._KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
+    }
+    recordings = []
+    for i in range(cfg.n_subjects):
+        rng = np.random.default_rng(children[i + 1])
+        subj = {
+            Modality.BRAIN: c._draw_kernel(rng, 14, c._KERNEL_BANDS_HZ[Modality.BRAIN]),
+            Modality.EYE_PUPIL: c._draw_kernel(rng, 16, c._KERNEL_BANDS_HZ[Modality.EYE_PUPIL]),
+        }
+        eye_dc = rng.standard_normal(16) * c._EYE_DC_SCALE * math.sqrt(cfg.subject_separability)
+        events = c._synth_events(cfg, rng)
+        duration = events[-1].t + c._REST_S + c._TAIL_S
+        amps = np.clip(1.0 + c._AMP_JITTER * rng.standard_normal(len(events)), 0.2, None)
+        brain = _oracle_synth_stream(
+            cfg, rng, Modality.BRAIN, cfg.eeg_rate_hz, duration, events, amps,
+            subj[Modality.BRAIN], common[Modality.BRAIN],
+        )
+        eye = _oracle_synth_stream(
+            cfg, rng, Modality.EYE_PUPIL, cfg.eye_rate_hz, duration, events, amps,
+            subj[Modality.EYE_PUPIL], common[Modality.EYE_PUPIL],
+        )
+        eye.values += eye_dc[None, :]
+        eye.values[:, 12:] += c._PUPIL_BASELINE
+        c._apply_blinks(eye, rng, cfg, duration)
+        recordings.append(
+            Recording(subject_id=f"s{i:02d}", streams=[brain, eye], events=events)
+        )
+    return recordings
 
 
 def oracle_read_corpus(path):

@@ -1,8 +1,11 @@
-"""`tools/bench_pairs.py` records which tree each side of a benchmark ran."""
+"""`tools/bench_pairs.py` records which tree each side of a benchmark ran, and
+refuses a run it could not summarize."""
 
 import importlib.util
 import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -35,3 +38,16 @@ def test_checkout_state_names_the_commit_and_uncommitted_changes(tmp_path):
     exported.mkdir()
     (exported / "a.txt").write_text("one\n")
     assert state(exported) is None
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, monkeypatch, capsys, pairs):
+    module = _bench_pairs()
+    monkeypatch.setattr(module, "run_bench", lambda *a: pytest.fail("a run was started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "evaluate",
+                     "--seed", "5", "--pairs", pairs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not out.exists()

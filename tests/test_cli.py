@@ -189,6 +189,15 @@ def test_missing_config_exits_1(tmp_path, capsys):
     assert "missing.json" in err
 
 
+def test_config_nested_past_the_decoder_limit_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"paths": ' + "[" * 100_000)
+    rc = main(["gen", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("biofuse: ") and str(path) in err and "invalid JSON" in err
+
+
 def test_unknown_flag_exits_1(capsys):
     rc = main(["gen", "--config", "x.json", "--frobnicate"])
     err = capsys.readouterr().err

@@ -1,14 +1,21 @@
 import gc
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biofuse
+from biofuse import corpus
 from biofuse.corpus import (
     EventMarker,
     Modality,
@@ -21,7 +28,7 @@ from biofuse.corpus import (
     write_corpus,
 )
 from biofuse.errors import CorpusFormatError, CorpusVersionError, ValidationError
-from oracles import corpus_equal
+from oracles import corpus_equal, oracle_generate_synthetic
 
 
 def test_generate_counts():
@@ -70,6 +77,91 @@ def test_generate_deterministic_bytes(tmp_path):
     write_corpus(generate_synthetic(cfg), p1)
     write_corpus(generate_synthetic(cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_BATTERY_SHAPE = dict(n_subjects=12, n_rounds=4, dots_per_round=25, subject_separability=0.5,
+                     noise_sigma=0.9, blink_rate_per_min=4.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    SynthConfig(n_subjects=1, n_rounds=4, seed=5),
+    SynthConfig(n_subjects=3, n_rounds=8, seed=29),
+    SynthConfig(seed=5, **_BATTERY_SHAPE),
+    # 3-7 points per stream: the noise is white, most events miss every sample
+    SynthConfig(n_subjects=12, n_rounds=2, eeg_rate_hz=0.1, eye_rate_hz=0.15, seed=2),
+    SynthConfig(n_subjects=3, n_rounds=8, eeg_rate_hz=64.0, eye_rate_hz=60.0,
+                blink_rate_per_min=600.0, seed=1),
+], ids=["1-subject", "3-subjects", "12-subjects", "under-8-points", "blink-heavy"])
+def test_generate_matches_serial_oracle(monkeypatch, cfg):
+    """Bit-equal to the serial loop whether the subjects are generated on one
+    thread or cut into up to three shares, whatever this machine's CPUs."""
+    want = oracle_generate_synthetic(cfg)
+    for cpus in (1, 3):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: cpus)
+        assert corpus_equal(generate_synthetic(cfg), want), f"{cpus} CPUs"
+
+
+def test_shares_cover_subjects_in_order_with_enough_events(monkeypatch):
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 4)
+    # the benchmark's 96-event warm-up stays on the calling thread
+    assert corpus._shares(SynthConfig(n_subjects=4, n_rounds=4, dots_per_round=6)) == [range(4)]
+    assert corpus._shares(SynthConfig(n_subjects=3, n_rounds=8)) == [range(2), range(2, 3)]
+    assert corpus._shares(SynthConfig(n_subjects=2, n_rounds=100)) == [range(1), range(1, 2)]
+    assert corpus._shares(SynthConfig(**_BATTERY_SHAPE)) == [
+        range(0, 3), range(3, 6), range(6, 9), range(9, 12)]
+    # 1000 events make three shares of at least 300, not four
+    assert corpus._shares(SynthConfig(n_subjects=10, n_rounds=4)) == [
+        range(0, 4), range(4, 7), range(7, 10)]
+
+
+_ONE_CPU = """
+import os, sys
+from biofuse import corpus
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+cfg = corpus.SynthConfig(n_subjects=3, n_rounds=8, seed=29)
+assert corpus._shares(cfg) == [range(3)]
+corpus.write_corpus(corpus.generate_synthetic(cfg), sys.argv[1])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks here")
+def test_generate_bytes_do_not_depend_on_the_affinity_mask(tmp_path):
+    cfg = SynthConfig(n_subjects=3, n_rounds=8, seed=29)
+    if len(corpus._shares(cfg)) < 2:
+        pytest.skip("one usable CPU: every run is a one-thread run")
+    src = str(Path(biofuse.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", _ONE_CPU, str(tmp_path / "one.corpus")], env=env,
+                   check=True, capture_output=True, timeout=120)
+    write_corpus(generate_synthetic(cfg), tmp_path / "all.corpus")
+    assert (tmp_path / "one.corpus").read_bytes() == (tmp_path / "all.corpus").read_bytes()
+
+
+@pytest.mark.parametrize("failing", [0, 7])
+def test_share_error_reaches_the_caller_and_no_thread_outlives_it(monkeypatch, failing):
+    """Subject 0 is in the calling thread's share, subject 7 in a pool thread's."""
+    cfg = SynthConfig(n_subjects=12, n_rounds=2, dots_per_round=25, seed=3)
+    real = corpus._synth_recording
+    threads = {}
+
+    def synth_recording(cfg, i, seed, common):
+        threads[i] = threading.get_ident()
+        if i == failing:
+            raise ValidationError(f"subject {i} refused")
+        return real(cfg, i, seed, common)
+
+    monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(corpus, "_synth_recording", synth_recording)
+    before = threading.active_count()
+    with pytest.raises(ValidationError, match=f"^subject {failing} refused$"):
+        generate_synthetic(cfg)
+    assert threading.active_count() == before
+    assert threads[0] == threading.get_ident() != threads[7]
+
+    monkeypatch.setattr(corpus, "_synth_recording", real)
+    recordings = generate_synthetic(cfg)
+    assert threading.active_count() == before
+    assert [r.subject_id for r in recordings] == [f"s{i:02d}" for i in range(12)]
 
 
 def test_separability_correlations():

@@ -83,12 +83,15 @@ def main(argv=None) -> int:
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, action="append", required=True)
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=int, default=10,
+                   help="alternating pairs per seed, at least 2 (quartiles need two runs)")
     p.add_argument("--seconds", type=float, default=None,
                    help="seconds per run (default: BENCHMARK.json's run_seconds)")
     p.add_argument("--claim", help="the end-to-end metric the change claims, if any")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
