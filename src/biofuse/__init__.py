@@ -31,6 +31,7 @@ from .metrics import (
     per_subject_eer,
     plan_folds,
     run_experiment,
+    run_experiments,
 )
 from .preprocess import (
     GRID_POINTS,

@@ -143,7 +143,7 @@ def load_config(path) -> RunConfig:
                 f"{ctx}: eval.scenario: unknown scenario {eval_raw['scenario']!r}"
             ) from None
     if "fusion" in eval_raw:
-        eval_raw["fusion"] = _parse_fusion(eval_raw["fusion"])
+        eval_raw["fusion"] = _parse_fusion(eval_raw["fusion"], f"{ctx}: eval.fusion")
 
     synth = _build(SynthConfig, "synth", ctx, synth_raw) if synth_raw else None
     eval_cfg = _build(ExperimentConfig, "eval", ctx, {
@@ -154,13 +154,13 @@ def load_config(path) -> RunConfig:
     return RunConfig(paths=paths, synth=synth, eval=eval_cfg)
 
 
-def _parse_fusion(token: str) -> FusionRule | None:
+def _parse_fusion(token: str, where: str = "--fusion") -> FusionRule | None:
     if token in (None, "none", ""):
         return None
     try:
         return FusionRule(token)
     except ValueError:
-        raise ConfigError(f"unknown fusion rule {token!r}") from None
+        raise ConfigError(f"{where}: unknown fusion rule {token!r}") from None
 
 
 def _open_config(args) -> RunConfig:

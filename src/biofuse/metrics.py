@@ -758,26 +758,30 @@ class TrainedFold:
     test_subjects: tuple[str, ...]
     train: dict        # Modality -> standardized training samples
     test: dict         # Modality -> standardized test samples
-    models: list       # one EmbeddingModel per arch of _experiment_arches
+    models: list       # one EmbeddingModel per arch `train_folds` trains
     histories: list    # per model, the mean loss of each epoch
-    train_pairs: list | None = None  # score fusion: (brain, eye) training pairs
-    test_pairs: list | None = None   # score fusion: (brain, eye) test pairs
 
 
-def train_folds(datasets: dict, subjects, config: ExperimentConfig):
+def train_folds(datasets: dict, subjects, config: ExperimentConfig, arches: list[ArchSpec]):
     """Yield every fold of the experiment, split, standardized and trained.
 
-    `datasets` maps each modality the config's models read to its samples.
-    Standardizers are fitted on each fold's training subjects only (scope
-    `fold{i}`); arch k of the fold trains with seed train.seed + 1000*fold + k
-    (brain is arch 0 and the eye model arch 1 in score fusion).  A fold's
-    test split is standardized after its models are trained, so it is not
-    live during training.  The generator keeps no reference to a fold it has
-    yielded, so a caller that drops the fold before asking for the next one
-    frees its samples before the next fold is standardized.
+    `datasets` maps each modality the models read to its samples.  A test
+    split without two subjects with samples from two rounds in each modality
+    raises ValidationError before any fold trains.  Standardizers are fitted
+    on each fold's training subjects only (scope `fold{i}`); arch k of the
+    fold trains with seed train.seed + 1000*fold + k.  A fold's test split is
+    standardized after its models are trained, so it is not live during
+    training.  The generator keeps no reference to a fold it has yielded, so
+    a caller that drops the fold before asking for the next one frees its
+    samples before the next fold is standardized.
     """
     plan = plan_folds(subjects, config.folds, config.seed)
-    arches = _experiment_arches(config)
+    for fi, (_, test_subjects) in enumerate(plan.folds):
+        for m, samples in datasets.items():
+            seen = {(s.subject_id, s.round_id) for s in samples if s.subject_id in test_subjects}
+            if sum(len({r for sid, r in seen if sid == t}) >= 2 for t in test_subjects) < 2:
+                raise ValidationError(f"fold{fi}: its test split needs at least two subjects "
+                                      f"with {m.value} samples from two rounds each")
     for fi, (train_subjects, test_subjects) in enumerate(plan.folds):
         yield _train_fold(datasets, fi, train_subjects, test_subjects, arches, config)
 
@@ -811,28 +815,64 @@ def _train_fold(datasets: dict, fi: int, train_subjects, test_subjects,
         fold.test[m] = [apply_standardizer(stds[m], s) for s in samples]
         if any(s.standardized_by != scope for s in tr[m] + fold.test[m]):
             raise EvalError(f"{scope}: standardizer provenance mismatch")
-    if config.fusion is not None:
-        eye_m = arches[1].modalities[0]
-        fold.train_pairs = pair_samples(tr[Modality.BRAIN], tr[eye_m])
-        fold.test_pairs = pair_samples(fold.test[Modality.BRAIN], fold.test[eye_m])
     return fold
 
 
-def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) -> EvalReport:
-    """Full per-fold pipeline: preprocess, train (`train_folds`), score trials, report.
+def _fold_trials(fold: TrainedFold, arches: list[ArchSpec], ks: list[int],
+                 config: ExperimentConfig, memo: dict) -> TrialSet:
+    """One config's trials on a fold whose models `ks` index in `arches`.  The
+    fold's configs share `memo`, so a split's samples for one model, or for
+    brain paired with one eye modality, are built and embedded once."""
+    fused = config.fusion is not None
+    key = Modality(config.modality) if fused else ks[0]
+    models = tuple(fold.models[k] for k in ks) if fused else fold.models[ks[0]]
 
-    Deterministic given the config.  `recordings` may be any iterable, such
-    as `iter_corpus(path)`: each recording is turned into its samples as it
-    arrives, so with a generator only one recording is live at a time.  The
-    samples are then put in canonical (subject) order, so the result does not
-    depend on the order of the recordings; a subject that comes twice raises
-    ValidationError.  Only what the next stage reads stays referenced: each
+    def embedded(split: str):
+        if (split, key) not in memo:
+            by_m = getattr(fold, split)
+            samples = (pair_samples(by_m[Modality.BRAIN], by_m[key]) if fused
+                       else model_inputs(arches[key], by_m))
+            memo[split, key] = samples, embed_samples(samples, models)
+        return memo[split, key]
+
+    normalizer = (fit_fusion_normalizer(*embedded("train"), config.scenario)
+                  if fused and not config.raw_fusion else None)
+    return score_trials(*embedded("test"), config.scenario, fusion_rule=config.fusion,
+                        normalizer=normalizer, raw_fusion=config.raw_fusion)
+
+
+def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) -> EvalReport:
+    """`run_experiments` of one config."""
+    return run_experiments(recordings, [config])[0]
+
+
+def run_experiments(recordings: Iterable[Recording], configs) -> list[EvalReport]:
+    """Full per-fold pipeline: preprocess, train (`train_folds`), score
+    trials and report, once per config.
+
+    The configs share one ingestion, fold split and training, so they must
+    agree on folds, seed, nan_policy and train (else ValidationError).  A fold
+    trains every arch they name once: arch k in first-use order gets seed
+    train.seed + 1000*fold + k.  Each sample list is embedded once a fold.
+
+    Deterministic given the configs.  `recordings` may be any iterable, such
+    as `iter_corpus(path)`: each recording becomes its samples as it arrives,
+    so with a generator only one recording is live at a time.  The samples
+    are put in subject order, so the result does not depend on the order of
+    the recordings; a subject that comes twice raises ValidationError.  Each
     fold is dropped before the next one is standardized.  A list of
-    recordings stays alive as long as its caller holds it; on CPython 3.10,
-    which holds call arguments until the call returns, that includes
+    recordings stays alive while its caller holds it; on CPython 3.10, which
+    holds call arguments until the call returns, that includes
     `run_experiment(read_corpus(path), config)`.
     """
-    arches = _experiment_arches(config)
+    configs = list(configs)
+    if not configs:
+        raise ValidationError("run_experiments needs at least one config")
+    for name in ("folds", "seed", "nan_policy", "train"):
+        if any(getattr(c, name) != getattr(configs[0], name) for c in configs):
+            raise ValidationError(f"every config must share one {name}")
+    config_arches = [_experiment_arches(c) for c in configs]
+    arches = list(dict.fromkeys(a for ca in config_arches for a in ca))
     modalities = list(dict.fromkeys(m for arch in arches for m in arch.modalities))
 
     by_subject: dict[str, dict] = {}  # subject -> modality -> that subject's samples
@@ -842,7 +882,7 @@ def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) ->
             raise ValidationError(f"duplicate subject_id {rec.subject_id!r} in recordings")
         chunks = by_subject[rec.subject_id] = {}
         for m in modalities:
-            chunks[m], report = build_dataset([rec], m, config.nan_policy)
+            chunks[m], report = build_dataset([rec], m, configs[0].nan_policy)
             for stage in STAGES:
                 prep_totals[m.value][stage] += report.total(stage)
         del rec  # free this recording before the next one is parsed
@@ -851,63 +891,47 @@ def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) ->
     datasets = {m: [s for sid in subjects for s in by_subject[sid][m]] for m in modalities}
     del by_subject
 
-    folds: list[dict] = []
-    fold_trialsets: list[TrialSet] = []
-    for fold in train_folds(datasets, subjects, config):
-        if config.fusion is None:
-            trials = build_trials(
-                model_inputs(arches[0], fold.test), fold.models[0], config.scenario
-            )
-        else:
-            normalizer = None
-            if not config.raw_fusion:
-                normalizer = fusion_calibration_normalizer(
-                    fold.train_pairs, *fold.models, config.scenario
-                )
-            trials = build_trials(
-                fold.test_pairs,
-                tuple(fold.models),
-                config.scenario,
-                fusion_rule=config.fusion,
-                normalizer=normalizer,
-                raw_fusion=config.raw_fusion,
-            )
-
-        block, thresholds = _scenario_metrics(trials, config.scenario)
-        test_set = set(fold.test_subjects)
-        folds.append({
-            "fold": fold.index,
-            "train_subjects": list(fold.train_subjects),
-            "test_subjects": list(fold.test_subjects),
-            **block,
-            "per_user_thresholds": thresholds,
-            "excluded_subjects": list(trials.excluded_subjects),
-            "models": [_model_summary(m, h) for m, h in zip(fold.models, fold.histories)],
-            "audits": {
-                "round_exclusion_violations": trials.round_exclusion_violations(),
-                "train_test_overlap": len(set(fold.train_subjects) & test_set),
-                "foreign_trial_subjects": len(trials.subjects() - test_set),
-            },
-        })
-        fold_trialsets.append(trials)
-        del fold  # free this fold's samples before the next one is built
-
-    pooled, _ = _scenario_metrics(TrialSet.concat(fold_trialsets), config.scenario)
-    pooled["eer_mean_of_folds"] = float(np.mean([f["eer"] for f in folds]))
-    if config.scenario is not Scenario.S3:
-        # Both pooling conventions: all scores pooled, and the fold-mean EER.
-        pooled["eer_pooled_scores"] = pooled["eer"]
-
-    provenance = {
+    reports = [EvalReport(provenance={
         **asdict(config, dict_factory=lambda kv: {
             k: v.value if isinstance(v, Enum) else v for k, v in kv  # enums as values
         }),
-        "corpus": {"n_subjects": len(subjects), "subjects": subjects},
-        "preprocess": prep_totals,
-        "models_per_fold": len(arches),
-        "model_arches": [arch.tag for arch in arches],
-    }
-    return EvalReport(provenance=provenance, folds=folds, pooled=pooled)
+        "corpus": {"n_subjects": len(subjects), "subjects": list(subjects)},
+        "preprocess": {m.value: dict(prep_totals[m.value])
+                       for m in modalities if any(m in arch.modalities for arch in ca)},
+        "models_per_fold": len(ca),
+        "model_arches": [arch.tag for arch in ca],
+    }, folds=[], pooled={}) for config, ca in zip(configs, config_arches)]
+    config_ks = [[arches.index(a) for a in ca] for ca in config_arches]
+    fold_trialsets: list[list[TrialSet]] = [[] for _ in configs]
+    for fold in train_folds(datasets, subjects, configs[0], arches):
+        memo: dict = {}
+        for config, ks, report, sets in zip(configs, config_ks, reports, fold_trialsets):
+            trials = _fold_trials(fold, arches, ks, config, memo)
+            block, thresholds = _scenario_metrics(trials, config.scenario)
+            report.folds.append({
+                "fold": fold.index,
+                "train_subjects": list(fold.train_subjects),
+                "test_subjects": list(fold.test_subjects),
+                **block,
+                "per_user_thresholds": thresholds,
+                "excluded_subjects": list(trials.excluded_subjects),
+                "models": [_model_summary(fold.models[k], fold.histories[k]) for k in ks],
+                "audits": {
+                    "round_exclusion_violations": trials.round_exclusion_violations(),
+                    "train_test_overlap": len(set(fold.train_subjects) & set(fold.test_subjects)),
+                    "foreign_trial_subjects": len(trials.subjects() - set(fold.test_subjects)),
+                },
+            })
+            sets.append(trials)
+        del fold, memo  # free this fold's samples before the next one is built
+
+    for config, report, sets in zip(configs, reports, fold_trialsets):
+        pooled = report.pooled = _scenario_metrics(TrialSet.concat(sets), config.scenario)[0]
+        pooled["eer_mean_of_folds"] = float(np.mean([f["eer"] for f in report.folds]))
+        if config.scenario is not Scenario.S3:
+            # Both pooling conventions: all scores pooled, and the fold-mean EER.
+            pooled["eer_pooled_scores"] = pooled["eer"]
+    return reports
 
 
 def _model_summary(model: EmbeddingModel, history: list[float]) -> dict:

@@ -2,12 +2,11 @@
 
 The ordinal criteria (3, 4) share one 10-seed battery of synthetic
 experiments, built once per session.  Criterion 5 and 6 additionally audit
-every report and trial set the battery emits.
+every report the battery emits.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -18,17 +17,11 @@ from biofuse.fusion import FusionRule
 from biofuse.metrics import (
     FAR_TARGETS,
     ExperimentConfig,
-    TrialSet,
-    _scenario_metrics,
     build_trials,
     compute_eer,
     eer_from_scores,
-    embed_samples,
-    fit_fusion_normalizer,
     frr_at_far_scores,
-    run_experiment,
-    score_trials,
-    train_folds,
+    run_experiments,
 )
 from biofuse.preprocess import (
     GRID_POINTS,
@@ -53,6 +46,7 @@ from oracles import oracle_eer, oracle_frr_at_far, triplet_records, triplet_step
 SEEDS = range(10)
 SCENARIOS = (Scenario.S1, Scenario.S2, Scenario.S3)
 CONFIGS = ("brain", "eye", "fusion")
+CELLS = [(name, scenario) for name in CONFIGS for scenario in SCENARIOS]
 
 BATTERY_SYNTH = dict(
     n_subjects=12, n_rounds=4, dots_per_round=25,
@@ -68,62 +62,24 @@ def _ok(capsys, criterion: str, detail: str) -> None:
         print(f"PASS {criterion}: {detail}")
 
 
-@dataclass
-class SeedOutcome:
-    eers: dict                      # (config, scenario) -> float
-    frr_maps: list = field(default_factory=list)   # FRR dicts keyed like the report's
-    round_violations: int = 0
-    disjoint_violations: int = 0
-    foreign_trials: int = 0
-    max_eer_guard: float = 0.0
+def _run_seed(seed: int) -> dict:
+    """Brain, eye and mean fusion under S1-S3: nine reports, keyed by (config,
+    scenario), from one `run_experiments` call that trains each fold's two
+    models once."""
+    train_config = TrainConfig(seed=seed, **BATTERY_TRAIN)
+    reports = run_experiments(generate_synthetic(SynthConfig(seed=seed, **BATTERY_SYNTH)), [
+        ExperimentConfig(
+            scenario=scenario, modality="brain" if name == "brain" else "eye-pupil",
+            fusion=FusionRule.MEAN if name == "fusion" else None,
+            folds=BATTERY_FOLDS, seed=seed, train=train_config,
+        )
+        for name, scenario in CELLS
+    ])
+    return dict(zip(CELLS, reports))
 
 
-def _run_seed(seed: int) -> SeedOutcome:
-    """Train both folds through `train_folds`, embed each of a fold's six
-    sample lists once and score brain, eye and mean fusion under S1-S3."""
-    recordings = generate_synthetic(SynthConfig(seed=seed, **BATTERY_SYNTH))
-    config = ExperimentConfig(
-        modality="eye-pupil", fusion=FusionRule.MEAN, folds=BATTERY_FOLDS, seed=seed,
-        train=TrainConfig(seed=seed, **BATTERY_TRAIN),
-    )
-    subjects = sorted(r.subject_id for r in recordings)
-    datasets = {
-        m: build_dataset(recordings, m)[0] for m in (Modality.BRAIN, Modality.EYE_PUPIL)
-    }
-    del recordings  # only the datasets are read from here on
-
-    outcome = SeedOutcome(eers={})
-    pooled: dict = {(c, s): [] for c in CONFIGS for s in SCENARIOS}
-    for fold in train_folds(datasets, subjects, config):
-        test_set = set(fold.test_subjects)
-        outcome.disjoint_violations += len(set(fold.train_subjects) & test_set)
-        mb, me = fold.models
-        te_brain, te_eye = fold.test[Modality.BRAIN], fold.test[Modality.EYE_PUPIL]
-        emb_brain, emb_eye = mb.embed_batch(te_brain), me.embed_batch(te_eye)
-        emb_te_pairs = embed_samples(fold.test_pairs, (mb, me))
-        emb_tr_pairs = embed_samples(fold.train_pairs, (mb, me))
-        for scenario in SCENARIOS:
-            sets = {
-                "brain": score_trials(te_brain, emb_brain, scenario),
-                "eye": score_trials(te_eye, emb_eye, scenario),
-                "fusion": score_trials(
-                    fold.test_pairs, emb_te_pairs, scenario,
-                    fusion_rule=config.fusion,
-                    normalizer=fit_fusion_normalizer(fold.train_pairs, emb_tr_pairs, scenario),
-                ),
-            }
-            for name, trials in sets.items():
-                outcome.round_violations += trials.round_exclusion_violations()
-                outcome.foreign_trials += len(trials.subjects() - test_set)
-                pooled[(name, scenario)].append(trials)
-
-    for (name, scenario), sets in pooled.items():
-        block, _ = _scenario_metrics(TrialSet.concat(sets), scenario)
-        n_min = min(block["n_genuine"], block["n_impostor"])
-        outcome.eers[(name, scenario)] = block["eer"]
-        outcome.max_eer_guard = max(outcome.max_eer_guard, block["eer"] - (0.5 + 1.0 / n_min))
-        outcome.frr_maps.append(block["frr_at_far"])
-    return outcome
+def _eer(reports: dict, name: str, scenario: Scenario) -> float:
+    return reports[name, scenario].pooled["eer"]
 
 
 @pytest.fixture(scope="session")
@@ -135,23 +91,19 @@ def battery():
 
 @pytest.fixture(scope="session")
 def smoke_reports():
-    """run_experiment reports on seed-0 data for report-level audits."""
+    """run_experiments reports on seed-0 data for report-level audits."""
     cfg = SynthConfig(seed=0, n_subjects=8, n_rounds=3, dots_per_round=10,
                       subject_separability=0.6, noise_sigma=0.7)
-    recordings = generate_synthetic(cfg)
     train_cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=1e-3, seed=0)
-    reports = []
-    for scenario, modality, fusion in (
-        (Scenario.S2, "brain", None),
-        (Scenario.S3, "eye-pupil", FusionRule.PRODUCT),
-        (Scenario.S1, "fusion-a", None),
-    ):
-        config = ExperimentConfig(
-            scenario=scenario, modality=modality, fusion=fusion,
-            folds=2, seed=0, train=train_cfg,
+    return run_experiments(generate_synthetic(cfg), [
+        ExperimentConfig(scenario=scenario, modality=modality, fusion=fusion,
+                         folds=2, seed=0, train=train_cfg)
+        for scenario, modality, fusion in (
+            (Scenario.S2, "brain", None),
+            (Scenario.S3, "eye-pupil", FusionRule.PRODUCT),
+            (Scenario.S1, "fusion-a", None),
         )
-        reports.append(run_experiment(recordings, config))
-    return reports
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +312,7 @@ def _print_effect_sizes(outcomes, capsys) -> None:
     """Per seed: S3 EERs and the fused reduction against each single (1 - fused/single)."""
     with capsys.disabled():
         for seed, o in outcomes.items():
-            brain, eye, fused = (o.eers[(c, Scenario.S3)] for c in CONFIGS)
+            brain, eye, fused = (_eer(o, c, Scenario.S3) for c in CONFIGS)
             print(f"  seed {seed}: S3 EER brain {brain:.4f} eye {eye:.4f} fusion {fused:.4f}; "
                   f"fused reduction vs eye {_reduction(fused, eye)}, "
                   f"vs brain {_reduction(fused, brain)}")
@@ -370,8 +322,7 @@ def test_criterion_3_fusion_beats_singles(battery, capsys):
     outcomes, elapsed = battery
     _print_effect_sizes(outcomes, capsys)
     wins = sum(
-        o.eers[("fusion", Scenario.S3)] <= o.eers[("brain", Scenario.S3)]
-        and o.eers[("fusion", Scenario.S3)] <= o.eers[("eye", Scenario.S3)]
+        _eer(o, "fusion", Scenario.S3) <= min(_eer(o, c, Scenario.S3) for c in ("brain", "eye"))
         for o in outcomes.values()
     )
     assert elapsed < 15 * 60, f"battery took {elapsed:.0f}s"
@@ -382,13 +333,9 @@ def test_criterion_3_fusion_beats_singles(battery, capsys):
 
 def test_criterion_4_scenario_ordering(battery, capsys):
     outcomes, _ = battery
-    s2_wins = sum(
-        o.eers[("fusion", Scenario.S2)] <= o.eers[("fusion", Scenario.S1)]
-        for o in outcomes.values()
-    )
-    s3_wins = sum(
-        o.eers[("fusion", Scenario.S3)] <= o.eers[("fusion", Scenario.S2)]
-        for o in outcomes.values()
+    s2_wins, s3_wins = (
+        sum(_eer(o, "fusion", better) <= _eer(o, "fusion", worse) for o in outcomes.values())
+        for better, worse in ((Scenario.S2, Scenario.S1), (Scenario.S3, Scenario.S2))
     )
     assert s2_wins >= 9, f"S2 <= S1 in only {s2_wins}/10 seeds"
     assert s3_wins >= 7, f"S3 <= S2 in only {s3_wins}/10 seeds"
@@ -400,16 +347,15 @@ def test_criterion_4_scenario_ordering(battery, capsys):
 # Criterion 5: FRR@FAR monotonicity in every emitted report
 
 
-def test_criterion_5_frr_far_monotonicity(battery, smoke_reports, capsys):
+def _battery_reports(battery) -> list:
     outcomes, _ = battery
+    return [r for reports in outcomes.values() for r in reports.values()]
+
+
+def test_criterion_5_frr_far_monotonicity(battery, smoke_reports, capsys):
     checked = 0
-    for o in outcomes.values():
-        for frr_map in o.frr_maps:
-            assert frr_map["0.01"] <= frr_map["0.001"] <= frr_map["0.0"]
-            checked += 1
-    for report in smoke_reports:
-        maps = [f["frr_at_far"] for f in report.folds] + [report.pooled["frr_at_far"]]
-        for m in maps:
+    for report in _battery_reports(battery) + smoke_reports:
+        for m in [f["frr_at_far"] for f in report.folds] + [report.pooled["frr_at_far"]]:
             assert m["0.01"] <= m["0.001"] <= m["0.0"]
             checked += 1
     _ok(capsys, "criterion 5 (FRR@FAR monotonicity)", f"{checked} FRR triples, zero violations")
@@ -420,22 +366,19 @@ def test_criterion_5_frr_far_monotonicity(battery, smoke_reports, capsys):
 
 
 def test_criterion_6_audits(battery, smoke_reports, capsys):
-    outcomes, _ = battery
-    for seed, o in outcomes.items():
-        assert o.round_violations == 0, f"seed {seed}: round exclusion violated"
-        assert o.disjoint_violations == 0, f"seed {seed}: train/test overlap"
-        assert o.foreign_trials == 0, f"seed {seed}: trials outside the test fold"
+    battery_reports = _battery_reports(battery)
+    for report in battery_reports + smoke_reports:
+        for fold in report.folds:
+            assert fold["audits"] == {"round_exclusion_violations": 0, "train_test_overlap": 0,
+                                      "foreign_trial_subjects": 0}, report.config_tag()
+    for report in battery_reports:
         # orientation guard: scores are similarities, so EER stays below
         # 0.5 + 1/min(n_genuine, n_impostor) on the synthetic suite
-        assert o.max_eer_guard <= 0, f"seed {seed}: EER orientation guard tripped"
-    for report in smoke_reports:
-        for fold in report.folds:
-            assert fold["audits"]["round_exclusion_violations"] == 0
-            assert fold["audits"]["train_test_overlap"] == 0
-            assert fold["audits"]["foreign_trial_subjects"] == 0
-    n_sets = sum(len(o.frr_maps) for o in outcomes.values())
+        pooled = report.pooled
+        n_min = min(pooled["n_genuine"], pooled["n_impostor"])
+        assert pooled["eer"] <= 0.5 + 1.0 / n_min, f"{report.config_tag()}: EER orientation"
     _ok(capsys, "criterion 6 (audits)",
-        f"{n_sets} battery trial sets + {len(smoke_reports)} reports, zero violations")
+        f"{len(battery_reports)} battery reports + {len(smoke_reports)} reports, zero violations")
 
 
 # ---------------------------------------------------------------------------

@@ -51,3 +51,27 @@ def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, monkeypatch, 
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    module = _bench_pairs()
+    monkeypatch.setattr(module, "run_bench", lambda *a: pytest.fail("a run was started"))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--parent", str(ROOT), "--change", str(ROOT), "--workload", "evaluat",
+                     "--seed", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workload must be one of ['battery', 'evaluate', 'verify']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_failed_run_exits_with_the_end_of_its_stderr(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "bench").mkdir(parents=True)
+    (checkout / "bench" / "run.py").write_text(
+        "import sys\nsys.exit('\\n'.join(f'line {k}' for k in range(30)))\n")
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().run_bench(checkout, "evaluate", 5, 1.0)
+    message = str(exc.value.code)
+    assert message.startswith(f"bench/run.py in {checkout} exited 1:")
+    assert message.endswith("line 29") and "line 10" in message and "line 9\n" not in message

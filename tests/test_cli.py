@@ -228,6 +228,7 @@ def test_bad_config_schema_exits_1(tmp_path, capsys):
     ("eval", "raw_fusion", "false"),
     ("eval", "folds", "2"),
     ("eval", "seed", True),
+    ("eval", "fusion", ["mean"]),
 ])
 def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, section, key, value):
     config, _ = _write_config(tmp_path, n_subjects=2)
@@ -235,8 +236,16 @@ def test_config_value_of_wrong_json_type_exits_1(tmp_path, capsys, section, key,
     cfg[section][key] = value
     config.write_text(json.dumps(cfg))
     assert main(["gen", "--config", str(config)]) == 1
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert f"config {config}: {section}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "c.corpus").exists()
+
+
+def test_evaluate_refuses_an_unscorable_fold_before_training(tmp_path, capsys, monkeypatch):
+    config, _ = _write_config(tmp_path, n_subjects=4, folds=4)
+    assert main(["gen", "--config", str(config)]) == 0
+    monkeypatch.setattr(biofuse.metrics, "train", lambda *a, **k: pytest.fail("trained"))
+    assert main(["evaluate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("biofuse: error: fold0: ")
 
 
 def test_config_takes_json_integer_for_float_key(tmp_path):

@@ -28,10 +28,13 @@ from biofuse.metrics import (
     per_subject_eer,
     plan_folds,
     run_experiment,
+    run_experiments,
     score_trials,
     train_folds,
 )
-from biofuse.preprocess import GRID_POINTS, NanPolicy, PairedSample, Sample, build_dataset
+from biofuse.preprocess import (
+    GRID_POINTS, NanPolicy, PairedSample, Sample, build_dataset, pair_samples,
+)
 from biofuse.tnn import EmbeddingModel, TrainConfig, single_modality_arch
 from biofuse.verify import Scenario, best_match, Template
 from biofuse.metrics import (
@@ -511,13 +514,30 @@ def _mini_train():
     return TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=0)
 
 
+def _mini(scenario=Scenario.S2, modality="brain", fusion=None, **fields):
+    """A mini_corpus experiment config: 2 folds, seed 0 and `_mini_train`."""
+    return ExperimentConfig(scenario=scenario, modality=modality, fusion=fusion,
+                            **{"folds": 2, "seed": 0, "train": _mini_train(), **fields})
+
+
+# the acceptance battery's nine configs: (brain | eye | mean fusion) x (S1 | S2 | S3)
+BATTERY_GRID = [_mini(scenario, modality, fusion)
+                for modality, fusion in (("brain", None), ("eye-pupil", None),
+                                         ("eye-pupil", FusionRule.MEAN))
+                for scenario in Scenario]
+
+
+@pytest.fixture(scope="module")
+def mini_reports(mini_corpus):
+    """The battery grid plus fusion-a on mini_corpus, keyed by (scenario, modality, fusion)."""
+    configs = BATTERY_GRID + [_mini(modality="fusion-a")]
+    reports = run_experiments(mini_corpus, configs)
+    return {(c.scenario, c.modality, c.fusion): r for c, r in zip(configs, reports)}
+
+
 class TestRunExperiment:
-    def test_single_modality_report(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="brain", folds=2, seed=0, train=_mini_train()
-        )
-        report = run_experiment(mini_corpus, config)
-        d = json.loads(report.to_json())
+    def test_single_modality_report(self, mini_reports):
+        d = json.loads(mini_reports[Scenario.S2, "brain", None].to_json())
         assert d["provenance"]["models_per_fold"] == 1
         assert d["provenance"]["nan_policy"]["max_nan_fraction"] == 0.25
         assert len(d["folds"]) == 2
@@ -530,41 +550,26 @@ class TestRunExperiment:
         assert 0.0 <= d["pooled"]["eer"] <= 1.0
         assert "eer_mean_of_folds" in d["pooled"]
 
-    def test_s3_thresholds_cover_test_subjects(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S3, modality="brain", folds=2, seed=0, train=_mini_train()
-        )
-        report = run_experiment(mini_corpus, config)
-        for fold in report.folds:
+    def test_s3_thresholds_cover_test_subjects(self, mini_reports):
+        for fold in mini_reports[Scenario.S3, "brain", None].folds:
             assert fold["per_user_thresholds"] is not None
             assert sorted(fold["per_user_thresholds"]) == sorted(fold["test_subjects"])
             assert fold["s3_pooled_far"] is not None
 
-    def test_score_fusion_uses_two_models(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="eye-pupil", fusion=FusionRule.MEAN,
-            folds=2, seed=0, train=_mini_train(),
-        )
-        report = run_experiment(mini_corpus, config)
+    def test_score_fusion_uses_two_models(self, mini_reports):
+        report = mini_reports[Scenario.S2, "eye-pupil", FusionRule.MEAN]
         assert report.provenance["models_per_fold"] == 2
         assert report.provenance["model_arches"] == ["single:brain", "single:eye-pupil"]
         # fused similarity scores live in [0, 1]
         assert 0.0 <= report.pooled["eer"] <= 1.0
 
-    def test_feature_fusion_uses_one_model(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="fusion-a", folds=2, seed=0, train=_mini_train()
-        )
-        report = run_experiment(mini_corpus, config)
+    def test_feature_fusion_uses_one_model(self, mini_reports):
+        report = mini_reports[Scenario.S2, "fusion-a", None]
         assert report.provenance["models_per_fold"] == 1
         assert report.provenance["model_arches"] == ["fusion-a:brain+eye-pupil"]
 
-    def test_rows_output(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="brain", folds=2, seed=0, train=_mini_train()
-        )
-        report = run_experiment(mini_corpus, config)
-        rows = report.to_rows()
+    def test_rows_output(self, mini_reports):
+        rows = mini_reports[Scenario.S2, "brain", None].to_rows()
         assert all(len(r) == 3 for r in rows)
         metrics = {m for _, m, _ in rows}
         assert "pooled.eer" in metrics
@@ -588,25 +593,18 @@ class TestRunExperiment:
             return train(samples, arch, cfg, provenance)
 
         monkeypatch.setattr(biofuse.metrics, "train", training)
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality=modality, fusion=fusion, folds=3, seed=0,
-            train=TrainConfig(epochs=1, batch_size=16, seed=0),
-        )
-        run_experiment(mini_corpus, config)
+        config = _mini(modality=modality, fusion=fusion, folds=3,
+                       train=TrainConfig(epochs=1, batch_size=16, seed=0))
+        # two scenarios share each fold's paired and embedded sample lists
+        run_experiments(mini_corpus, [config, replace(config, scenario=Scenario.S3)])
         assert len(refs) == 3 and stale == [0] * len(stale)
 
     def test_duplicate_subject_raises_naming_it(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="brain", folds=2, seed=0, train=_mini_train()
-        )
         with pytest.raises(ValidationError, match="duplicate subject_id 's00'"):
-            run_experiment([*mini_corpus, mini_corpus[0]], config)
+            run_experiment([*mini_corpus, mini_corpus[0]], _mini())
 
     def test_any_iterable_in_any_order_gives_the_same_report(self, mini_corpus):
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="fusion-b", folds=2, seed=0,
-            train=TrainConfig(epochs=1, batch_size=16, seed=0),
-        )
+        config = _mini(modality="fusion-b", train=TrainConfig(epochs=1, batch_size=16, seed=0))
         want = run_experiment(mini_corpus, config).to_json()
         assert run_experiment(iter(mini_corpus[::-1]), config).to_json() == want
 
@@ -626,11 +624,9 @@ class TestRunExperiment:
 
         monkeypatch.setattr(biofuse.metrics, "apply_standardizer", applying)
         monkeypatch.setattr(biofuse.metrics, "train", training)
-        config = ExperimentConfig(
-            scenario=Scenario.S2, modality="eye-pupil", fusion=FusionRule.MEAN, folds=2,
-            seed=0, train=TrainConfig(epochs=1, batch_size=16, seed=0),
-        )
-        report = run_experiment(mini_corpus, config)
+        report = run_experiment(mini_corpus, _mini(
+            modality="eye-pupil", fusion=FusionRule.MEAN,
+            train=TrainConfig(epochs=1, batch_size=16, seed=0)))
         for fold in report.folds:
             mine = [what for scope, what in events if scope == f"fold{fold['fold']}"]
             last = len(mine) - mine[::-1].index("trained")
@@ -653,10 +649,8 @@ class TestRunExperiment:
         cfg = SynthConfig(n_subjects=8, n_rounds=2, dots_per_round=8,
                           subject_separability=0.7, noise_sigma=0.6, seed=5)
         recordings = generate_synthetic(cfg)
-        report = run_experiment(recordings, ExperimentConfig(
-            scenario=Scenario.S2, modality="brain", folds=2, seed=5,
-            train=TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=5),
-        ))
+        report = run_experiment(recordings, _mini(
+            seed=5, train=TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=5)))
         d = report.to_dict()
         subject_maps = {"per_subject_eer", "per_user_thresholds"}
 
@@ -681,9 +675,58 @@ class TestRunExperiment:
         assert got == frozen
 
 
+class TestRunExperiments:
+    def test_grid_trains_and_embeds_each_fold_once(self, mini_corpus, monkeypatch):
+        calls = []  # (what, fold id of the last model trained), in call order
+        train, embed_batch = biofuse.metrics.train, EmbeddingModel.embed_batch
+
+        def training(samples, arch, cfg, provenance):
+            calls.append(("train", provenance["fold_id"]))
+            return train(samples, arch, cfg, provenance)
+
+        def embedding(model, samples):
+            calls.append(("embed", calls[-1][1]))
+            return embed_batch(model, samples)
+
+        monkeypatch.setattr(biofuse.metrics, "train", training)
+        monkeypatch.setattr(EmbeddingModel, "embed_batch", embedding)
+        assert len(run_experiments(mini_corpus, BATTERY_GRID)) == 9
+        assert Counter(calls) == {(what, f"fold{fi}"): n
+                                  for fi in (0, 1) for what, n in (("train", 2), ("embed", 6))}
+
+    def test_a_config_reports_what_it_reports_alone(self, mini_corpus):
+        brain_s1 = _mini(Scenario.S1)
+        got = run_experiments(mini_corpus, [_mini(Scenario.S2, "eye-pupil", FusionRule.MEAN),
+                                            brain_s1])[1]
+        want = run_experiment(mini_corpus, brain_s1)
+        assert (got.to_json(), got.to_rows()) == (want.to_json(), want.to_rows())
+
+    def test_archs_take_seeds_in_first_use_order(self, mini_corpus):
+        train = replace(_mini_train(), seed=7)
+        fusion, eye = (_mini(modality="eye-pupil", fusion=rule, train=train)
+                       for rule in (FusionRule.MEAN, None))
+        report = run_experiments(mini_corpus, [fusion, eye])[1]
+        assert [f["models"][0]["seed"] for f in report.folds] == [7 + 1, 7 + 1000 + 1]
+
+    @pytest.mark.parametrize("name, other", [
+        ("folds", 3), ("seed", 1), ("nan_policy", NanPolicy(max_nan_fraction=0.5)),
+        ("train", replace(_mini_train(), seed=1)),
+    ])
+    def test_configs_must_share_folds_seed_nan_policy_and_train(self, name, other):
+        with pytest.raises(ValidationError, match=f"share one {name}$"):
+            run_experiments([], [_mini(), _mini(**{name: other})])
+        with pytest.raises(ValidationError, match="at least one config"):
+            run_experiments([], [])
+
+    def test_unscorable_test_split_fails_before_training(self, mini_corpus, monkeypatch):
+        # 6 subjects in 4 folds: folds 2 and 3 test one subject each
+        monkeypatch.setattr(biofuse.metrics, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ValidationError, match="^fold2: .* two subjects with brain samples"):
+            run_experiment(mini_corpus, _mini(folds=4))
+
+
 def test_fusion_changes_scores_only(mini_corpus, untrained_model):
     """Fused trial sets carry the identical trial structure; only scores move."""
-    from biofuse.preprocess import pair_samples
     from biofuse.tnn import fusion_arch
     from biofuse.tnn.arch import ArchKind
 
@@ -709,8 +752,6 @@ def test_fusion_changes_scores_only(mini_corpus, untrained_model):
 def test_fusion_rows_are_brain_then_eye(mini_corpus, untrained_model):
     """Each modality is normalized by its own calibration range, and raw
     fusion combines each trial's own brain and eye scores."""
-    from biofuse.preprocess import pair_samples
-
     brain, _ = build_dataset(mini_corpus, Modality.BRAIN)
     eye, _ = build_dataset(mini_corpus, Modality.EYE_PUPIL)
     pairs = pair_samples(brain, eye)
@@ -733,15 +774,16 @@ def test_fusion_rows_are_brain_then_eye(mini_corpus, untrained_model):
 def test_model_wrappers_match_embedding_path(mini_corpus):
     """build_trials and fusion_calibration_normalizer give exactly what the
     embedding-taking path gives from embed_batch outputs, on one trained fold."""
-    config = ExperimentConfig(
-        modality="eye-pupil", fusion=FusionRule.MEAN, folds=2, seed=0, train=_mini_train()
-    )
+    config = _mini(modality="eye-pupil", fusion=FusionRule.MEAN)
     datasets = {
         m: build_dataset(mini_corpus, m)[0] for m in (Modality.BRAIN, Modality.EYE_PUPIL)
     }
-    fold = next(train_folds(datasets, sorted({r.subject_id for r in mini_corpus}), config))
+    arches = [single_modality_arch(m) for m in datasets]
+    fold = next(train_folds(datasets, sorted({r.subject_id for r in mini_corpus}), config, arches))
     mb, me = fold.models
-    brain, pairs, calibration = fold.test[Modality.BRAIN], fold.test_pairs, fold.train_pairs
+    brain = fold.test[Modality.BRAIN]
+    pairs, calibration = (pair_samples(split[Modality.BRAIN], split[Modality.EYE_PUPIL])
+                          for split in (fold.test, fold.train))
 
     def pair_embeddings(pairs):
         return mb.embed_batch([p.brain for p in pairs]), me.embed_batch([p.eye for p in pairs])

@@ -8,7 +8,8 @@ the medians, quartiles and pair wins of every end-to-end metric as JSON.
 Each pair runs `bench/run.py --trace 0` once in each checkout; the order
 alternates from pair to pair, so a drift of the machine's load does not
 favour one side.  A pair is won when the change's value is better than the
-parent's in the direction the benchmark declares.  Runs go one at a time.
+parent's in the direction the benchmark declares.  Runs go one at a time,
+and a workload that `BENCHMARK.json` does not list is refused before any.
 Each side's checkout is recorded as its commit and whether its tree has
 uncommitted changes (`null` for a tree outside git), so a run of a working
 tree is not labelled with its parent commit.
@@ -25,11 +26,15 @@ from pathlib import Path
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The JSON line and the environment line of one `bench/run.py` run."""
+    """The JSON line and the environment line of one `bench/run.py` run; a
+    failed run exits naming the checkout and showing the end of its stderr."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=True)
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise SystemExit(f"bench/run.py in {checkout} exited {proc.returncode}:\n{tail}")
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("environment "):]) for line in lines
                if line.startswith("environment "))
@@ -95,6 +100,9 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     if args.seconds is None:
         args.seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        p.error(f"--workload must be one of {workloads}")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if args.claim is not None and args.claim not in better:
         p.error(f"--claim must be one of {sorted(better)}")
