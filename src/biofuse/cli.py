@@ -349,9 +349,13 @@ def cmd_enroll(args) -> int:
     dataset_paths = _dataset_paths(args, run)
     out = _path_from(args, "out", run, "templates", "template store output")
     _check_distinct([args.config, model_path, *dataset_paths], [out])
+    wanted = None if args.subjects is None else set(args.subjects.split(","))
+    if wanted == {""}:
+        raise ValidationError("--subjects names no identity")
+    if wanted is not None and "" in wanted:
+        raise ValidationError(f"--subjects {args.subjects!r} holds an empty identity name")
     model = load_model(model_path)
     samples = _prepare_model_inputs(_load_datasets(dataset_paths), model)
-    wanted = set(args.subjects.split(",")) if args.subjects else None
     unknown = sorted((wanted or set()) - {s.subject_id for s in samples})
     if unknown:
         raise ValidationError(f"--subjects names identities with no sample: {', '.join(unknown)}")

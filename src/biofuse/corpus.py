@@ -21,7 +21,6 @@ from .errors import CorpusFormatError, CorpusVersionError, ValidationError, chec
 from .fileio import BlockFormat, BlockReader, atomic_write, read_blocks, write_blocks
 
 CORPUS_MAGIC = "BIOFUSE-CORPUS v2"
-EVENT_KIND_DOT_HIT = "DotHit"
 MAX_DOTS_PER_ROUND = 25  # dot_index is bounded to [0, 24]
 
 
@@ -51,11 +50,8 @@ class EventMarker:
     t: float
     round_id: int
     dot_index: int
-    kind: str = EVENT_KIND_DOT_HIT
 
     def __post_init__(self) -> None:
-        if self.kind != EVENT_KIND_DOT_HIT:
-            raise ValidationError(f"unknown event kind {self.kind!r}")
         if self.round_id < 0:
             raise ValidationError("round_id must be >= 0")
         if not 0 <= self.dot_index < MAX_DOTS_PER_ROUND:

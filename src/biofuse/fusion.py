@@ -4,8 +4,7 @@ Scores travel as one [2, n] array per trial side, row 0 brain and row 1 eye,
 the (brain, eye) order of paired samples, fusion archs and embeddings.  Raw
 similarities are non-positive, under which a product combiner reverses
 ordering (two large distances multiply into a large positive value), so each
-row is min-max mapped to [0, 1] on calibration data before fusing.  Raw-score
-combination stays available via combine_raw for comparison runs.
+row is always min-max mapped to [0, 1] on calibration data before fusing.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ def fit_normalizer_arrays(scores) -> ScoreNormalizer:
 
 
 def combine_raw(scores, rule: FusionRule) -> np.ndarray:
-    """Reduce the rows with a combiner, without range checks (raw-score fusion path)."""
+    """Reduce the rows with a combiner, without range checks; `fuse_arrays`
+    checks the range and calls it."""
     return _COMBINERS[rule](_rows(scores), axis=0)
 
 

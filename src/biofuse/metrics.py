@@ -17,13 +17,7 @@ import numpy as np
 
 from .corpus import Modality, Recording
 from .errors import EvalError, ValidationError, check_field_types
-from .fusion import (
-    FusionRule,
-    ScoreNormalizer,
-    combine_raw,
-    fit_normalizer_arrays,
-    fuse_arrays,
-)
+from .fusion import FusionRule, ScoreNormalizer, fit_normalizer_arrays, fuse_arrays
 from .preprocess import (
     STAGES,
     NanPolicy,
@@ -143,7 +137,6 @@ def frr_at_far_scores(genuine, impostor, far_target: float) -> tuple[float, floa
 class FoldPlan:
     """Subject-disjoint split: per fold a (train, test) subject partition."""
 
-    k: int
     folds: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
 
@@ -164,7 +157,7 @@ def plan_folds(subjects, k: int = 6, seed: int = 0) -> FoldPlan:
         test = tuple(sorted(shuffled[j] for j in chunk))
         train = tuple(s for s in subjects if s not in set(test))
         folds.append((train, test))
-    return FoldPlan(k=k, folds=tuple(folds))
+    return FoldPlan(folds=tuple(folds))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +458,6 @@ def score_trials(
     *,
     fusion_rule: FusionRule | None = None,
     normalizer: ScoreNormalizer | None = None,
-    raw_fusion: bool = False,
 ) -> TrialSet:
     """Score all genuine and zero-effort impostor trials of a test set.
 
@@ -478,12 +470,12 @@ def score_trials(
 
     `embeddings` are the samples' `embed_samples` rows.  With fusion_rule set
     they are the (brain, eye) pair of a paired list; per-modality scores are
-    normalized (unless raw_fusion) and combined.
+    normalized and combined.
     """
     if not samples:
         raise EvalError("no samples to build trials from")
-    if fusion_rule is not None and not raw_fusion and normalizer is None:
-        raise ValidationError("normalized score fusion needs a fitted ScoreNormalizer")
+    if fusion_rule is not None and normalizer is None:
+        raise ValidationError("score fusion needs a fitted ScoreNormalizer")
     structure = _build_structure(samples, scenario)
 
     if fusion_rule is None:
@@ -491,8 +483,7 @@ def score_trials(
             raise ValidationError("single-modality trial scoring takes one embedding array")
         return _trial_set(structure, *_structure_scores(structure, embeddings))
     return _trial_set(structure, *(
-        combine_raw(side, fusion_rule) if raw_fusion
-        else fuse_arrays(normalizer.normalize_arrays(side), fusion_rule)
+        fuse_arrays(normalizer.normalize_arrays(side), fusion_rule)
         for side in _paired_scores(structure, embeddings)
     ))
 
@@ -504,13 +495,10 @@ def build_trials(
     *,
     fusion_rule: FusionRule | None = None,
     normalizer: ScoreNormalizer | None = None,
-    raw_fusion: bool = False,
 ) -> TrialSet:
     """`score_trials` of `embed_samples(samples, models)`."""
-    return score_trials(
-        samples, embed_samples(samples, models), scenario,
-        fusion_rule=fusion_rule, normalizer=normalizer, raw_fusion=raw_fusion,
-    )
+    return score_trials(samples, embed_samples(samples, models), scenario,
+                        fusion_rule=fusion_rule, normalizer=normalizer)
 
 
 def fit_fusion_normalizer(pairs, embeddings, scenario: Scenario) -> ScoreNormalizer:
@@ -609,7 +597,6 @@ class ExperimentConfig:
     fusion_eye: str = "eye-pupil"
     folds: int = 6
     seed: int = 0
-    raw_fusion: bool = False
     nan_policy: NanPolicy = NanPolicy()
     train: TrainConfig = TrainConfig()
 
@@ -835,10 +822,9 @@ def _fold_trials(fold: TrainedFold, arches: list[ArchSpec], ks: list[int],
             memo[split, key] = samples, embed_samples(samples, models)
         return memo[split, key]
 
-    normalizer = (fit_fusion_normalizer(*embedded("train"), config.scenario)
-                  if fused and not config.raw_fusion else None)
+    normalizer = fit_fusion_normalizer(*embedded("train"), config.scenario) if fused else None
     return score_trials(*embedded("test"), config.scenario, fusion_rule=config.fusion,
-                        normalizer=normalizer, raw_fusion=config.raw_fusion)
+                        normalizer=normalizer)
 
 
 def run_experiment(recordings: Iterable[Recording], config: ExperimentConfig) -> EvalReport:

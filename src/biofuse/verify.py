@@ -85,7 +85,8 @@ def best_match(verification: np.ndarray, templates: Sequence[Template]) -> tuple
     dist = np.sqrt(((stacked - v) ** 2).sum(axis=1))
     rounds = np.array([t.round_id for t in templates])
     best = int(np.lexsort((rounds, dist))[0])
-    return -float(dist[best]), templates[best]
+    # not -dist: a perfect match scores +0.0, never -0.0
+    return 0.0 - float(dist[best]), templates[best]
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,11 @@ class Threshold:
     """One global, finite acceptance threshold; `evaluate` applies per-user
     (S3) thresholds through `metrics._tailored_rates`."""
 
-    global_value: float | None = None
+    global_value: float
 
     def __post_init__(self) -> None:
-        if self.global_value is None or not math.isfinite(self.global_value):
+        check_field_types(self)
+        if not math.isfinite(self.global_value):
             raise ValidationError(f"threshold must be a finite number, got {self.global_value}")
 
     @classmethod

@@ -40,6 +40,22 @@ def test_checkout_state_names_the_commit_and_uncommitted_changes(tmp_path):
     assert state(exported) is None
 
 
+def test_a_checkout_git_cannot_read_is_refused_before_any_run(tmp_path, monkeypatch):
+    module = _bench_pairs()
+    monkeypatch.setattr(module, "run_bench", lambda *a: pytest.fail("a run was started"))
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")  # no commit, so HEAD names nothing
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--parent", str(repo), "--change", str(ROOT), "--workload", "evaluate",
+                     "--seed", "5", "--pairs", "2", "--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith(f"git rev-parse HEAD in {repo} exited 128:\n")
+    assert "fatal: " in message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pairs", ["1", "0", "-3"])
 def test_fewer_than_two_pairs_are_refused_before_any_run(tmp_path, monkeypatch, capsys, pairs):
     module = _bench_pairs()

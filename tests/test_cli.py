@@ -102,6 +102,12 @@ def test_verify_decides_under_s2_and_rejects_scenario_flag(enrolled, capsys):
     assert "--scenario" in capsys.readouterr().err
 
 
+def test_verify_prints_an_exact_match_as_zero(enrolled, capsys):
+    argv, _ = enrolled  # sample 0 is enrolled, so its best match is itself
+    assert main(argv) == 0
+    assert " score=0.000000 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("where", ["negative", "past-end"])
 def test_verify_rejects_index_out_of_range(enrolled, capsys, where):
     argv, n = enrolled
@@ -130,6 +136,20 @@ def test_enroll_rejects_unknown_subjects(enrolled, tmp_path, capsys):
     assert not out.exists()
     assert main(["enroll", "--config", config, "--out", str(out), "--subjects", "s00"]) == 0
     assert "1 identities" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("subjects, message", [
+    ("", "--subjects names no identity"),
+    ("s00,", "--subjects 's00,' holds an empty identity name"),
+])
+def test_enroll_rejects_an_empty_subject_list_or_name(enrolled, tmp_path, capsys, subjects,
+                                                      message):
+    argv, _ = enrolled
+    config = argv[argv.index("--config") + 1]
+    out = tmp_path / "t.tpl"
+    assert main(["enroll", "--config", config, "--out", str(out), "--subjects", subjects]) == 1
+    assert capsys.readouterr().err == f"biofuse: error: {message}\n"
+    assert not out.exists()
 
 
 def test_enrolled_templates_are_their_embeddings_bit_for_bit(enrolled):
@@ -225,7 +245,7 @@ def test_bad_config_schema_exits_1(tmp_path, capsys):
     ("synth", "n_subjects", 4.0),
     ("synth", "seed", False),
     ("nan_policy", "max_nan_fraction", True),
-    ("eval", "raw_fusion", "false"),
+    ("eval", "modality", 3),
     ("eval", "folds", "2"),
     ("eval", "seed", True),
     ("eval", "fusion", ["mean"]),
@@ -300,6 +320,14 @@ def test_deterministic_knob_is_rejected(tmp_path, capsys):
     config, paths = _write_config(tmp_path, n_subjects=2, extra_eval={"deterministic": True})
     assert main(["gen", "--config", str(config)]) == 1
     assert "deterministic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_raw_fusion_key_is_rejected(tmp_path, capsys, value):
+    config, _ = _write_config(tmp_path, n_subjects=2, extra_eval={"raw_fusion": value})
+    assert main(["gen", "--config", str(config)]) == 1
+    assert "unknown keys in 'eval': ['raw_fusion']" in capsys.readouterr().err
+    assert not (tmp_path / "c.corpus").exists()
 
 
 def test_preprocess_modality_flag_ignores_fusion_config(tmp_path):

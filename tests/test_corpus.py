@@ -361,8 +361,6 @@ def test_event_marker_bounds():
         EventMarker(t=1.0, round_id=-1, dot_index=0)
     with pytest.raises(ValidationError):
         EventMarker(t=1.0, round_id=0, dot_index=25)
-    with pytest.raises(ValidationError):
-        EventMarker(t=1.0, round_id=0, dot_index=0, kind="Blink")
 
 
 def test_recording_requires_streams():

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 import weakref
 from collections import Counter
@@ -21,6 +22,7 @@ from biofuse.metrics import (
     build_trials,
     compute_eer,
     eer_from_scores,
+    embed_samples,
     fit_fusion_normalizer,
     frr_at_far,
     frr_at_far_scores,
@@ -750,8 +752,8 @@ def test_fusion_changes_scores_only(mini_corpus, untrained_model):
 
 
 def test_fusion_rows_are_brain_then_eye(mini_corpus, untrained_model):
-    """Each modality is normalized by its own calibration range, and raw
-    fusion combines each trial's own brain and eye scores."""
+    """Each modality is normalized by its own calibration range, and fusion
+    combines each trial's own normalized brain and eye scores."""
     brain, _ = build_dataset(mini_corpus, Modality.BRAIN)
     eye, _ = build_dataset(mini_corpus, Modality.EYE_PUPIL)
     pairs = pair_samples(brain, eye)
@@ -765,9 +767,10 @@ def test_fusion_rows_are_brain_then_eye(mini_corpus, untrained_model):
         for row, trials in enumerate(single):
             scores = np.concatenate([trials.genuine.scores, trials.impostor.scores])
             assert (norm.lo[row], norm.hi[row]) == (scores.min(), scores.max())
-        fused = score_trials(pairs, emb, scenario, fusion_rule=FusionRule.MEAN, raw_fusion=True)
+        fused = score_trials(pairs, emb, scenario, fusion_rule=FusionRule.MEAN, normalizer=norm)
         for side in ("genuine", "impostor"):
-            s_brain, s_eye = (getattr(t, side).scores for t in single)
+            s_brain, s_eye = (np.clip((getattr(t, side).scores - lo) / (hi - lo), 0.0, 1.0)
+                              for t, lo, hi in zip(single, norm.lo, norm.hi))
             assert getattr(fused, side).scores.tobytes() == ((s_brain + s_eye) / 2).tobytes()
 
 
@@ -796,7 +799,7 @@ def test_model_wrappers_match_embedding_path(mini_corpus):
             (pairs, (mb, me), pair_embeddings(pairs),
              dict(fusion_rule=FusionRule.MEAN, normalizer=norm)),
             (pairs, (mb, me), pair_embeddings(pairs),
-             dict(fusion_rule=FusionRule.PRODUCT, raw_fusion=True)),
+             dict(fusion_rule=FusionRule.PRODUCT, normalizer=norm)),
         ):
             got = build_trials(samples, models, scenario, **kwargs)
             want = score_trials(samples, embeddings, scenario, **kwargs)
@@ -810,6 +813,43 @@ def test_model_wrappers_match_embedding_path(mini_corpus):
                     assert same, f"{scenario.value} {kwargs} {side}.{f.name}"
 
 
+_S2, _MEAN = Scenario.S2, FusionRule.MEAN
+_BAD_SCORING_CALLS = {
+    "no samples": (EvalError, "no samples",
+                   lambda p, m, e, n: score_trials([], e[0], _S2)),
+    "fusion without a normalizer": (
+        ValidationError, "score fusion needs a fitted ScoreNormalizer",
+        lambda p, m, e, n: score_trials(p, e, _S2, fusion_rule=_MEAN)),
+    "one array under fusion": (
+        ValidationError, "the (brain, eye) embedding pair",
+        lambda p, m, e, n: score_trials(p, e[0], _S2, fusion_rule=_MEAN, normalizer=n)),
+    "a pair without fusion": (
+        ValidationError, "one embedding array",
+        lambda p, m, e, n: score_trials(p, e, _S2)),
+    "unpaired samples": (
+        ValidationError, "paired brain/eye samples",
+        lambda p, m, e, n: build_trials([x.brain for x in p], m, _S2,
+                                        fusion_rule=_MEAN, normalizer=n)),
+    "one model": (
+        ValidationError, "a (brain_model, eye_model) pair",
+        lambda p, m, e, n: build_trials(p, m[:1], _S2, fusion_rule=_MEAN, normalizer=n)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SCORING_CALLS))
+def test_scoring_refuses_mismatched_arguments(mini_corpus, untrained_model, case):
+    """Without these checks a fusion rule could score unnormalized, or a
+    mismatched embedding could be scored as another kind."""
+    error, message, call = _BAD_SCORING_CALLS[case]
+    pairs = pair_samples(*(build_dataset(mini_corpus, m)[0]
+                           for m in (Modality.BRAIN, Modality.EYE_PUPIL)))
+    models = (untrained_model, EmbeddingModel(single_modality_arch(Modality.EYE_PUPIL), seed=1))
+    emb = embed_samples(pairs, models)
+    norm = fit_fusion_normalizer(pairs, emb, _S2)
+    with pytest.raises(error, match=re.escape(message)):
+        call(pairs, models, emb, norm)
+
+
 _WRONG_TYPES = [
     ("epochs", lambda: TrainConfig(epochs=1.5)),
     ("batch_size", lambda: TrainConfig(batch_size=64.0)),
@@ -820,7 +860,6 @@ _WRONG_TYPES = [
     ("scenario", lambda: ExperimentConfig(scenario="s2")),
     ("fusion", lambda: ExperimentConfig(modality="eye", fusion="mean")),
     ("folds", lambda: ExperimentConfig(folds=np.float64(3))),
-    ("raw_fusion", lambda: ExperimentConfig(raw_fusion=1)),
     ("train", lambda: ExperimentConfig(train={})),
 ]
 

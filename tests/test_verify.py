@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ class TestSimilarity:
     def test_identity(self):
         v = np.array([0.2, -0.3, 0.5])
         assert similarity(v, v) == 0.0
+        assert math.copysign(1.0, similarity(v, v)) == 1.0  # +0.0, not -0.0
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(0)
@@ -214,9 +216,11 @@ class TestCalibrate:
 
 
 class TestThreshold:
-    def test_exactly_one_kind(self):
-        with pytest.raises(ValidationError):
+    def test_value_is_required(self):
+        with pytest.raises(TypeError):
             Threshold()
+        with pytest.raises(ValidationError, match="^global_value must be a number, got None$"):
+            Threshold(None)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, value):

@@ -9,7 +9,8 @@ Each pair runs `bench/run.py --trace 0` once in each checkout; the order
 alternates from pair to pair, so a drift of the machine's load does not
 favour one side.  A pair is won when the change's value is better than the
 parent's in the direction the benchmark declares.  Runs go one at a time,
-and a workload that `BENCHMARK.json` does not list is refused before any.
+and a workload that `BENCHMARK.json` does not list, or a checkout where git
+fails, is refused before any.
 Each side's checkout is recorded as its commit and whether its tree has
 uncommitted changes (`null` for a tree outside git), so a run of a working
 tree is not labelled with its parent commit.
@@ -43,13 +44,17 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
 
 def checkout_state(checkout: Path) -> dict | None:
     """The commit `checkout` is at and whether its tree differs from it;
-    None for a tree without `.git`."""
+    None for a tree without `.git`.  A failing git command exits naming the
+    checkout and showing git's stderr."""
     if not (checkout / ".git").exists():
         return None
 
     def git(*args: str) -> str:
-        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True,
-                              check=True).stdout
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"git {' '.join(args)} in {checkout} exited {proc.returncode}:\n"
+                             f"{proc.stderr.strip()}")
+        return proc.stdout
 
     return {"commit": git("rev-parse", "HEAD").strip(),
             "dirty": bool(git("status", "--porcelain"))}
