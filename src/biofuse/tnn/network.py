@@ -6,15 +6,22 @@ forward and backward loop.  Weights live in one flat vector with per-layer
 views, so optimizers, finite-difference checks, and serialization all act on
 the same buffer.  Forward/backward are pure given (weights, input);
 everything is plain numpy.
+
+The two branch stacks of a two-branch model are independent until the head,
+so with two usable CPUs the calling thread runs branch 0 while the process's
+one branch worker thread runs branch 1.  Each branch makes the same numpy
+calls on the same arrays either way, so the bytes do not depend on it.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+import os
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .. import corpus
 from ..errors import ShapeError, ValidationError
 from ..preprocess import PairedSample, Sample
 from .arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec, branch_output_widths
@@ -237,8 +244,10 @@ def _stacks(arch: ArchSpec) -> list[tuple[str, tuple]]:
 def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: bool):
     """Run one stack; ReLU follows every conv and dense layer but the last.
 
-    Returns (output, per-layer cache): (x, y) for a pool, (layer input as
-    columns or rows, ReLU mask or None, input shape) for a conv or dense."""
+    Returns (output, per-layer cache): (x, y) for a pool, (layer input, ReLU
+    mask or None) for a conv or dense.  A conv keeps its input rather than
+    its im2col columns, which are several times larger; the backward pass
+    forms them again."""
     prefix, layers = stack
     cache: list = []
     for li, spec in enumerate(layers):
@@ -258,19 +267,87 @@ def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: b
         if mask is not None:
             np.multiply(z, mask, out=z)  # ReLU in place: z * mask, -0.0 and NaN kept
         if with_cache:
-            cache.append((inp, mask, x.shape))
+            cache.append((x, mask))
         x = z.transpose(0, 2, 1) if conv else z
     return x, cache
 
 
+_worker = None  # the process's branch worker, started by the first two-branch pass
+
+
+def _forget_worker() -> None:
+    """Drop the branch worker; a forked child has no copy of its thread."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _run_branches(calls: list[Callable]) -> list:
+    """The results of one zero-argument call per branch, in branch order.
+
+    With two calls and at least two usable CPUs the branch worker runs the
+    second under the caller's numpy error state while this thread runs the
+    first.  An exception from either branch reaches the caller with its own
+    type once both have finished; the first branch's wins if both raise."""
+    global _worker
+    if len(calls) < 2 or corpus._usable_cpus() < 2:
+        return [call() for call in calls]
+    if _worker is None:
+        # here, not at the top: a process that never trains or embeds a
+        # two-branch model does not load the executor
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="biofuse-branch")
+    first, second = calls
+    errors = np.geterr()
+
+    def in_worker():
+        with np.errstate(**errors):
+            return second()
+
+    future = _worker.submit(in_worker)
+    try:
+        result = first()
+    finally:
+        future.exception()  # wait for the worker's branch, whatever this one did
+    return [result, future.result()]
+
+
+def _check_branches(model: EmbeddingModel, branches) -> None:
+    arch = model.arch
+    if len(branches) != arch.n_branches:
+        raise ShapeError(
+            f"{arch.tag} model takes {arch.n_branches} input branch(es), got {len(branches)}"
+        )
+    rows = None
+    for bi, x in enumerate(branches):
+        shape = np.shape(x)
+        if len(shape) != 3 or shape[1:] != (arch.input_channels[bi], arch.input_points):
+            raise ShapeError(f"branch {bi} input must be [B, {arch.input_channels[bi]}, "
+                             f"{arch.input_points}], got {shape}")
+        if rows is not None and shape[0] != rows:
+            raise ShapeError(f"branch {bi} input has {shape[0]} rows, branch 0 has {rows}")
+        rows = shape[0]
+
+
 def forward_batch(model: EmbeddingModel, branches: tuple[np.ndarray, ...], with_cache: bool):
-    """Embed a stacked batch; returns (embeddings [B x D], cache or None)."""
+    """Embed a stacked batch; returns (embeddings [B x D], cache or None).
+
+    `branches` holds one [B, C_i, input_points] array per branch, with the
+    same B; anything else raises ShapeError naming the branch before any
+    work.  A two-branch model's branch stacks run at the same time, branch 1
+    on the branch worker (see `_run_branches`), and the head waits for both."""
+    _check_branches(model, branches)
     *branch_stacks, head = _stacks(model.arch)
-    outs, caches = [], []
-    for stack, x in zip(branch_stacks, branches):
-        out, cache = _forward_stack(model, stack, np.asarray(x, dtype=model.dtype), with_cache)
-        outs.append(out)
-        caches.append(cache)
+    results = _run_branches([
+        functools.partial(_forward_stack, model, stack, np.asarray(x, dtype=model.dtype),
+                          with_cache)
+        for stack, x in zip(branch_stacks, branches)
+    ])
+    outs = [out for out, _ in results]
+    caches = [cache for _, cache in results]
     x, cache = _forward_stack(model, head, np.concatenate(outs, axis=1), with_cache)
     caches.append(cache)
     s = (x * x).sum(axis=1)
@@ -296,8 +373,9 @@ def _backward_stack(model, stack: tuple[str, tuple], cache: list, dy: np.ndarray
             x, y = cache[li]
             dy = _max_pool_backward(x, y, dy, spec.width)
             continue
-        inp, mask, x_shape = cache[li]
+        x, mask = cache[li]
         conv = isinstance(spec, ConvSpec)
+        inp = _im2col(x, spec.kernel, spec.stride) if conv else x.reshape(x.shape[0], -1)
         dz = dy.transpose(0, 2, 1) if conv else dy                  # [B, (To,) F]
         if mask is not None:
             dz = dz * mask
@@ -306,8 +384,9 @@ def _backward_stack(model, stack: tuple[str, tuple], cache: list, dy: np.ndarray
         grad_views[f"{prefix}/layer{li}/b"] += dz.sum(axis=tuple(range(dz.ndim - 1)))
         if li == 0 and not input_grad:
             return None
+        del inp  # free the columns before their gradient is formed
         dinp = dz @ w.reshape(w.shape[0], -1)
-        dy = _col2im(dinp, x_shape, spec.kernel, spec.stride) if conv else dinp.reshape(x_shape)
+        dy = _col2im(dinp, x.shape, spec.kernel, spec.stride) if conv else dinp.reshape(x.shape)
     return dy
 
 
@@ -318,7 +397,9 @@ def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.
     zeros without a backward pass.  For finite activations that is
     bit-identical: the full pass adds sums of products with a ±0.0 factor
     onto this +0.0 buffer, and +0.0 + ±0.0 is +0.0.  A NaN entry counts as
-    non-zero, so a diverging step still propagates it."""
+    non-zero, so a diverging step still propagates it.  A two-branch
+    model's branch stacks run their backward passes at the same time, as in
+    `forward_batch`; each adds into its own slices of the flat vector."""
     grad = np.zeros(model.n_weights, dtype=model.dtype)
     d_emb = d_emb.astype(model.dtype)
     if not d_emb.any():
@@ -332,6 +413,9 @@ def backward_batch(model: EmbeddingModel, cache: dict, d_emb: np.ndarray) -> np.
     *branch_caches, head_cache = cache["stacks"]
     dz = _backward_stack(model, head, head_cache, dz, grad_views, input_grad=True)
     parts = np.split(dz, np.cumsum(cache["branch_widths"])[:-1], axis=1)
-    for stack, stack_cache, dpart in zip(branch_stacks, branch_caches, parts):
-        _backward_stack(model, stack, stack_cache, dpart, grad_views, input_grad=False)
+    _run_branches([
+        functools.partial(_backward_stack, model, stack, stack_cache, dpart, grad_views,
+                          input_grad=False)
+        for stack, stack_cache, dpart in zip(branch_stacks, branch_caches, parts)
+    ])
     return grad

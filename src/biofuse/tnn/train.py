@@ -144,7 +144,10 @@ def train(
     A step with no active triplet has a zero gradient and still takes an
     optimizer step (Adam's momentum keeps moving the weights).  Each step's
     forward cache is freed before the next step's forward pass, so one
-    step's activations are live at a time.
+    step's activations are live at a time; a conv layer's entry is its
+    input, and the backward pass re-forms the columns.  With two usable
+    CPUs a two-branch model's branches run their forward and backward
+    passes on two threads (see `forward_batch`), with the same bytes.
     """
     # integer subject codes in name order, so batching visits subjects as names sort
     subjects, codes = np.unique([s.subject_id for s in samples], return_inverse=True)

@@ -2,6 +2,7 @@
 refuses a run it could not summarize."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -91,3 +92,32 @@ def test_a_failed_run_exits_with_the_end_of_its_stderr(tmp_path):
     message = str(exc.value.code)
     assert message.startswith(f"bench/run.py in {checkout} exited 1:")
     assert message.endswith("line 29") and "line 10" in message and "line 9\n" not in message
+
+
+def _fake_checkout(path, correct):
+    """A checkout whose bench/run.py prints what the real one prints for a
+    run whose checks pass, or fail twice."""
+    (path / "bench").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    failed = [] if correct else ["wall_s check: unit 0 report differs", "unit 2 missing"]
+    lines = ["bench evaluate seed=29", 'environment {"nproc": 2}',
+             f"error_rate {len(failed) / 4:.6g} ({len(failed)} of 4 checks failed)",
+             *(f"FAILED {f}" for f in failed),
+             json.dumps({"correct": correct, "attempted": 4, "failed": len(failed),
+                         "metrics": {"wall_s": {"value": 1.0}}})]
+    (path / "bench" / "run.py").write_text(f"print({chr(10).join(lines)!r})\n")
+    return path
+
+
+def test_failed_checks_exit_naming_the_checkout_seed_and_pair_with_their_lines(tmp_path):
+    parent = _fake_checkout(tmp_path / "parent", correct=True)
+    change = _fake_checkout(tmp_path / "change", correct=False)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        _bench_pairs().main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "evaluate", "--seed", "29", "--pairs", "2",
+                             "--seconds", "1", "--out", str(out)])
+    assert str(exc.value.code) == (
+        f"change run in {change} failed its checks at seed 29, pair 0:\n"
+        "FAILED wall_s check: unit 0 report differs\nFAILED unit 2 missing")
+    assert not out.exists()

@@ -1,12 +1,21 @@
+import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import biofuse
+from biofuse import corpus
 from biofuse.corpus import Modality
 from biofuse.errors import (
     DivergenceError,
@@ -31,6 +40,7 @@ from biofuse.tnn import (
     train,
 )
 from biofuse.tnn.arch import ArchSpec, ConvSpec, DenseSpec, PoolSpec
+from biofuse.tnn import network
 from biofuse.tnn.loss import _triplet_embedding_grads
 from biofuse.tnn.network import (
     _im2col,
@@ -115,6 +125,32 @@ class TestEmbed:
         for raw in (data, (data,)):
             with pytest.raises(ShapeError, match="cannot embed"):
                 model.embed(raw)
+
+
+_T = GRID_POINTS
+
+
+@pytest.mark.parametrize("name, shapes, message", [
+    ("fusion-a", [(2, 14, _T)], r"takes 2 input branch\(es\), got 1$"),
+    ("brain", [(2, 14, _T), (2, 16, _T)], r"takes 1 input branch\(es\), got 2$"),
+    ("fusion-b", [(2, 14, _T), (2, 15, _T)],
+     rf"^branch 1 input must be \[B, 16, {_T}\], got \(2, 15, {_T}\)$"),
+    ("brain", [(2, 14, _T + 1)], rf"^branch 0 input must be \[B, 14, {_T}\], got "),
+    ("brain", [(14, _T)], rf"^branch 0 input must be \[B, 14, {_T}\], got \(14, {_T}\)$"),
+    ("fusion-a", [(2, 14, _T), (3, 16, _T)], "^branch 1 input has 3 rows, branch 0 has 2$"),
+])
+def test_forward_batch_refuses_inputs_that_do_not_fit_the_branches(name, shapes, message,
+                                                                   monkeypatch):
+    """One [B, C_i, input_points] array per branch, with one B, or a
+    ShapeError naming the branch before any stack runs."""
+    arch = (single_modality_arch(Modality.BRAIN) if name == "brain"
+            else fusion_arch(ArchKind(name)))
+    model = EmbeddingModel(arch, seed=1)
+    monkeypatch.setattr(network, "_forward_stack", lambda *a: pytest.fail("a stack ran"))
+    branches = tuple(np.zeros(shape, dtype=np.float32) for shape in shapes)
+    for with_cache in (False, True):
+        with pytest.raises(ShapeError, match=message):
+            forward_batch(model, branches, with_cache=with_cache)
 
 
 EMBED_SIZES = (1, 37, 75, 127, 128, 129, 255, 511, 512, 513, 520, 640, 700, 1100)
@@ -655,7 +691,10 @@ class TestTrain:
     @pytest.mark.parametrize("kind", list(ArchKind))
     def test_previous_step_cache_is_freed_before_the_next_forward(self, kind, monkeypatch):
         """One step's activations are live at a time: when a training forward
-        pass starts, no earlier step's cache is referenced."""
+        pass starts, no earlier step's cache is referenced.  The probe is the
+        first layer's cached input, which a conv layer keeps in place of its
+        im2col columns; for a two-branch model the branch worker formed
+        branch 1's cache, and must not keep it either."""
         pairs = _toy_pairs()
         if kind is ArchKind.SINGLE:
             arch, samples = single_modality_arch(Modality.BRAIN), [p.brain for p in pairs]
@@ -668,12 +707,15 @@ class TestTrain:
         def forwarding(model, branches, with_cache):
             live.append(sum(ref() is not None for ref in refs))
             emb, cache = forward(model, branches, with_cache)
-            refs.append(weakref.ref(cache["stacks"][0][0][0]))  # the first layer's columns
+            for stack, x in zip(cache["stacks"], branches):
+                layer_input, _ = stack[0]  # a conv keeps its input and mask, no columns
+                assert layer_input is x
+                refs.append(weakref.ref(layer_input))
             return emb, cache
 
         monkeypatch.setattr(module, "forward_batch", forwarding)
         train(samples, arch, TrainConfig(epochs=2, batch_size=8, samples_per_subject=2, seed=1))
-        assert len(refs) > 2 and live == [0] * len(refs)
+        assert len(refs) > 2 and live == [0] * len(live)
 
     def test_lr_zero_is_noop(self):
         samples = _toy_dataset()
@@ -812,3 +854,198 @@ class TestModelFile:
         model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=0, dtype=np.float64)
         with pytest.raises(ValidationError):
             save_model(model, tmp_path / "m.model")
+
+
+_SRC = str(Path(biofuse.__file__).parents[1])
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Trains fusion-a and fusion-b on random pairs, under a one-CPU affinity mask
+# when argv[1] is "one", and prints the sha256 of every weight, loss history
+# and embedding byte, then whether the branch worker was started.
+_TRAIN_FUSION = """
+import hashlib, os, sys
+import numpy as np
+from biofuse.corpus import Modality
+from biofuse.preprocess import GRID_POINTS, PairedSample, Sample
+from biofuse.tnn import ArchKind, TrainConfig, fusion_arch, network, train
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+rng = np.random.default_rng(7)
+pairs = [PairedSample(*(Sample(subject_id=f"s{k % 4:02d}", round_id=k % 2, modality=m, t0=k,
+                               data=rng.standard_normal((m.n_channels, GRID_POINTS),
+                                                        dtype=np.float32))
+                        for m in (Modality.BRAIN, Modality.EYE_PUPIL)))
+         for k in range(16)]
+digest = hashlib.sha256()
+for kind in (ArchKind.FUSION_A, ArchKind.FUSION_B):
+    cfg = TrainConfig(epochs=2, batch_size=8, samples_per_subject=2, seed=1)
+    model, history = train(pairs, fusion_arch(kind), cfg)
+    digest.update(model.weights.tobytes() + np.asarray(history).tobytes())
+    digest.update(model.embed_batch(pairs).tobytes())
+print(digest.hexdigest(), network._worker is not None)
+"""
+
+# Trains and embeds with a brain model only.
+_BRAIN_ONLY = """
+import sys
+import numpy as np
+from biofuse.corpus import Modality
+from biofuse.preprocess import GRID_POINTS, Sample
+from biofuse.tnn import TrainConfig, single_modality_arch, train
+rng = np.random.default_rng(7)
+samples = [Sample(subject_id=f"s{k % 4:02d}", round_id=k % 2, modality=Modality.BRAIN, t0=k,
+                  data=rng.standard_normal((14, GRID_POINTS), dtype=np.float32))
+           for k in range(16)]
+model, _ = train(samples, single_modality_arch(Modality.BRAIN),
+                 TrainConfig(epochs=2, batch_size=8, samples_per_subject=2, seed=1))
+model.embed_batch(samples)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def _run_script(script, *args):
+    env = {**os.environ, **_ONE_BLAS_THREAD,
+           "PYTHONPATH": os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=300).stdout.split()
+
+
+class _BranchFailure(Exception):
+    pass
+
+
+def _branch_pass(kind=ArchKind.FUSION_B, n=4):
+    """A model of `kind` with one forward cache and a d_emb for it."""
+    pairs = _toy_pairs()[:n]
+    if kind is ArchKind.SINGLE:
+        model = EmbeddingModel(single_modality_arch(Modality.BRAIN), seed=2)
+        branches = stack_inputs([p.brain for p in pairs], model)
+    else:
+        model = EmbeddingModel(fusion_arch(kind), seed=2)
+        branches = stack_inputs(pairs, model)
+    emb, cache = forward_batch(model, branches, with_cache=True)
+    return model, branches, cache, np.random.default_rng(3).standard_normal(emb.shape)
+
+
+class TestBranchWorker:
+    """A two-branch model runs branch 1 on the process's branch worker thread
+    when two CPUs are usable; nothing it computes may change a byte."""
+
+    @pytest.mark.parametrize("kind", [ArchKind.FUSION_A, ArchKind.FUSION_B])
+    def test_bytes_do_not_depend_on_the_usable_cpus(self, kind, monkeypatch):
+        pairs = _toy_pairs()
+        cfg = TrainConfig(epochs=3, batch_size=8, samples_per_subject=2, seed=1)
+        threads = []
+        for name in ("_forward_stack", "_backward_stack"):
+            def recording(model, stack, *args, real=getattr(network, name), **kwargs):
+                threads.append((stack[0], threading.current_thread() is threading.main_thread()))
+                return real(model, stack, *args, **kwargs)
+            monkeypatch.setattr(network, name, recording)
+        runs, on_main = {}, {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(corpus, "_usable_cpus", lambda cpus=cpus: cpus)
+            threads.clear()
+            model, history = train(pairs, fusion_arch(kind), cfg)
+            fresh, branches, cache, d_emb = _branch_pass(kind, n=len(pairs))
+            runs[cpus] = [model.weights.tobytes(), np.asarray(history).tobytes(),
+                          model.embed_batch(pairs).tobytes(), fresh.embed_batch(pairs).tobytes(),
+                          backward_batch(fresh, cache, d_emb).tobytes()]
+            on_main[cpus] = {(prefix, main) for prefix, main in threads}
+            assert history[0] > 0.0  # training took backward passes
+        assert runs[1] == runs[2]
+        assert on_main[1] == {("branch0", True), ("branch1", True), ("head", True)}
+        assert on_main[2] == {("branch0", True), ("branch1", False), ("head", True)}
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks here")
+    def test_bytes_do_not_depend_on_the_affinity_mask(self):
+        if corpus._usable_cpus() < 2:
+            pytest.skip("one usable CPU: every run is a serial run")
+        one, one_threaded = _run_script(_TRAIN_FUSION, "one")
+        every, every_threaded = _run_script(_TRAIN_FUSION, "every")
+        assert (one_threaded, every_threaded) == ("False", "True")
+        assert one == every
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("failing", ["branch0", "branch1"])
+    def test_a_branch_error_reaches_the_caller_after_both_branches(self, monkeypatch,
+                                                                   direction, failing):
+        """branch0 runs on the calling thread, branch1 on the worker; the
+        other branch is slow, so a caller that did not wait for it would
+        see it unfinished."""
+        model, branches, cache, d_emb = _branch_pass()
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        name = f"_{direction}_stack"
+        real = getattr(network, name)
+        finished = []
+
+        def stack_pass(model, stack, *args, **kwargs):
+            if stack[0] == failing:
+                raise _BranchFailure(failing)
+            if stack[0] != "head":
+                time.sleep(0.2)
+            out = real(model, stack, *args, **kwargs)
+            finished.append(stack[0])
+            return out
+
+        monkeypatch.setattr(network, name, stack_pass)
+        before = threading.active_count()
+        with pytest.raises(_BranchFailure, match=f"^{failing}$"):
+            if direction == "forward":
+                forward_batch(model, branches, with_cache=True)
+            else:
+                backward_batch(model, cache, d_emb)
+        other = {"branch0": "branch1", "branch1": "branch0"}[failing]
+        assert finished == ([other] if direction == "forward" else ["head", other])
+        assert threading.active_count() == before
+
+    def test_the_callers_error_state_applies_in_the_worker(self, monkeypatch):
+        model, branches, _, _ = _branch_pass()
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        real = network._forward_stack
+        ran = {}
+
+        def overflowing(model, stack, *args):
+            ran[stack[0]] = threading.current_thread() is threading.main_thread()
+            if stack[0] == "branch1":
+                np.full(1, 3e38, dtype=np.float32) * np.float32(10)
+            return real(model, stack, *args)
+
+        monkeypatch.setattr(network, "_forward_stack", overflowing)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            forward_batch(model, branches, with_cache=False)
+        assert ran == {"branch0": True, "branch1": False}
+
+    def test_one_worker_thread_serves_every_two_branch_pass(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_worker", None)  # this test starts the worker
+        real = network._backward_stack
+        workers = set()
+
+        def recording(model, stack, *args, **kwargs):
+            if stack[0] == "branch1":
+                workers.add(threading.get_ident())
+            return real(model, stack, *args, **kwargs)
+
+        monkeypatch.setattr(network, "_backward_stack", recording)
+        start = threading.active_count()
+        for kind, rise in ((ArchKind.SINGLE, 0), (ArchKind.FUSION_B, 1), (ArchKind.FUSION_A, 1)):
+            for _ in range(20):
+                model, _, cache, d_emb = _branch_pass(kind)
+                backward_batch(model, cache, d_emb)
+            assert threading.active_count() == start + rise, kind
+        assert len(workers) == 1 and threading.get_ident() not in workers
+        network._worker.shutdown()
+
+    def test_the_fork_hook_drops_the_worker(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        _branch_pass()
+        started = network._worker
+        assert started is not None
+        network._forget_worker()  # what a forked child runs
+        assert network._worker is None
+        started.shutdown()
+        _branch_pass()
+        assert network._worker is not None and network._worker is not started
+
+    def test_a_single_branch_process_never_imports_the_executor(self):
+        assert _run_script(_BRAIN_ONLY) == ["False"]

@@ -10,7 +10,8 @@ alternates from pair to pair, so a drift of the machine's load does not
 favour one side.  A pair is won when the change's value is better than the
 parent's in the direction the benchmark declares.  Runs go one at a time,
 and a workload that `BENCHMARK.json` does not list, or a checkout where git
-fails, is refused before any.
+fails, is refused before any.  A run whose checks fail ends the measurement,
+naming its checkout, seed and pair and printing its `FAILED` lines.
 Each side's checkout is recorded as its commit and whether its tree has
 uncommitted changes (`null` for a tree outside git), so a run of a working
 tree is not labelled with its parent commit.
@@ -26,9 +27,11 @@ import sys
 from pathlib import Path
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The JSON line and the environment line of one `bench/run.py` run; a
-    failed run exits naming the checkout and showing the end of its stderr."""
+def run_bench(checkout: Path, workload: str, seed: int,
+              seconds: float) -> tuple[dict, dict, list[str]]:
+    """The JSON line, the environment line and the `FAILED ...` check lines
+    of one `bench/run.py` run; a run that exits non-zero exits naming the
+    checkout and showing the end of its stderr."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -39,7 +42,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> tuple
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("environment "):]) for line in lines
                if line.startswith("environment "))
-    return json.loads(lines[-1]), env
+    failures = [line for line in lines if line.startswith("FAILED ")]
+    return json.loads(lines[-1]), env, failures
 
 
 def checkout_state(checkout: Path) -> dict | None:
@@ -71,9 +75,11 @@ def measure(args, seed: int, better: dict) -> dict:
     envs = {}
     for k in range(args.pairs):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            result, envs[side] = run_bench(sides[side], args.workload, seed, args.seconds)
+            result, envs[side], failures = run_bench(sides[side], args.workload, seed,
+                                                     args.seconds)
             if not result["correct"]:
-                raise SystemExit(f"{side} run {k} failed its checks")
+                raise SystemExit("\n".join([f"{side} run in {sides[side]} failed its checks "
+                                             f"at seed {seed}, pair {k}:", *failures]))
             runs[side].append({m: v["value"] for m, v in result["metrics"].items()})
             print(f"seed {seed} pair {k} {side}: {runs[side][-1]}", file=sys.stderr)
     out = {"seed": seed, "pairs": args.pairs, "metrics": {}}
