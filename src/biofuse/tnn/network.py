@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -273,12 +274,14 @@ def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: b
 
 
 _worker = None  # the process's branch worker, started by the first two-branch pass
+_worker_lock = threading.Lock()  # held only while the worker starts
 
 
 def _forget_worker() -> None:
-    """Drop the branch worker; a forked child has no copy of its thread."""
-    global _worker
-    _worker = None
+    """Drop the branch worker; a forked child has no copy of its thread, and
+    gets a new start lock in case a thread of its parent held the old one."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -295,11 +298,15 @@ def _run_branches(calls: list[Callable]) -> list:
     global _worker
     if len(calls) < 2 or corpus._usable_cpus() < 2:
         return [call() for call in calls]
-    if _worker is None:
-        # here, not at the top: a process that never trains or embeds a
-        # two-branch model does not load the executor
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="biofuse-branch")
+    worker = _worker
+    if worker is None:
+        with _worker_lock:
+            if _worker is None:
+                # here, not at the top: a process that never trains or embeds
+                # a two-branch model does not load the executor
+                from concurrent.futures import ThreadPoolExecutor
+                _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="biofuse-branch")
+            worker = _worker
     first, second = calls
     errors = np.geterr()
 
@@ -307,7 +314,7 @@ def _run_branches(calls: list[Callable]) -> list:
         with np.errstate(**errors):
             return second()
 
-    future = _worker.submit(in_worker)
+    future = worker.submit(in_worker)
     try:
         result = first()
     finally:

@@ -1022,8 +1022,8 @@ class TestBranchWorker:
         workers = set()
 
         def recording(model, stack, *args, **kwargs):
-            if stack[0] == "branch1":
-                workers.add(threading.get_ident())
+            if stack[0] == "branch1":  # Thread objects: an exited thread's ident is reused
+                workers.add(threading.current_thread())
             return real(model, stack, *args, **kwargs)
 
         monkeypatch.setattr(network, "_backward_stack", recording)
@@ -1033,7 +1033,50 @@ class TestBranchWorker:
                 model, _, cache, d_emb = _branch_pass(kind)
                 backward_batch(model, cache, d_emb)
             assert threading.active_count() == start + rise, kind
-        assert len(workers) == 1 and threading.get_ident() not in workers
+        assert len(workers) == 1 and threading.current_thread() not in workers
+        network._worker.shutdown()
+
+    def test_concurrent_callers_share_one_worker_and_keep_their_bytes(self, monkeypatch):
+        """Four caller threads on two CPUs, switching every microsecond: one
+        worker starts, and every pass gives the bytes of a serial pass."""
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 1)
+        model, branches, cache, d_emb = _branch_pass()
+        want = (forward_batch(model, branches, with_cache=False)[0].tobytes(),
+                backward_batch(model, cache, d_emb).tobytes())
+        monkeypatch.setattr(corpus, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_worker", None)
+        real = network._forward_stack
+        workers = set()
+
+        def recording(model, stack, *args):
+            if stack[0] == "branch1":
+                workers.add(threading.current_thread())
+            return real(model, stack, *args)
+
+        monkeypatch.setattr(network, "_forward_stack", recording)
+        start = threading.active_count()
+        got = []
+        barrier = threading.Barrier(4, timeout=60)  # every caller's first pass at once
+
+        def caller():
+            barrier.wait()
+            for _ in range(25):
+                got.append((forward_batch(model, branches, with_cache=False)[0].tobytes(),
+                            backward_batch(model, cache, d_emb).tobytes()))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == [want] * 100
+        assert len(workers) == 1 and threading.active_count() == start + 1
         network._worker.shutdown()
 
     def test_the_fork_hook_drops_the_worker(self, monkeypatch):
