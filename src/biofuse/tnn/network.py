@@ -235,6 +235,13 @@ def _col2im(dcols: np.ndarray, x_shape: tuple[int, ...], kernel: int, stride: in
     return dx
 
 
+def _layer_rows(x: np.ndarray, spec) -> np.ndarray:
+    """A conv layer's input as its im2col columns, a dense layer's as [B, K] rows."""
+    if isinstance(spec, ConvSpec):
+        return _im2col(x, spec.kernel, spec.stride)
+    return x.reshape(x.shape[0], -1)
+
+
 def _stacks(arch: ArchSpec) -> list[tuple[str, tuple]]:
     """(weight prefix, layers) per layer stack in layout order: each branch,
     then the head (empty for single-modality and fusion-a archs)."""
@@ -260,16 +267,15 @@ def _forward_stack(model, stack: tuple[str, tuple], x: np.ndarray, with_cache: b
             continue
         w = model.views[f"{prefix}/layer{li}/w"]
         bias = model.views[f"{prefix}/layer{li}/b"]
-        conv = isinstance(spec, ConvSpec)
-        inp = _im2col(x, spec.kernel, spec.stride) if conv else x.reshape(x.shape[0], -1)
-        z = inp @ w.reshape(w.shape[0], -1).T
+        z = _layer_rows(x, spec) @ w.reshape(w.shape[0], -1).T  # the columns die here
         z += bias
         mask = z > 0 if li < len(layers) - 1 else None
         if mask is not None:
             np.multiply(z, mask, out=z)  # ReLU in place: z * mask, -0.0 and NaN kept
         if with_cache:
             cache.append((x, mask))
-        x = z.transpose(0, 2, 1) if conv else z
+        x = z.transpose(0, 2, 1) if isinstance(spec, ConvSpec) else z
+        del z, mask  # without a cache, only x outlives the layer
     return x, cache
 
 
@@ -382,16 +388,15 @@ def _backward_stack(model, stack: tuple[str, tuple], cache: list, dy: np.ndarray
             continue
         x, mask = cache[li]
         conv = isinstance(spec, ConvSpec)
-        inp = _im2col(x, spec.kernel, spec.stride) if conv else x.reshape(x.shape[0], -1)
         dz = dy.transpose(0, 2, 1) if conv else dy                  # [B, (To,) F]
         if mask is not None:
             dz = dz * mask
         w = model.views[f"{prefix}/layer{li}/w"]
-        grad_views[f"{prefix}/layer{li}/w"] += _weight_grad(dz, inp).reshape(w.shape)
+        dw = _weight_grad(dz, _layer_rows(x, spec))  # the columns die here
+        grad_views[f"{prefix}/layer{li}/w"] += dw.reshape(w.shape)
         grad_views[f"{prefix}/layer{li}/b"] += dz.sum(axis=tuple(range(dz.ndim - 1)))
         if li == 0 and not input_grad:
             return None
-        del inp  # free the columns before their gradient is formed
         dinp = dz @ w.reshape(w.shape[0], -1)
         dy = _col2im(dinp, x.shape, spec.kernel, spec.stride) if conv else dinp.reshape(x.shape)
     return dy
